@@ -328,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--max-index", type=int, default=None)
-    p.add_argument("--max-partitions", type=int, default=None)
+    p.add_argument(
+        "--max-partitions", type=int, default=None,
+        help="cap on quotient search steps (edge choices tried); exit 3 beyond it",
+    )
     common(p)
     p.set_defaults(fn=cmd_index)
 
@@ -337,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-partitions", type=int, default=None)
+    p.add_argument(
+        "--max-partitions", type=int, default=None,
+        help="cap on quotient search steps (edge choices tried); exit 3 beyond it",
+    )
     common(p)
     p.set_defaults(fn=cmd_table)
 

@@ -1,6 +1,7 @@
 """Labeled graphs over a rank-N basis: folding, cores, covers, spanning
-trees with dual bases, loop rewriting, circle graphs, principal quotients,
-cover censuses, and the explicit blocking/forcing path constructions.
+trees with dual bases, loop rewriting, circle graphs, principal quotients
+grown by tracing a word, cover censuses, and the explicit blocking/forcing
+path constructions.
 
 Vertices are 0..V-1 with a distinguished base vertex.  Each stored edge is a
 positively labeled triple (origin, terminus, gen); a directed edge is the
@@ -13,12 +14,11 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     InvalidInputError,
     NoSuchPathError,
-    ResourceGuardError,
     UnsupportedInputError,
 )
 from .words import (
@@ -152,10 +152,6 @@ def is_cover(g: AGraph, rank: int | None = None) -> bool:
     return all(
         (v, x) in om for v in range(g.num_vertices) for x in alphabet(rank)
     )
-
-
-def cover_degree(g: AGraph) -> int:
-    return g.num_vertices
 
 
 # -- folding ----------------------------------------------------------------
@@ -307,18 +303,6 @@ def path_contains(hay: EdgePath, needle: EdgePath) -> bool:
     return _edge_token_string(needle.edges) in _edge_token_string(hay.edges)
 
 
-def concat_paths(g: AGraph, *paths: EdgePath) -> EdgePath:
-    edges: list[int] = []
-    start = paths[0].start
-    v = start
-    for p in paths:
-        if p.start != v:
-            raise InvalidInputError("paths are not consecutive")
-        edges.extend(p.edges)
-        v = path_terminus(g, p)
-    return EdgePath(start, tuple(edges))
-
-
 # -- covers -------------------------------------------------------------------
 
 def complete_to_cover(g: AGraph) -> AGraph:
@@ -367,17 +351,6 @@ def enumerate_covers(rank: int, degree: int, dedup: bool = True) -> Iterator[AGr
 def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
     """All based covers of exact degree, deduplicated, in canonical order."""
     return tuple(enumerate_covers(rank, degree, dedup=True))
-
-
-def covers_up_to(rank: int, max_degree: int, cap: int | None = None) -> list[AGraph]:
-    out: list[AGraph] = []
-    for d in range(1, max_degree + 1):
-        out.extend(cover_census(rank, d))
-        if cap is not None and len(out) > cap:
-            raise ResourceGuardError(
-                f"cover census of degree <= {max_degree} exceeds cap {cap}"
-            )
-    return out
 
 
 def rose(rank: int) -> AGraph:
@@ -453,12 +426,6 @@ def set_partitions_with_blocks(n: int, k: int) -> Iterator[list[list[int]]]:
     yield from rec(1, 1)
 
 
-def set_partitions(n: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n), by ascending block count."""
-    for k in range(1, n + 1):
-        yield from set_partitions_with_blocks(n, k)
-
-
 def collapse_vertices(
     g: AGraph, blocks: Sequence[Sequence[int]]
 ) -> tuple[AGraph, tuple[int, ...]]:
@@ -474,24 +441,51 @@ def collapse_vertices(
     return AGraph(g.rank, len(blocks), vmap[g.base], edges), tuple(vmap)
 
 
-def principal_quotients(
-    w: CyclicWord, max_partitions: int | None = None
-) -> Iterator[tuple[AGraph, tuple[int, ...]]]:
-    """Folded collapses of the circle graph of w, one per set partition of
-    its vertices (ascending block count), with the composed vertex map."""
-    if len(w) == 0:
+def quotients_with_vertices(
+    w: CyclicWord, k: int, on_step: Callable[[], None] | None = None
+) -> Iterator[AGraph]:
+    """The folded quotients of the circle graph of w with exactly k
+    vertices, each once: trace w from vertex 0, following an edge already
+    present (the graph stays folded), else branching over each vertex free
+    for the inverse letter plus a new vertex while fewer than k exist; the
+    last letter closes at 0.  Vertices are numbered in first-visit order
+    along w and edges sorted, as fold_with_map numbers a collapse of
+    circle_graph(w).  on_step is called once per edge choice tried.
+    """
+    letters, n = w.letters, len(w)
+    if n == 0:
         raise InvalidInputError("need a nonempty cyclic word")
-    cw = circle_graph(w)
-    count = 0
-    for blocks in set_partitions(len(w)):
-        count += 1
-        if max_partitions is not None and count > max_partitions:
-            raise ResourceGuardError(
-                f"partition enumeration exceeded cap {max_partitions}"
-            )
-        collapsed, vmap = collapse_vertices(cw, blocks)
-        folded, fmap = fold_with_map(collapsed)
-        yield folded, tuple(fmap[b] for b in vmap)
+    out: dict[tuple[int, int], int] = {}  # (vertex, signed letter) -> vertex
+    edges: list[tuple[int, int, int]] = []
+    size = 1
+
+    def grow(i: int, v: int) -> Iterator[AGraph]:
+        nonlocal size
+        while i < n and (v, letters[i]) in out:  # so depth <= #edges, not |w|
+            v, i = out[v, letters[i]], i + 1
+        if i == n:
+            if v == 0 and size == k:
+                yield AGraph(w.rank, k, 0, tuple(sorted(edges)))
+            return
+        x = letters[i]
+        if size + n - i - 1 < k:  # only letters before the last add vertices
+            return
+        targets = (0,) if i == n - 1 else range(size + (size < k))
+        for t in targets:
+            if (t, -x) in out:
+                continue
+            if on_step is not None:
+                on_step()
+            new = t == size
+            size += new
+            out[v, x], out[t, -x] = t, v
+            edges.append((v, t, x) if x > 0 else (t, v, -x))
+            yield from grow(i + 1, t)
+            edges.pop()
+            del out[v, x], out[t, -x]
+            size -= new
+
+    return grow(0, 0)
 
 
 # -- spanning data and rewriting ------------------------------------------------

@@ -12,19 +12,18 @@ from .errors import InvalidInputError, ResourceGuardError
 from .graphs import (
     AGraph,
     canonical_key,
-    circle_graph,
-    collapse_vertices,
     cover_census,
-    fold_with_map,
     graph_to_json,
     is_cover,
     path_terminus,
+    quotients_with_vertices,
     rewrite_loop,
     rewrite_loop_cyclic,
-    set_partitions_with_blocks,
     spanning_data,
     trace_path,
 )
+# Unused here; perfbench/tracer.py patches these names on this module.
+from .graphs import collapse_vertices, fold_with_map, set_partitions_with_blocks  # noqa: F401
 from .words import (
     CyclicWord,
     Word,
@@ -60,14 +59,9 @@ class IndexReport:
     witnesses: dict[str, Witness]
 
     def __post_init__(self):
-        n = len(self.word)
-        assert (
-            self.d_fill_lower
-            <= self.d_fill_upper
-            <= self.d_simp
-            <= self.d_prim
-            <= n
-        )
+        chain = (self.d_fill_lower, self.d_fill_upper, self.d_simp, self.d_prim, len(self.word))
+        if list(chain) != sorted(chain):
+            raise InvalidInputError(f"need d_fill <= d_simp <= d_prim <= |w|, got {chain}")
 
     def to_json(self) -> dict:
         return {
@@ -91,7 +85,8 @@ class _Quotient:
 
 def _quotient_predicates(q: AGraph, w: CyclicWord) -> _Quotient:
     loop = trace_path(q, q.base, w)
-    assert path_terminus(q, loop) == q.base
+    if path_terminus(q, loop) != q.base:
+        raise InvalidInputError("w does not close at the base of the quotient")
     sd = spanning_data(q)
     lin = rewrite_loop(q, sd, loop)
     cover = is_cover(q)
@@ -124,50 +119,41 @@ def _scan_quotients(
     max_index: int | None = None,
     max_partitions: int | None = None,
 ) -> _Scan:
-    """Best-first scan of principal quotients by ascending block count.
+    """Best-first scan of principal quotients by ascending vertex count.
 
-    A quotient with m vertices also arises from an m-block partition, so at
-    block count k only quotients with exactly k vertices are new; the first
-    success per predicate therefore realizes its minimum vertex count.
+    At each k the quotients with exactly k vertices are grown directly by
+    tracing w (quotients_with_vertices), so the first k with a success per
+    predicate realizes its minimum; among the k-vertex successes the witness
+    is the one with the least canonical key.  max_partitions caps the total
+    number of search steps (edge choices tried) over all k.
     """
     if len(w) == 0:
         raise InvalidInputError("index operations reject the trivial word")
-    n = len(w)
-    cw_graph = circle_graph(w)
     res = _Scan()
-    k_cap = n if max_index is None else min(n, max_index)
+
+    def step() -> None:
+        res.partitions_used += 1
+        if max_partitions is not None and res.partitions_used > max_partitions:
+            raise ResourceGuardError(
+                f"principal-quotient scan exceeded {max_partitions} search steps"
+            )
+
+    k_cap = len(w) if max_index is None else min(len(w), max_index)
     for k in range(1, k_cap + 1):
         best: dict[str, tuple] = {}
-        seen: set = set()
-        for blocks in set_partitions_with_blocks(n, k):
-            res.partitions_used += 1
-            if max_partitions is not None and res.partitions_used > max_partitions:
-                raise ResourceGuardError(
-                    f"principal-quotient scan exceeded {max_partitions} partitions"
-                )
-            collapsed, _ = collapse_vertices(cw_graph, blocks)
-            folded, _ = fold_with_map(collapsed)
-            if folded.num_vertices < k:
-                continue  # already seen at a lower block count
-            key = canonical_key(folded)
-            if key in seen:
-                continue
-            seen.add(key)
-            facts = _quotient_predicates(folded, w)
-            if facts.primitive and res.d_prim is None:
-                cand = (key, Witness(folded, CERT_PRIMITIVE))
-                if "prim" not in best or cand[0] < best["prim"][0]:
-                    best["prim"] = cand
-            if facts.simple_success and res.d_simp is None:
-                cert = CERT_SIMPLE
-                cand = (key, Witness(folded, cert))
-                if "simp" not in best or cand[0] < best["simp"][0]:
-                    best["simp"] = cand
-            if facts.fill_potential and res.d_fill_lower is None:
-                cert = CERT_SIMPLE if facts.simple_success else CERT_UNDETERMINED
-                cand = (key, Witness(folded, cert))
-                if "fill" not in best or cand[0] < best["fill"][0]:
-                    best["fill"] = cand
+        for q in quotients_with_vertices(w, k, step):
+            facts = _quotient_predicates(q, w)
+            fill_cert = CERT_SIMPLE if facts.simple_success else CERT_UNDETERMINED
+            key = None
+            for name, hit, cert in (
+                ("prim", facts.primitive and res.d_prim is None, CERT_PRIMITIVE),
+                ("simp", facts.simple_success and res.d_simp is None, CERT_SIMPLE),
+                ("fill", facts.fill_potential and res.d_fill_lower is None, fill_cert),
+            ):
+                if hit:
+                    key = key or canonical_key(q)
+                    if name not in best or key < best[name][0]:
+                        best[name] = (key, Witness(q, cert))
         if "prim" in best:
             res.d_prim, res.prim_witness = k, best["prim"][1]
         if "simp" in best:
@@ -247,7 +233,8 @@ def index_report(
     max_index: int | None = None,
     max_partitions: int | None = None,
 ) -> IndexReport:
-    """One scan computing d_prim, d_simp, and the d_fill interval."""
+    """One scan computing d_prim, d_simp, and the d_fill interval;
+    max_partitions caps its search steps (edge choices tried)."""
     res = _scan_quotients(w, True, max_index, max_partitions)
     if res.d_prim is None or res.d_simp is None or res.d_fill_lower is None:
         raise ResourceGuardError("index scan did not finish within caps")
@@ -382,11 +369,6 @@ def f_table(
 
 
 # -- census oracles -------------------------------------------------------------
-
-def _closed_trace(g: AGraph, letters) -> bool:
-    p = trace_path(g, g.base, letters)
-    return path_terminus(g, p) == g.base
-
 
 def d_prim_census_oracle(w: CyclicWord, d_max: int) -> int | None:
     """Independent oracle: least cover degree <= d_max whose traced w-loop

@@ -26,6 +26,7 @@ from primindex.graphs import (
     enumerate_covers,
     euler_word,
     fold,
+    fold_with_map,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
@@ -35,18 +36,24 @@ from primindex.graphs import (
     path_is_reduced,
     path_letters,
     path_terminus,
-    principal_quotients,
+    quotients_with_vertices,
     rewrite_loop,
     rewrite_loop_cyclic,
     rose,
-    set_partitions,
     set_partitions_with_blocks,
     spanning_data,
     trace_covers_all_edges,
     trace_path,
     universal_three_word,
 )
-from primindex.words import CyclicWord, Word, enumerate_cyclically_reduced, free_reduce
+from primindex.words import (
+    CyclicWord,
+    Word,
+    alphabet,
+    cyclic_class_key,
+    enumerate_cyclically_reduced,
+    free_reduce,
+)
 
 CW = CyclicWord.parse
 W = Word.parse
@@ -78,6 +85,35 @@ def subgroup_count_oracle(rank, d):
         )
         a[m] = total
     return a[d]
+
+
+def set_partitions(n):
+    """All set partitions of range(n), by ascending block count."""
+    for k in range(1, n + 1):
+        yield from set_partitions_with_blocks(n, k)
+
+
+def principal_quotients(w):
+    """Folded collapses of the circle graph of w, one per set partition of
+    its vertices (ascending block count), with the composed vertex map."""
+    cw = circle_graph(w)
+    for blocks in set_partitions(len(w)):
+        collapsed, vmap = collapse_vertices(cw, blocks)
+        folded, fmap = fold_with_map(collapsed)
+        yield folded, tuple(fmap[b] for b in vmap)
+
+
+def quotients_by_partitions(w, k):
+    """Slow oracle for quotients_with_vertices: the distinct folded
+    collapses with exactly k vertices over the k-block partitions (each
+    such quotient collapses its circle by k blocks)."""
+    cw = circle_graph(w)
+    out = set()
+    for blocks in set_partitions_with_blocks(len(w), k):
+        q = fold_with_map(collapse_vertices(cw, blocks)[0])[0]
+        if q.num_vertices == k:
+            out.add(q)
+    return out
 
 
 def two_vertex_cover():
@@ -329,6 +365,40 @@ def test_principal_quotients_outputs_are_quotients():
         p = trace_path(q, base, w)
         assert path_terminus(q, p) == base
         assert {abs(e) - 1 for e in p.edges} == set(range(len(q.edges)))
+
+
+def _assert_generator_matches_oracle(w, ks):
+    for k in ks:
+        grown = list(quotients_with_vertices(w, k))
+        assert len(grown) == len(set(grown)), (w.text(), k)
+        assert set(grown) == quotients_by_partitions(w, k), (w.text(), k)
+
+
+def test_quotient_generator_matches_partition_oracle_on_class_reps():
+    for rank, n_max in ((2, 7), (3, 5)):
+        for n in range(1, n_max + 1):
+            for w in enumerate_cyclically_reduced(n, rank):
+                # a class key starts with the letter a; test that first, it is cheap
+                if w.letters[0] == 1 and w.letters == cyclic_class_key(w.letters, rank):
+                    _assert_generator_matches_oracle(w, range(1, n + 1))
+
+
+@st.composite
+def cyclic_words(draw):
+    """Cyclically reduced words of length 1..10 in rank 2 or 3."""
+    rank = draw(st.integers(2, 3))
+    letters = [draw(st.sampled_from(alphabet(rank)))]
+    for _ in range(draw(st.integers(0, 9))):
+        letters.append(draw(st.sampled_from([x for x in alphabet(rank) if x != -letters[-1]])))
+    while len(letters) > 1 and letters[0] == -letters[-1]:
+        letters.pop()
+    return CyclicWord(tuple(letters), rank)
+
+
+@given(cyclic_words())
+@settings(max_examples=30, deadline=None)
+def test_quotient_generator_matches_partition_oracle_on_random_words(w):
+    _assert_generator_matches_oracle(w, range(1, 4))
 
 
 # -- Euler circuits and coverage ---------------------------------------------

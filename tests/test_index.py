@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import primindex
 from primindex.errors import InvalidInputError, ResourceGuardError
 from primindex.index import (
     FillBounds,
@@ -195,6 +201,48 @@ def test_commutator_witness_dominates_divisibility():
 def test_resource_guard_trips():
     with pytest.raises(ResourceGuardError):
         index_report(CW("aabbaabAbb", 2), max_partitions=5)
+
+
+_INVARIANTS_UNDER_O = """
+from primindex.errors import InvalidInputError
+from primindex.graphs import AGraph
+from primindex.index import IndexReport, _quotient_predicates
+from primindex.words import CyclicWord
+
+if __debug__:
+    raise SystemExit("assert statements are still live")
+w = CyclicWord.parse("ab", 2)
+try:
+    IndexReport(w, d_prim=1, d_simp=2, d_fill_lower=1, d_fill_upper=1, witnesses={})
+    raise SystemExit("out-of-order IndexReport accepted")
+except InvalidInputError:
+    pass
+swap = AGraph(2, 2, 0, ((0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)))
+try:
+    _quotient_predicates(swap, CyclicWord.parse("a", 2))
+    raise SystemExit("open trace accepted as a quotient loop")
+except InvalidInputError:
+    pass
+"""
+
+
+def test_invariants_raise_under_python_O():
+    src = str(Path(primindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _INVARIANTS_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_index_report_on_word_longer_than_recursion_limit():
+    # a^1100 b is primitive; the quotient search recurses once per edge it
+    # adds, not once per letter of w
+    rep = index_report(CyclicWord((1,) * 1100 + (2,), 2))
+    assert (rep.d_prim, rep.d_simp, rep.d_fill_lower) == (1, 1, 1)
 
 
 def test_index_values_cache_consistency():
