@@ -24,7 +24,6 @@ from .graphs import (
     alpha_path,
     beta_path,
     cover_census,
-    enumerate_covers,
     graph_to_dot,
     graph_to_json,
     path_contains,
@@ -263,18 +262,14 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_covers(args) -> int:
-    covers = list(
-        cover_census(args.rank, args.degree)
-        if args.dedup
-        else enumerate_covers(args.rank, args.degree, dedup=False)
-    )
+    covers = cover_census(args.rank, args.degree)
     if args.max_covers is not None and len(covers) > args.max_covers:
         raise ResourceGuardError(
             f"{len(covers)} covers exceed --max-covers {args.max_covers}"
         )
     manifest = _manifest(
         "covers",
-        {"rank": args.rank, "degree": args.degree, "dedup": args.dedup},
+        {"rank": args.rank, "degree": args.degree},
     )
     if args.dot:
         outdir = Path(args.dot)
@@ -390,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covers", help="census of based covers")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--all", dest="dedup", action="store_false",
-                   help="emit one cover per permutation tuple (no dedup)")
     p.add_argument("--dot", default=None, help="directory for DOT export")
     p.add_argument("--max-covers", type=int, default=None)
     common(p)

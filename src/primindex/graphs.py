@@ -321,13 +321,21 @@ def complete_to_cover(g: AGraph) -> AGraph:
     return AGraph(g.rank, g.num_vertices, g.base, tuple(edges))
 
 
-def enumerate_covers(rank: int, degree: int, dedup: bool = True) -> Iterator[AGraph]:
-    """Connected based covers of the given degree, one per N-tuple of
-    permutations of the vertex set; dedup keeps one per based-isomorphism
-    class (canonical breadth-first relabeling from the base)."""
+@lru_cache(maxsize=None)
+def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
+    """All based covers of exact degree, one per based-isomorphism class.
+
+    Each cover is a transitive N-tuple of permutations of range(degree),
+    generator i sending vertex j to perm_i[j], with edges (j, perm_i[j], i)
+    listed in (gen, vertex) order and base 0.  The census is the
+    lexicographically sorted list of such tuples, each the lex-least among
+    its relabelings fixing the base; the numbering is generally not
+    canonical_form's, and witness words and `covers --json` depend on it.
+    """
     if degree < 1:
         raise InvalidInputError("degree must be >= 1")
     seen: set[tuple] = set()
+    census = []
     for perms in itertools.product(
         itertools.permutations(range(degree)), repeat=rank
     ):
@@ -339,18 +347,11 @@ def enumerate_covers(rank: int, degree: int, dedup: bool = True) -> Iterator[AGr
         g = AGraph(rank, degree, 0, edges)
         if not is_connected(g):
             continue
-        if dedup:
-            key = canonical_key(g)
-            if key in seen:
-                continue
+        key = canonical_key(g)
+        if key not in seen:
             seen.add(key)
-        yield g
-
-
-@lru_cache(maxsize=None)
-def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
-    """All based covers of exact degree, deduplicated, in canonical order."""
-    return tuple(enumerate_covers(rank, degree, dedup=True))
+            census.append(g)
+    return tuple(census)
 
 
 def rose(rank: int) -> AGraph:
@@ -577,26 +578,8 @@ def dual_basis_loop(g: AGraph, sd: SpanningData, i: int) -> EdgePath:
     return EdgePath(g.base, edges)
 
 
-def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
-    """Rewrite a reduced base loop as a freely reduced word over the dual
-    basis: drop tree edges, map complement edges to dual letters."""
-    if p.start != g.base or path_terminus(g, p) != g.base:
-        raise InvalidInputError("rewrite_loop expects a loop at the base vertex")
-    index = {e: i + 1 for i, e in enumerate(sd.complement)}
-    letters = []
-    for e in p.edges:
-        j = abs(e)
-        if j - 1 in sd.tree_edges:
-            continue
-        letters.append(index[j] if e > 0 else -index[j])
-    return free_reduce(letters, len(sd.complement))
-
-
-def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
-    """Rewrite the cyclically reduced form of a loop over the dual basis."""
-    edges = list(p.edges)
-    while len(edges) >= 2 and edges[0] == -edges[-1]:
-        edges = edges[1:-1]
+def _dual_word(sd: SpanningData, edges: Sequence[int]) -> Word:
+    """Drop tree edges, map complement edges to dual letters, reduce."""
     index = {e: i + 1 for i, e in enumerate(sd.complement)}
     letters = []
     for e in edges:
@@ -604,8 +587,23 @@ def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
         if j - 1 in sd.tree_edges:
             continue
         letters.append(index[j] if e > 0 else -index[j])
-    w = free_reduce(letters, len(sd.complement))
-    return cyclic_reduce(w)[1]
+    return free_reduce(letters, len(sd.complement))
+
+
+def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
+    """Rewrite a reduced base loop as a freely reduced word over the dual
+    basis."""
+    if p.start != g.base or path_terminus(g, p) != g.base:
+        raise InvalidInputError("rewrite_loop expects a loop at the base vertex")
+    return _dual_word(sd, p.edges)
+
+
+def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
+    """Rewrite the cyclically reduced form of a loop over the dual basis."""
+    edges = p.edges
+    while len(edges) >= 2 and edges[0] == -edges[-1]:
+        edges = edges[1:-1]
+    return cyclic_reduce(_dual_word(sd, edges))[1]
 
 
 # -- explicit path constructions -------------------------------------------------

@@ -1,16 +1,17 @@
 """Exact primitivity and simplicity indexes via principal quotients,
 certified interval bounds for the non-filling index, index-function tables,
-an independent cover-census oracle, and divisibility / residual-growth
-helpers.
+and one cover-census scan behind the d_prim oracle, d_simp_census and the
+divisibility / residual-growth helpers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 from .errors import InvalidInputError, ResourceGuardError
 from .graphs import (
     AGraph,
+    EdgePath,
     canonical_key,
     cover_census,
     graph_to_json,
@@ -27,9 +28,9 @@ from .graphs import collapse_vertices, fold_with_map, set_partitions_with_blocks
 from .words import (
     CyclicWord,
     Word,
+    class_representatives,
     concat,
     cyclic_class_key,
-    enumerate_cyclically_reduced,
     index_candidates_exact,
 )
 from .whitehead import is_primitive, is_simple, rauzy3_full
@@ -368,57 +369,49 @@ def f_table(
     return IndexFunctionTable(rank=rank, rows=tuple(rows))
 
 
-# -- census oracles -------------------------------------------------------------
+# -- census scans ----------------------------------------------------------------
+
+def first_cover(
+    w: Word | CyclicWord,
+    d_max: int,
+    accept: Callable[[AGraph, EdgePath], bool],
+) -> int | None:
+    """Least degree d <= d_max of a based cover g (subgroups of index d are
+    exactly the based degree-d covers) with accept(g, trace of w from the
+    base); None when no cover within the cap is accepted."""
+    if len(w) == 0:
+        raise InvalidInputError("census scans reject the trivial word")
+    for d in range(1, d_max + 1):
+        for g in cover_census(w.rank, d):
+            if accept(g, trace_path(g, g.base, w)):
+                return d
+    return None
+
+
+def _closed_loop_is(pred: Callable[[Word], bool]) -> Callable[[AGraph, EdgePath], bool]:
+    """accept: the traced loop closes at the base and its dual rewrite
+    satisfies pred."""
+    return lambda g, p: (
+        path_terminus(g, p) == g.base and pred(rewrite_loop(g, spanning_data(g), p))
+    )
+
 
 def d_prim_census_oracle(w: CyclicWord, d_max: int) -> int | None:
     """Independent oracle: least cover degree <= d_max whose traced w-loop
     closes and rewrites to a primitive dual word; None when none found."""
-    if len(w) == 0:
-        raise InvalidInputError("index operations reject the trivial word")
-    for d in range(1, d_max + 1):
-        for g in cover_census(w.rank, d):
-            p = trace_path(g, g.base, w)
-            if path_terminus(g, p) != g.base:
-                continue
-            sd = spanning_data(g)
-            if is_primitive(rewrite_loop(g, sd, p)):
-                return d
-    return None
+    return first_cover(w, d_max, _closed_loop_is(is_primitive))
 
 
 def d_simp_census(w: CyclicWord, d_max: int) -> int | None:
-    """Exact d_simp capped at d_max via the cover census (subgroups of
-    index k are exactly the based degree-k covers)."""
-    if len(w) == 0:
-        raise InvalidInputError("index operations reject the trivial word")
-    for d in range(1, d_max + 1):
-        for g in cover_census(w.rank, d):
-            p = trace_path(g, g.base, w)
-            if path_terminus(g, p) != g.base:
-                continue
-            sd = spanning_data(g)
-            if is_simple(rewrite_loop(g, sd, p)):
-                return d
-    return None
+    """Exact d_simp capped at d_max: least cover degree whose traced w-loop
+    closes and rewrites to a simple dual word."""
+    return first_cover(w, d_max, _closed_loop_is(is_simple))
 
 
 def divisibility(g: Word, d_max: int) -> int | None:
     """Least degree <= d_max of a based cover whose traced g-path does not
     close (a subgroup avoiding g); None if every cover contains g."""
-    if g.is_trivial():
-        raise InvalidInputError("divisibility of the trivial word is undefined")
-    for d in range(1, d_max + 1):
-        for cov in cover_census(g.rank, d):
-            p = trace_path(cov, cov.base, g)
-            if path_terminus(cov, p) != cov.base:
-                return d
-    return None
-
-
-def _cyclic_class_reps_with_powers(n: int, rank: int) -> Iterator[CyclicWord]:
-    for cw in enumerate_cyclically_reduced(n, rank):
-        if cw.letters == cyclic_class_key(cw.letters, rank):
-            yield cw
+    return first_cover(g, d_max, lambda cov, p: path_terminus(cov, p) != cov.base)
 
 
 def rf_growth(n: int, rank: int, d_max: int) -> int:
@@ -429,7 +422,7 @@ def rf_growth(n: int, rank: int, d_max: int) -> int:
     """
     best = 0
     for m in range(1, n + 1):
-        for rep in _cyclic_class_reps_with_powers(m, rank):
+        for rep in class_representatives(m, rank, skip_powers=False):
             v = divisibility(rep.word(), d_max)
             if v is None:
                 raise ResourceGuardError(

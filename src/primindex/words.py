@@ -351,9 +351,12 @@ def cyclic_class_key(letters: Sequence[int], rank: int) -> tuple[int, ...]:
     return best  # type: ignore[return-value]
 
 
-def _class_representatives(
+def class_representatives(
     n: int, rank: int, skip_powers: bool
 ) -> Iterator[CyclicWord]:
+    """One cyclically reduced word of length exactly n per rotation/
+    inversion/relabeling class (its cyclic_class_key); skip_powers drops
+    the classes of proper powers."""
     for cw in enumerate_cyclically_reduced(n, rank):
         if skip_powers and is_proper_power(cw)[0]:
             continue
@@ -364,16 +367,7 @@ def _class_representatives(
 def index_candidates_exact(n: int, rank: int) -> Iterator[CyclicWord]:
     """One representative per rotation/inversion/relabeling class of the
     root-free cyclically reduced words of length exactly n."""
-    return _class_representatives(n, rank, skip_powers=True)
-
-
-def enumerate_index_candidates(n: int, rank: int) -> Iterator[CyclicWord]:
-    """Class representatives of all root-free cyclically reduced words of
-    length <= n; index values over these reach the max over all such words."""
-    if n < 1:
-        raise InvalidInputError("need n >= 1")
-    for m in range(1, n + 1):
-        yield from index_candidates_exact(m, rank)
+    return class_representatives(n, rank, skip_powers=True)
 
 
 def subword_count(sigma: Word, w: Word) -> int:

@@ -1,5 +1,11 @@
 """Acceptance suite: one test per criterion, each printing its pass/fail
 line with timing and detail."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import primindex
 from primindex import acceptance
 
 
@@ -39,3 +45,16 @@ def test_criterion_7_walk_statistics(capsys):
 
 def test_criterion_8_appendix_desk_check(capsys):
     _check(capsys, acceptance.criterion_appendix_desk_check())
+
+
+def test_selftest_fast_passes_under_python_O():
+    # the criteria must not lean on assert statements, which -O strips
+    src = str(Path(primindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "primindex.cli", "selftest", "--fast"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -23,7 +23,6 @@ from primindex.graphs import (
     cycle_rank,
     delta_path,
     dual_basis_loop,
-    enumerate_covers,
     euler_word,
     fold,
     fold_with_map,
@@ -85,6 +84,36 @@ def subgroup_count_oracle(rank, d):
         )
         a[m] = total
     return a[d]
+
+
+def lex_least_transitive_tuples(rank, d):
+    """Oracle for the census numbering: every transitive rank-tuple of
+    permutations of range(d), replaced by the lex-least of its conjugates
+    by permutations fixing 0, deduplicated and sorted."""
+    perms = list(itertools.permutations(range(d)))
+    fixing_base = [s for s in perms if s[0] == 0]
+    reps = set()
+    for tup in itertools.product(perms, repeat=rank):
+        orbit, frontier = {0}, [0]
+        while frontier:
+            v = frontier.pop()
+            for perm in tup:
+                if perm[v] not in orbit:
+                    orbit.add(perm[v])
+                    frontier.append(perm[v])
+        if len(orbit) < d:
+            continue
+        conjugates = []
+        for s in fixing_base:  # relabel vertex j as s[j]
+            conj = []
+            for perm in tup:
+                q = [0] * d
+                for j in range(d):
+                    q[s[j]] = s[perm[j]]
+                conj.append(tuple(q))
+            conjugates.append(tuple(conj))
+        reps.add(min(conjugates))
+    return sorted(reps)
 
 
 def set_partitions(n):
@@ -229,11 +258,27 @@ def test_cover_census_counts_match_subgroup_recursion():
         assert len(cover_census(2, d)) == subgroup_count_oracle(2, d)
 
 
-def test_enumerate_covers_degree_two_details():
-    tuples = list(enumerate_covers(2, 2, dedup=False))
-    assert len(tuples) == 3  # of (2!)^2 = 4 permutation pairs, 3 are transitive
-    assert len(list(enumerate_covers(2, 2, dedup=True))) == 3
-    assert len(list(enumerate_covers(2, 1))) == 1
+@pytest.mark.parametrize("rank,d_max", [(2, 4), (3, 3)])
+def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
+    # witness words and `covers --json` depend on this numbering, which is
+    # not canonical_form's; a faster census engine must reproduce it
+    relabeled = 0
+    for d in range(1, d_max + 1):
+        census = cover_census(rank, d)
+        tuples = []
+        for g in census:
+            assert (g.rank, g.num_vertices, g.base) == (rank, d, 0)
+            perms = tuple(
+                tuple(t for _, t, _ in g.edges[i * d : (i + 1) * d]) for i in range(rank)
+            )
+            expected = tuple(
+                (j, perm[j], i + 1) for i, perm in enumerate(perms) for j in range(d)
+            )
+            assert g.edges == expected  # (gen, vertex) order
+            tuples.append(perms)
+            relabeled += canonical_form(g) != g
+        assert tuples == lex_least_transitive_tuples(rank, d)
+    assert relabeled > 0
 
 
 # -- tracing -----------------------------------------------------------------

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import primindex
 from primindex.errors import InvalidInputError, ResourceGuardError
@@ -21,10 +23,13 @@ from primindex.index import (
     index_values,
     rf_growth,
 )
+from primindex.whitehead import apply_letters, enumerate_whitehead
 from primindex.words import (
     CyclicWord,
     Word,
+    class_representatives,
     concat,
+    cyclic_reduce,
     enumerate_cyclically_reduced,
     enumerate_reduced,
     index_candidates_exact,
@@ -162,8 +167,6 @@ def test_rf_bounded_by_primitivity_function_desk_scale():
             continue
         gamma = commutator_witness(w)
         assert len(gamma) <= 8
-        from primindex.words import cyclic_reduce
-
         core = cyclic_reduce(gamma)[1]
         assert not is_proper_power(core)[0]
         assert d_prim_census_oracle(core, rf - 1) is None  # d_prim >= rf
@@ -191,8 +194,6 @@ def test_commutator_witness_dominates_divisibility():
         for w in enumerate_reduced(n, 2):
             dv = divisibility(w, 4)
             gamma = commutator_witness(w)
-            from primindex.words import cyclic_reduce
-
             core = cyclic_reduce(gamma)[1]
             oracle = d_prim_census_oracle(core, dv - 1) if dv > 1 else None
             assert oracle is None  # no small cover holds gamma primitively
@@ -253,3 +254,20 @@ def test_index_values_cache_consistency():
     # rotations and inversions share the cache entry and the values
     rot = CyclicWord(tuple(list(w.letters)[1:] + [w.letters[0]]), 2)
     assert index_values(rot) == (vp, vs, vl)
+
+
+_SHORT_REPS = [
+    rep for n in range(1, 7) for rep in class_representatives(n, 2, skip_powers=False)
+]
+_SECOND_KIND = [t for t in enumerate_whitehead(2) if t.kind == "second"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_SHORT_REPS), st.sampled_from(_SECOND_KIND))
+def test_index_values_invariant_under_whitehead_automorphisms(rep, t):
+    # d_prim and d_simp are invariants of Aut(F_N); rotation, inversion and
+    # relabeling are covered by the class cache, this draws the other kind
+    image = cyclic_reduce(Word(apply_letters(t, rep.letters), 2))[1]
+    assume(len(image) <= 10)
+    assert index_values(image) == index_values(rep)
+    assert d_simp_census(image, 4) == d_simp_census(rep, 4)

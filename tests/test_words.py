@@ -14,7 +14,6 @@ from primindex.words import (
     cyclic_class_key,
     cyclic_reduce,
     enumerate_cyclically_reduced,
-    enumerate_index_candidates,
     enumerate_reduced,
     free_reduce,
     index_candidates_exact,
@@ -203,10 +202,6 @@ def test_candidates_cover_every_class_once():
                 continue
             seen.setdefault(cyclic_class_key(cw.letters, 2), cw)
         assert reps == set(seen.keys())
-    total = list(enumerate_index_candidates(3, 2))
-    assert len(total) == len(list(index_candidates_exact(1, 2))) + len(
-        list(index_candidates_exact(2, 2))
-    ) + len(list(index_candidates_exact(3, 2)))
 
 
 # -- subword_count ----------------------------------------------------------
