@@ -316,7 +316,11 @@ def complete_to_cover(g: AGraph) -> AGraph:
         have_in = {t for _, t, x in edges if x == gen}
         missing_out = [v for v in range(g.num_vertices) if v not in have_out]
         missing_in = [v for v in range(g.num_vertices) if v not in have_in]
-        assert len(missing_out) == len(missing_in)
+        if len(missing_out) != len(missing_in):
+            raise InvalidInputError(
+                f"generator {gen} has {len(missing_out)} vertices missing an "
+                f"outgoing edge but {len(missing_in)} missing an incoming one"
+            )
         edges.extend((o, t, gen) for o, t in zip(missing_out, missing_in))
     return AGraph(g.rank, g.num_vertices, g.base, tuple(edges))
 
@@ -590,16 +594,22 @@ def _dual_word(sd: SpanningData, edges: Sequence[int]) -> Word:
     return free_reduce(letters, len(sd.complement))
 
 
+def _require_base_loop(g: AGraph, p: EdgePath, caller: str) -> None:
+    if p.start != g.base or path_terminus(g, p) != g.base:
+        raise InvalidInputError(f"{caller} expects a loop at the base vertex")
+
+
 def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
     """Rewrite a reduced base loop as a freely reduced word over the dual
     basis."""
-    if p.start != g.base or path_terminus(g, p) != g.base:
-        raise InvalidInputError("rewrite_loop expects a loop at the base vertex")
+    _require_base_loop(g, p, "rewrite_loop")
     return _dual_word(sd, p.edges)
 
 
 def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
-    """Rewrite the cyclically reduced form of a loop over the dual basis."""
+    """Rewrite the cyclically reduced form of a base loop over the dual
+    basis."""
+    _require_base_loop(g, p, "rewrite_loop_cyclic")
     edges = p.edges
     while len(edges) >= 2 and edges[0] == -edges[-1]:
         edges = edges[1:-1]
@@ -624,7 +634,8 @@ def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
         v = g.terminus(e)
     edges.extend(tree_path(g, sd, v, g.base))
     p = EdgePath(g.base, tuple(edges))
-    assert path_is_reduced(p)
+    if not path_is_reduced(p):
+        raise InvalidInputError("delta_path built a path that is not reduced")
     return p
 
 

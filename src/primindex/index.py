@@ -442,6 +442,9 @@ def commutator_witness(w: Word) -> Word:
         if concat(w, a, w.inverse(), a.inverse()).letters:
             conj = concat(a.inverse(), w, a)
             gamma = concat(w, conj, w.inverse(), conj.inverse())
-            assert len(gamma) <= 4 * len(w) + 4
+            if len(gamma) > 4 * len(w) + 4:
+                raise InvalidInputError(
+                    f"commutator witness of length {len(gamma)} exceeds 4|w| + 4"
+                )
             return gamma
     raise InvalidInputError("word commutes with every generator")

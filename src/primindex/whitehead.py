@@ -183,8 +183,70 @@ def conjugation_by(letter: int, rank: int) -> WhiteheadAut:
     return WhiteheadAut(rank, "second", multiplier=letter, tags=tags)
 
 
-def cyclic_length(t: WhiteheadAut, cw: CyclicWord) -> int:
-    return len(cyclic_reduce(Word(apply_letters(t, cw.letters), cw.rank))[1])
+def _junction_ends(cw: CyclicWord) -> dict[int, int]:
+    """Whitehead graph of cw as junction sets: bit j of ends[x] is set when
+    the edge {y, z^-1} of the j-th cyclic junction y z ends at letter x.
+
+    No edge is a loop, so a vertex set A cuts junction j iff exactly one
+    end lies in A: cut(A) is the popcount of the XOR of ends over A, and
+    deg(x) = cut({x}) counts the letters +-x in cw."""
+    letters = cw.letters
+    n = len(letters)
+    ends = dict.fromkeys(alphabet(cw.rank), 0)
+    for j, y in enumerate(letters):
+        z = letters[j + 1 - n]  # the next letter, cyclically
+        bit = 1 << j
+        ends[y] |= bit
+        ends[-z] |= bit
+    return ends
+
+
+def _cuts(
+    ends: dict[int, int], g: int, rank: int
+) -> Iterator[tuple[int, list[int]]]:
+    """For the multipliers a = g, g^-1: cut(A) for each tag assignment of
+    the other pairs, in enumeration order; entry 0 is the identity.
+
+    A holds a, x for each pair tagged right or conj and x^-1 for each pair
+    tagged left or conj; the automorphism changes the cyclic length of w by
+    cut(A) - deg(a) (Lyndon-Schupp, ch. I.4)."""
+    part = [0]
+    for h in range(1, rank + 1):
+        if h != g:
+            e, f = ends[h], ends[-h]
+            adds = (0, e, f, e ^ f)  # tags id, right, left, conj
+            part = [p ^ s for p in part for s in adds]
+    for a in (g, -g):
+        ea = ends[a]
+        yield a, [(ea ^ p).bit_count() for p in part]
+
+
+def _second_kind_at(rank: int, a: int, i: int) -> WhiteheadAut:
+    """Entry i of _cuts for multiplier a: base-4 digits of i are the TAGS
+    indices of the other pairs, the first pair most significant."""
+    tags = ["id"] * rank
+    for h in range(rank, 0, -1):
+        if h != abs(a):
+            i, k = divmod(i, 4)
+            tags[h - 1] = TAGS[k]
+    return WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
+
+
+def _first_reducing(cw: CyclicWord) -> WhiteheadAut | None:
+    """The first second-kind automorphism in enumeration order that shortens
+    cw cyclically, scored by its Whitehead-graph cut; None if cw is
+    Whitehead minimal."""
+    rank = cw.rank
+    ends = _junction_ends(cw)
+    for g in range(1, rank + 1):
+        d = ends[g].bit_count()
+        if not d:
+            continue  # a cut is never negative
+        for a, cuts in _cuts(ends, g, rank):
+            if min(cuts) < d:
+                i = next(i for i, c in enumerate(cuts) if c < d)
+                return _second_kind_at(rank, a, i)
+    return None
 
 
 def minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAut]]:
@@ -193,7 +255,9 @@ def minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAut]]:
     Applies the first strictly length-reducing second-kind automorphism in
     enumeration order until none applies; the returned trace (conjugations
     for cyclic reduction interleaved with the reducing automorphisms)
-    replays from w to the minimal form by word-level application.
+    replays from w to the minimal form by word-level application.  Each
+    pass scores every automorphism from the Whitehead graph of the current
+    word and applies only the one it picks.
     """
     if isinstance(w, CyclicWord):
         w = w.word()
@@ -210,19 +274,9 @@ def minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAut]]:
         return CyclicWord(word.letters, rank)
 
     cw = peel(w)
-    seconds = [t for t in enumerate_whitehead(rank) if t.kind == "second"]
-    improved = True
-    while improved:
-        improved = False
-        n = len(cw)
-        for t in seconds:
-            image = apply_letters(t, cw.letters)
-            reduced_len = len(cyclic_reduce(Word(image, rank))[1])
-            if reduced_len < n:
-                trace.append(t)
-                cw = peel(Word(image, rank))
-                improved = True
-                break
+    while (t := _first_reducing(cw)) is not None:
+        trace.append(t)
+        cw = peel(Word(apply_letters(t, cw.letters), rank))
     return cw, trace
 
 

@@ -1,5 +1,6 @@
 """Acceptance suite: one test per criterion, each printing its pass/fail
 line with timing and detail."""
+import ast
 import os
 import subprocess
 import sys
@@ -58,3 +59,15 @@ def test_selftest_fast_passes_under_python_O():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so invariants must raise real errors
+    package = Path(primindex.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -341,6 +341,15 @@ def test_rewrite_rejects_non_loop():
         rewrite_loop(g, sd, trace_path(g, 0, W("a", 2)))
 
 
+def test_rewrite_cyclic_rejects_non_loop():
+    g = cover_census(2, 2)[1]
+    sd = spanning_data(g)
+    p = trace_path(g, 0, W("a", 2))
+    assert path_terminus(g, p) == 1  # an open path, not a base loop
+    with pytest.raises(InvalidInputError):
+        rewrite_loop_cyclic(g, sd, p)
+
+
 def test_primitivity_witness_rewrite_single_letter():
     # completing the circle of w to a cover with tree = circle minus one
     # edge rewrites the defining loop to a single dual letter

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 from primindex.errors import InvalidInputError
 from primindex.whitehead import (
     WhiteheadAut,
+    _cuts,
+    _junction_ends,
+    _second_kind_at,
     apply,
+    apply_letters,
     conjugation_by,
     contains_blocking_pattern,
     enumerate_whitehead,
@@ -23,6 +29,7 @@ from primindex.whitehead import (
 from primindex.words import (
     CyclicWord,
     Word,
+    alphabet,
     cyclic_reduce,
     enumerate_cyclically_reduced,
     enumerate_reduced,
@@ -32,10 +39,26 @@ from primindex.words import (
 W = Word.parse
 CW = CyclicWord.parse
 
-words_f2 = st.builds(
-    lambda raw: free_reduce(raw, 2),
-    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=0, max_size=12),
-)
+def words_of_rank(rank, max_size):
+    return st.builds(
+        lambda raw: free_reduce(raw, rank),
+        st.lists(st.sampled_from(alphabet(rank)), min_size=0, max_size=max_size),
+    )
+
+
+words_f2 = words_of_rank(2, 12)
+
+
+def cyclic_words_of_rank(rank, max_size):
+    return words_of_rank(rank, max_size).map(lambda w: cyclic_reduce(w)[1]).filter(len)
+
+
+def random_cyclic_word(rank, length, rng):
+    while True:
+        raw = [rng.choice(alphabet(rank)) for _ in range(length)]
+        cw = cyclic_reduce(free_reduce(raw, rank))[1]
+        if len(cw) == length:
+            return cw
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -91,6 +114,77 @@ def test_apply_second_kind_substitution():
 
 # -- minimize --------------------------------------------------------------------
 
+def minimize_by_application(w):
+    """Slow oracle for minimize: the same greedy descent, finding the first
+    reducing automorphism by applying every second-kind automorphism to the
+    word and measuring the cyclic length of the image."""
+    if isinstance(w, CyclicWord):
+        w = w.word()
+    rank = w.rank
+    trace = []
+
+    def peel(word):
+        while len(word) >= 2 and word.letters[0] == -word.letters[-1]:
+            trace.append(conjugation_by(word.letters[0], rank))
+            word = Word(word.letters[1:-1], rank)
+        return CyclicWord(word.letters, rank)
+
+    cw = peel(w)
+    seconds = [t for t in enumerate_whitehead(rank) if t.kind == "second"]
+    improved = True
+    while improved:
+        improved = False
+        for t in seconds:
+            image = apply_letters(t, cw.letters)
+            if len(cyclic_reduce(Word(image, rank))[1]) < len(cw):
+                trace.append(t)
+                cw = peel(Word(image, rank))
+                improved = True
+                break
+    return cw, trace
+
+
+def cut_scores(cw):
+    """(t, cut score) for every second-kind t in enumeration order."""
+    ends = _junction_ends(cw)
+    for g in range(1, cw.rank + 1):
+        d = ends[g].bit_count()
+        for a, cuts in _cuts(ends, g, cw.rank):
+            for i, c in enumerate(cuts[1:], start=1):
+                yield _second_kind_at(cw.rank, a, i), c - d
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_cut_scores_follow_enumeration_order(rank):
+    seconds = [t for t in enumerate_whitehead(rank) if t.kind == "second"]
+    assert [t for t, _ in cut_scores(CyclicWord((1,), rank))] == seconds
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cut_score_is_cyclic_length_change(rank, data):
+    cw = data.draw(cyclic_words_of_rank(rank, 14))
+    for t, score in cut_scores(cw):
+        image = cyclic_reduce(Word(apply_letters(t, cw.letters), rank))[1]
+        assert score == len(image) - len(cw), (cw.text(), t)
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 5)])
+def test_minimize_matches_application_oracle_exhaustively(rank, max_len):
+    for n in range(1, max_len + 1):
+        for cw in enumerate_cyclically_reduced(n, rank):
+            assert minimize(cw) == minimize_by_application(cw), cw.text()
+
+
+@pytest.mark.parametrize("rank, count", [(4, 8), (5, 3), (6, 1)])
+def test_minimize_matches_application_oracle_on_random_words(rank, count):
+    rng = random.Random(rank)
+    for _ in range(count):
+        cw = random_cyclic_word(rank, 20, rng)
+        assert minimize(cw) == minimize_by_application(cw), cw.text()
+
+
 def test_minimize_examples():
     m, trace = minimize(W("a", 2))
     assert m.text() == "a" and trace == []
@@ -106,15 +200,15 @@ def test_minimize_rejects_trivial():
         minimize(Word((), 2))
 
 
-@given(words_f2.filter(lambda w: len(w) > 0))
-@settings(max_examples=50, deadline=None)
-def test_minimize_result_is_whitehead_minimal(w):
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_minimize_result_is_whitehead_minimal(data):
+    rank = data.draw(st.sampled_from([2, 3]))
+    w = data.draw(words_of_rank(rank, 12).filter(len))
     m, trace = minimize(w)
-    from primindex.whitehead import apply_letters
-
     n = len(m)
-    for t in enumerate_whitehead(2):
-        image = cyclic_reduce(Word(apply_letters(t, m.letters), 2))[1]
+    for t in enumerate_whitehead(rank):
+        image = cyclic_reduce(Word(apply_letters(t, m.letters), rank))[1]
         assert len(image) >= n
     assert replay_trace(w, trace).letters == m.letters
 
