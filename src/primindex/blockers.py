@@ -27,6 +27,7 @@ from .graphs import (
     path_terminus,
     rewrite_loop_cyclic,
     spanning_data,
+    subgroup_count,
     trace_covers_all_edges,
     trace_path,
     tree_path,
@@ -187,14 +188,17 @@ def witness_word(
     shows the word's non-filling index exceeds d."""
     if d < 1:
         raise InvalidInputError("degree must be >= 1")
-    census: list[tuple[int, int, AGraph]] = []
-    for deg in range(1, d + 1):
-        for i, g in enumerate(cover_census(rank, deg)):
-            census.append((deg, i, g))
-        if max_covers is not None and len(census) > max_covers:
-            raise ResourceGuardError(
-                f"census of degree <= {d} exceeds cover cap {max_covers}"
-            )
+    if max_covers is not None and (
+        sum(subgroup_count(rank, deg) for deg in range(1, d + 1)) > max_covers
+    ):
+        raise ResourceGuardError(
+            f"census of degree <= {d} exceeds cover cap {max_covers}"
+        )
+    census = [
+        (deg, i, g)
+        for deg in range(1, d + 1)
+        for i, g in enumerate(cover_census(rank, deg))
+    ]
     blocks = [forcing_word(g).word.letters for _, _, g in census]
     letters: list[int] = list(blocks[0])
     for block in blocks[1:]:

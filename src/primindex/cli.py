@@ -27,6 +27,7 @@ from .graphs import (
     graph_to_dot,
     graph_to_json,
     path_contains,
+    subgroup_count,
     trace_path,
 )
 from .index import f_table, index_report
@@ -262,11 +263,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_covers(args) -> int:
+    if args.max_covers is not None:
+        count = subgroup_count(args.rank, args.degree)
+        if count > args.max_covers:
+            raise ResourceGuardError(
+                f"{count} covers exceed --max-covers {args.max_covers}"
+            )
     covers = cover_census(args.rank, args.degree)
-    if args.max_covers is not None and len(covers) > args.max_covers:
-        raise ResourceGuardError(
-            f"{len(covers)} covers exceed --max-covers {args.max_covers}"
-        )
     manifest = _manifest(
         "covers",
         {"rank": args.rank, "degree": args.degree},

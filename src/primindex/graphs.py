@@ -10,6 +10,7 @@ signed 1-based index +j / -j for edge j-1 traversed forward / backward.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -356,6 +357,23 @@ def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
             seen.add(key)
             census.append(g)
     return tuple(census)
+
+
+def subgroup_count(rank: int, degree: int) -> int:
+    """len(cover_census(rank, degree)) without building it: the number of
+    index-degree subgroups of the rank-N free group by Hall's recursion
+    (1949), a_d = d (d!)^(N-1) - sum_{i<d} ((d-i)!)^(N-1) a_i."""
+    if rank < 1:
+        raise InvalidInputError("rank must be >= 1")
+    if degree < 1:
+        raise InvalidInputError("degree must be >= 1")
+    counts: list[int] = []
+    for d in range(1, degree + 1):
+        counts.append(
+            d * math.factorial(d) ** (rank - 1)
+            - sum(math.factorial(d - i) ** (rank - 1) * counts[i - 1] for i in range(1, d))
+        )
+    return counts[-1]
 
 
 def rose(rank: int) -> AGraph:

@@ -6,6 +6,7 @@ divisibility / residual-growth helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import InvalidInputError, ResourceGuardError
@@ -255,20 +256,18 @@ def index_report(
 
 # -- class-level cache --------------------------------------------------------
 
-_value_cache: dict[tuple[int, tuple[int, ...]], tuple[int, int, int]] = {}
+@lru_cache(maxsize=1 << 14)
+def _class_values(rank: int, key: tuple[int, ...]) -> tuple[int, int, int]:
+    """(d_prim, d_simp, d_fill_lower) of the class whose cyclic_class_key is
+    key; cache_info() gives the hit rate of index_values."""
+    res = _scan_quotients(CyclicWord(key, rank), True)
+    return res.d_prim, res.d_simp, res.d_fill_lower  # type: ignore[return-value]
 
 
 def index_values(w: CyclicWord) -> tuple[int, int, int]:
     """(d_prim, d_simp, d_fill_lower) with caching per equivalence class
     under rotation, inversion and relabeling (all three are invariant)."""
-    key = (w.rank, cyclic_class_key(w.letters, w.rank))
-    hit = _value_cache.get(key)
-    if hit is None:
-        rep = CyclicWord(key[1], w.rank)
-        res = _scan_quotients(rep, True)
-        hit = (res.d_prim, res.d_simp, res.d_fill_lower)  # type: ignore[assignment]
-        _value_cache[key] = hit
-    return hit
+    return _class_values(w.rank, cyclic_class_key(w.letters, w.rank))
 
 
 # -- tables ---------------------------------------------------------------------

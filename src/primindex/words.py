@@ -9,7 +9,6 @@ Text syntax: generators a_1..a_N print as a..z, inverses as A..Z
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -310,58 +309,99 @@ def enumerate_cyclically_reduced(n: int, rank: int) -> Iterator[CyclicWord]:
             yield CyclicWord(w.letters, rank)
 
 
-@lru_cache(maxsize=None)
-def signed_permutations(rank: int) -> tuple[tuple[int, ...], ...]:
-    """The 2^N N! relabelings of the basis (letter permutations fixing inversion)."""
-    out = []
-    for perm in itertools.permutations(range(1, rank + 1)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            out.append(tuple(s * g for g, s in zip(perm, signs)))
-    return tuple(out)
+def _letter(code: int) -> int:
+    """Inverse of the display code 2(|x| - 1) + (x < 0): a, A, b, B, ... are
+    0, 1, 2, 3, ..., so comparing code tuples compares in display order."""
+    return -(code // 2 + 1) if code & 1 else code // 2 + 1
 
 
-def relabel_letters(letters: Sequence[int], images: Sequence[int]) -> tuple[int, ...]:
-    """Apply a signed permutation given by generator images."""
-    return tuple(images[x - 1] if x > 0 else -images[-x - 1] for x in letters)
-
-
-def _display_codes(letters: Sequence[int]) -> tuple[int, ...]:
-    return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in letters)
+def _longest_run_starts(base: tuple[int, ...]) -> list[int]:
+    """Rotations of a cyclic word that begin with one of its longest runs
+    of a repeated letter (all of them, as [0], for a power of one letter)."""
+    n = len(base)
+    starts = [r for r in range(n) if base[r - 1] != base[r]]
+    if not starts:
+        return [0]
+    lengths = []
+    for r in starts:
+        e = r + 1
+        while base[e % n] == base[r]:
+            e += 1
+        lengths.append(e - r)
+    longest = max(lengths)
+    return [r for r, k in zip(starts, lengths) if k == longest]
 
 
 def cyclic_class_key(letters: Sequence[int], rank: int) -> tuple[int, ...]:
     """Canonical representative of a cyclic word's class under rotation,
     inversion and relabeling; minimal in display order (a < a^-1 < b < ...)
-    over the orbit."""
-    ls = tuple(letters)
-    n = len(ls)
+    over the orbit.
+
+    For a fixed rotation and orientation the least relabeling is forced:
+    each generator gets the next unused generator, in order of first
+    occurrence, with the sign of that occurrence.  Its display codes open
+    with as many zeros as the rotation's leading run is long, so only
+    rotations that start a longest run are compared, not 2^N N! 2n.
+    """
+    n = len(letters)
     if n == 0:
         return ()
-    inv = tuple(-x for x in reversed(ls))
+    full = 2 * len({abs(x) for x in letters})
     best: tuple[int, ...] | None = None
-    best_code: tuple[int, ...] | None = None
-    for images in signed_permutations(rank):
-        for base in (relabel_letters(ls, images), relabel_letters(inv, images)):
-            dbl = base + base
-            for r in range(n):
-                cand = dbl[r : r + n]
-                code = _display_codes(cand)
-                if best_code is None or code < best_code:
-                    best, best_code = cand, code
-    return best  # type: ignore[return-value]
+    for base in (tuple(letters), tuple([-x for x in reversed(letters)])):
+        dbl = base + base
+        for r in _longest_run_starts(base):
+            seq = dbl[r : r + n]
+            codes: dict[int, int] = {}
+            for x in seq:
+                if x not in codes:
+                    k = len(codes)
+                    codes[x], codes[-x] = k, k + 1
+                    if k + 2 == full:
+                        break
+            cand = tuple(map(codes.__getitem__, seq))
+            if best is None or cand < best:
+                best = cand
+    return tuple([_letter(c) for c in best])  # type: ignore[union-attr]
 
 
 def class_representatives(
     n: int, rank: int, skip_powers: bool
 ) -> Iterator[CyclicWord]:
     """One cyclically reduced word of length exactly n per rotation/
-    inversion/relabeling class (its cyclic_class_key); skip_powers drops
-    the classes of proper powers."""
-    for cw in enumerate_cyclically_reduced(n, rank):
-        if skip_powers and is_proper_power(cw)[0]:
+    inversion/relabeling class (its cyclic_class_key), in display order;
+    skip_powers drops the classes of proper powers.
+
+    Orderly generation: a class key is its own least rotation, a necklace
+    in display codes, so the prefixes of keys are grown letter by letter
+    by the prenecklace rule of Fredricksen-Kessler-Maiorana (a code may not
+    fall below the code one period back; Ruskey, Savage and Wang 1992),
+    starting at a and skipping free cancellations.  Only the necklaces
+    (Lyndon words when skip_powers) that are cyclically reduced reach
+    cyclic_class_key.
+    """
+    if n < 1 or rank < 1:
+        raise InvalidInputError("need n >= 1 and rank >= 1")
+    top = 2 * rank
+    a = [0] * n
+    # (position t, period p of the prenecklace a[:t], least code to try at t)
+    stack = [(1, 1, 0)]
+    while stack:
+        t, p, c = stack.pop()
+        if t == n:
+            necklace = p == n if skip_powers else n % p == 0
+            if necklace and a[0] != a[-1] ^ 1:
+                ls = tuple([_letter(x) for x in a])
+                if cyclic_class_key(ls, rank) == ls:
+                    yield CyclicWord(ls, rank)
             continue
-        if cw.letters == cyclic_class_key(cw.letters, rank):
-            yield cw
+        c = max(c, a[t - p])
+        if c == a[t - 1] ^ 1:  # free cancellation
+            c += 1
+        if c < top:
+            a[t] = c
+            stack.append((t, p, c + 1))
+            stack.append((t + 1, p if c == a[t - p] else t + 1, 0))
 
 
 def index_candidates_exact(n: int, rank: int) -> Iterator[CyclicWord]:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from primindex.blockers import (
@@ -130,6 +132,14 @@ def test_witness_word_degree_two():
 def test_witness_word_resource_guard():
     with pytest.raises(ResourceGuardError):
         witness_word(2, 2, max_covers=2)
+
+
+def test_witness_word_cap_is_checked_before_the_census_is_built():
+    # degree <= 6 in rank 2 holds 1 + 3 + 13 + 71 + 461 + 3447 = 3996 covers
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="exceeds cover cap 3995"):
+        witness_word(6, 2, max_covers=3995)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_coverage_demo():

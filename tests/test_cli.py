@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -164,6 +165,17 @@ def test_witness_resource_guard(capsys):
         capsys, ["witness", "--degree", "2", "--rank", "2", "--max-covers", "1"]
     )
     assert code == 3
+
+
+def test_covers_cap_exits_before_building_the_census(capsys):
+    # building all 3447 degree-6 covers takes about 25 s
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, ["covers", "--rank", "2", "--degree", "6", "--max-covers", "1"]
+    )
+    assert code == 3
+    assert "3447 covers exceed --max-covers 1" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_version(capsys):

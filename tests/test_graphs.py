@@ -41,6 +41,7 @@ from primindex.graphs import (
     rose,
     set_partitions_with_blocks,
     spanning_data,
+    subgroup_count,
     trace_covers_all_edges,
     trace_path,
     universal_three_word,
@@ -256,6 +257,18 @@ def test_complete_to_cover_adds_missing_loop():
 def test_cover_census_counts_match_subgroup_recursion():
     for d in range(1, 5):
         assert len(cover_census(2, d)) == subgroup_count_oracle(2, d)
+
+
+def test_subgroup_count_matches_recursion_oracle():
+    for rank in (1, 2, 3, 4):
+        for d in range(1, 8):
+            assert subgroup_count(rank, d) == subgroup_count_oracle(rank, d)
+    assert [len(cover_census(3, d)) for d in (1, 2, 3)] == [
+        subgroup_count(3, d) for d in (1, 2, 3)
+    ]
+    for rank, d in ((0, 2), (2, 0)):
+        with pytest.raises(InvalidInputError):
+            subgroup_count(rank, d)
 
 
 @pytest.mark.parametrize("rank,d_max", [(2, 4), (3, 3)])

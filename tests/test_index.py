@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import primindex
 from primindex.errors import InvalidInputError, ResourceGuardError
 from primindex.index import (
+    _class_values,
     FillBounds,
     commutator_witness,
     d_fill_bounds,
@@ -127,6 +130,24 @@ def test_power_monotonicity_of_d_simp():
         for k in (2, 3):
             wk = CyclicWord(w.letters * k, 2)
             assert d_simp(wk)[0] <= base
+
+
+F_TABLE_9_2_SHA256 = "a120869429c0f2ea89be48f54394064da1b948d9d952c85e2d9fa2fecad14c40"
+
+
+def test_f_table_9_2_payload_is_pinned():
+    payload = json.dumps(f_table(9, 2).to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == F_TABLE_9_2_SHA256
+
+
+def test_f_table_rank_3_witnesses_agree_with_census():
+    table = f_table(6, 3)
+    assert [(r.f_prim, r.f_simp) for r in table.rows] == [
+        (1, 1), (1, 1), (1, 1), (2, 1), (2, 1), (3, 2)
+    ]
+    for r in table.rows:
+        assert d_prim_census_oracle(CW(r.witness_prim, 3), r.f_prim) == r.f_prim
+        assert d_simp_census(CW(r.witness_simp, 3), r.f_simp) == r.f_simp
 
 
 def test_f_table_small():
@@ -254,6 +275,21 @@ def test_index_values_cache_consistency():
     # rotations and inversions share the cache entry and the values
     rot = CyclicWord(tuple(list(w.letters)[1:] + [w.letters[0]]), 2)
     assert index_values(rot) == (vp, vs, vl)
+
+
+def test_index_values_same_on_cache_hit_and_miss():
+    w = CW("abaBAb", 2)
+    _class_values.cache_clear()
+    missed = index_values(w)
+    assert _class_values.cache_info().misses == 1
+    # the inverse, relabeled by a <-> b, rotated: the same class
+    swap = {1: 2, -1: -2, 2: 1, -2: -1}
+    inv = [-x for x in reversed(w.letters)]
+    image = CyclicWord(tuple(swap[x] for x in inv[2:] + inv[:2]), 2)
+    assert index_values(image) == missed
+    assert _class_values.cache_info().hits == 1
+    report = index_report(w)
+    assert missed == (report.d_prim, report.d_simp, report.d_fill_lower)
 
 
 _SHORT_REPS = [

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primindex import words
 from primindex.errors import InvalidInputError
 from primindex.words import (
     CyclicWord,
     Word,
     alphabet,
+    class_representatives,
     concat,
     count_reduced,
     cyclic_class_key,
@@ -61,6 +63,44 @@ def sliding_count(sigma, w):
         for i in range(len(w.letters) - m + 1)
         if w.letters[i : i + m] == sigma.letters
     )
+
+
+def display_codes(letters):
+    return tuple(2 * (abs(x) - 1) + (0 if x > 0 else 1) for x in letters)
+
+
+def class_key_oracle(letters, rank):
+    """Least word in display order over every rotation of every signed
+    relabeling of w and of w^-1, compared rotation by rotation."""
+    ls = tuple(letters)
+    n = len(ls)
+    if n == 0:
+        return ()
+    inv = tuple(-x for x in reversed(ls))
+    best, best_code = None, None
+    for perm in itertools.permutations(range(1, rank + 1)):
+        for signs in itertools.product((1, -1), repeat=rank):
+            images = [s * g for g, s in zip(perm, signs)]
+            for base in (ls, inv):
+                img = tuple(images[x - 1] if x > 0 else -images[-x - 1] for x in base)
+                for r in range(n):
+                    cand = img[r:] + img[:r]
+                    code = display_codes(cand)
+                    if best_code is None or code < best_code:
+                        best, best_code = cand, code
+    return best
+
+
+def class_representatives_oracle(n, rank):
+    """The whole-sphere filter: every cyclically reduced word of length n,
+    in enumeration order, that is its own class key.  A key is its own
+    least rotation, so that cheaper test runs first."""
+    for cw in enumerate_cyclically_reduced(n, rank):
+        codes = display_codes(cw.letters)
+        if any(codes[r:] + codes[:r] < codes for r in range(1, n)):
+            continue
+        if cw.letters == class_key_oracle(cw.letters, rank):
+            yield cw
 
 
 letters_f2 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=40)
@@ -249,3 +289,68 @@ def test_class_key_invariances():
     assert cyclic_class_key(w.inverse().letters, 2) == k
     relabeled = tuple(-x for x in w.letters)  # invert both generators
     assert cyclic_class_key(relabeled, 2) == k
+
+
+# -- orderly class representatives against the sphere filter -----------------
+
+@pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 5), (4, 3)])
+def test_class_representatives_match_sphere_filter(rank, n_max):
+    for n in range(1, n_max + 1):
+        oracle = [cw.letters for cw in class_representatives_oracle(n, rank)]
+        root_free = [
+            ls for ls in oracle if not is_proper_power(CyclicWord(ls, rank))[0]
+        ]
+        for skip_powers, expected in ((False, oracle), (True, root_free)):
+            grown = [cw.letters for cw in class_representatives(n, rank, skip_powers)]
+            assert grown == expected, (rank, n, skip_powers)
+
+
+@pytest.mark.parametrize("skip_powers", [True, False])
+@pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 5)])
+def test_only_necklace_leaves_reach_the_class_key(monkeypatch, rank, n_max, skip_powers):
+    # the generator's work bound: the class key is computed once per
+    # cyclically reduced necklace (Lyndon word) that starts with a, nothing else
+    calls = []
+    real = words.cyclic_class_key
+    monkeypatch.setattr(
+        words, "cyclic_class_key", lambda ls, r: calls.append(ls) or real(ls, r)
+    )
+    for n in range(1, n_max + 1):
+        calls.clear()
+        list(class_representatives(n, rank, skip_powers))
+        expected = []
+        for cw in enumerate_cyclically_reduced(n, rank):
+            codes = display_codes(cw.letters)
+            rotations = [codes[r:] + codes[:r] for r in range(1, n)]
+            if cw.letters[0] == 1 and all(codes <= rot for rot in rotations):
+                if not (skip_powers and codes in rotations):
+                    expected.append(cw.letters)
+        assert calls == expected, (rank, n)
+
+
+@pytest.mark.parametrize("rank,n_max", [(2, 7), (3, 4)])
+def test_class_key_matches_oracle_on_every_word(rank, n_max):
+    for n in range(1, n_max + 1):
+        for cw in enumerate_cyclically_reduced(n, rank):
+            assert cyclic_class_key(cw.letters, rank) == class_key_oracle(cw.letters, rank)
+
+
+@st.composite
+def cyclic_words_rank4(draw):
+    letters = [draw(st.sampled_from(alphabet(4)))]
+    for _ in range(draw(st.integers(0, 7))):
+        letters.append(draw(st.sampled_from([y for y in alphabet(4) if y != -letters[-1]])))
+    if len(letters) > 1 and letters[0] == -letters[-1]:
+        letters.pop()
+    return tuple(letters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cyclic_words_rank4())
+def test_class_key_matches_oracle_rank_4(letters):
+    assert cyclic_class_key(letters, 4) == class_key_oracle(letters, 4)
+
+
+def test_class_representatives_rejects_bad_sizes():
+    with pytest.raises(InvalidInputError):
+        list(class_representatives(0, 2, skip_powers=True))
