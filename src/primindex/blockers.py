@@ -9,6 +9,7 @@ certified filling by the level-3 subword test).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InvalidInputError, ResourceGuardError
 from .index import CERT_RAUZY, CERT_UNDETERMINED
@@ -101,32 +102,34 @@ def _verify_containment(g: AGraph, w: Word, pattern: EdgePath) -> bool:
     )
 
 
+def _blocker(
+    g: AGraph,
+    caller: str,
+    pattern_fn: Callable[[AGraph, SpanningData], EdgePath],
+    kind: str,
+    bound: int,
+) -> BlockerReport:
+    if not is_cover(g):
+        raise InvalidInputError(f"{caller} expects a connected cover")
+    sd = spanning_data(g)
+    pattern = pattern_fn(g, sd)
+    word, piece_lengths = _pattern_covering_word(g, sd, pattern)
+    verified = len(word) <= bound and _verify_containment(g, word, pattern)
+    return BlockerReport(g, sd, word, kind, bound, verified, piece_lengths)
+
+
 def blocking_word(g: AGraph) -> BlockerReport:
     """Simplicity-blocking word: every vertex's trace contains the
     square-chain pattern loop; |word| <= (2N+5) d^3."""
-    if not is_cover(g):
-        raise InvalidInputError("blocking_word expects a connected cover")
-    sd = spanning_data(g)
-    pattern = alpha_path(g, sd)
-    word, piece_lengths = _pattern_covering_word(g, sd, pattern)
-    d, n = g.num_vertices, g.rank
-    bound = (2 * n + 5) * d**3
-    verified = len(word) <= bound and _verify_containment(g, word, pattern)
-    return BlockerReport(g, sd, word, KIND_ALPHA, bound, verified, piece_lengths)
+    bound = (2 * g.rank + 5) * g.num_vertices**3
+    return _blocker(g, "blocking_word", alpha_path, KIND_ALPHA, bound)
 
 
 def forcing_word(g: AGraph) -> BlockerReport:
     """Filling-forcing word: every vertex's trace contains the universal
     length-3 pattern loop; |word| <= 1000 N^3 d^5."""
-    if not is_cover(g):
-        raise InvalidInputError("forcing_word expects a connected cover")
-    sd = spanning_data(g)
-    pattern = beta_path(g, sd)
-    word, piece_lengths = _pattern_covering_word(g, sd, pattern)
-    d, n = g.num_vertices, g.rank
-    bound = 1000 * n**3 * d**5
-    verified = len(word) <= bound and _verify_containment(g, word, pattern)
-    return BlockerReport(g, sd, word, KIND_BETA, bound, verified, piece_lengths)
+    bound = 1000 * g.rank**3 * g.num_vertices**5
+    return _blocker(g, "forcing_word", beta_path, KIND_BETA, bound)
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,6 @@ def is_connected(g: AGraph) -> bool:
     return len(seen) == g.num_vertices
 
 
-def degree(g: AGraph, v: int) -> int:
-    return sum(1 for o, t, _ in g.edges for x in (o, t) if x == v)
-
-
 def is_cover(g: AGraph, rank: int | None = None) -> bool:
     """True iff every vertex has exactly one in- and out-edge per generator."""
     rank = g.rank if rank is None else rank

@@ -240,9 +240,6 @@ def experiment_dsimp(
             with_stats=False,
         )
         core = cyclic_reduce(sample.word)[1]
-        if len(core) == 0:
-            # a nonempty freely reduced word never cyclically reduces away
-            raise AssertionError("unreachable")
         if is_proper_power(core)[0]:
             powers += 1
         v = d_simp_census(core, d_cap)

@@ -1,6 +1,6 @@
 """Whitehead automorphisms: enumeration, application, greedy cyclic-length
-minimization, primitivity and simplicity decisions, Whitehead graphs with
-cut-vertex tests, and the level-3 subword filling certificate.
+minimization, primitivity and simplicity decisions, the cut-vertex test on
+the Whitehead graph, and the level-3 subword filling certificate.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .words import (
     alphabet,
     count_reduced,
     cyclic_reduce,
-    letter_key,
     reduce_letters,
 )
 
@@ -315,8 +314,6 @@ def is_primitive(w: Word) -> bool:
             tuple(compact[x] if x > 0 else -compact[-x] for x in w.letters),
             len(used),
         )
-    if w.rank >= 2 and contains_blocking_pattern(cyclic_reduce(w)[1]):
-        return False  # square chain rules out a cut vertex
     length, _ = _min_facts(w.rank, _class_key(w))
     return length == 1
 
@@ -329,75 +326,38 @@ def is_simple(w: Word) -> bool:
     used = {abs(x) for x in w.letters}
     if len(used) < w.rank:
         return True
-    if contains_blocking_pattern(cyclic_reduce(w)[1]):
-        return False  # square chain rules out a cut vertex
     _, used_min = _min_facts(w.rank, _class_key(w))
     return len(used_min) < w.rank
 
 
-@dataclass(frozen=True)
-class WhiteheadGraph:
-    """Simple undirected graph on all 2N letters recording the two-letter
-    cyclic factors: factor xy contributes the edge {x^-1, y}."""
-
-    rank: int
-    edges: frozenset[tuple[int, int]]
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
-
-def _norm_edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if letter_key(a) <= letter_key(b) else (b, a)
-
-
-def whitehead_graph(w: CyclicWord) -> WhiteheadGraph:
+def has_cut_vertex(w: CyclicWord) -> bool:
+    """Does the Whitehead graph of w, on all 2N letters, have a cut vertex:
+    is it disconnected, or does removing one of at least three vertices
+    disconnect it?  It reads the junction sets the minimizer scores:
+    letters x and y are adjacent when ends[x] & ends[y] is nonzero.  A
+    generator absent from w leaves two isolated letters, so missing
+    generators make this True by design."""
     if len(w) == 0:
         raise InvalidInputError("need a nonempty cyclic word")
-    ls = w.letters
-    edges = set()
-    for i, x in enumerate(ls):
-        y = ls[(i + 1) % len(ls)]
-        edges.add(_norm_edge(-x, y))
-    return WhiteheadGraph(w.rank, frozenset(edges))
+    ends = _junction_ends(w)
 
+    def connected(vs: list[int]) -> bool:
+        seen = {vs[0]}
+        stack = [vs[0]]
+        while stack:
+            v = stack.pop()
+            for u in vs:
+                if u not in seen and ends[u] & ends[v]:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(vs)
 
-def has_cut_vertex(g: WhiteheadGraph) -> bool:
-    """Cut vertex over the full letter set: any single vertex whose removal
-    disconnects the graph.  With isolated letters present alongside at
-    least one edge, removal of an edge endpoint disconnects, so missing
-    letters make this True by design."""
-    if not g.edges:
-        return False
-    vertices = list(alphabet(g.rank))
-
-    def components(vs: list[int]) -> int:
-        remaining = set(vs)
-        count = 0
-        while remaining:
-            count += 1
-            stack = [remaining.pop()]
-            while stack:
-                v = stack.pop()
-                for u in g.neighbors(v):
-                    if u in remaining:
-                        remaining.remove(u)
-                        stack.append(u)
-        return count
-
-    if components(vertices) > 1:
+    vertices = list(ends)
+    if not connected(vertices):
         return True
-    for v in vertices:
-        rest = [u for u in vertices if u != v]
-        if len(rest) >= 2 and components(rest) > 1:
-            return True
-    return False
+    return len(vertices) > 2 and not all(
+        connected([u for u in vertices if u != v]) for v in vertices
+    )
 
 
 def _cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:

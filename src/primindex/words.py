@@ -18,15 +18,6 @@ from .errors import InvalidInputError
 _ASCII_A = ord("a")
 
 
-def inverse_letter(x: int) -> int:
-    return -x
-
-
-def letter_key(x: int) -> tuple[int, int]:
-    """Sort key for display order: a < a^-1 < b < b^-1 < ..."""
-    return (abs(x), 0 if x > 0 else 1)
-
-
 @lru_cache(maxsize=None)
 def alphabet(rank: int) -> tuple[int, ...]:
     """All 2N letters in display order."""
@@ -233,7 +224,7 @@ def is_proper_power(w: CyclicWord) -> tuple[bool, CyclicWord, int]:
     for p in range(1, n):
         if n % p:
             continue
-        if all(ls[i] == ls[i % p] for i in range(n)):
+        if ls == ls[:p] * (n // p):
             return True, CyclicWord(ls[:p], w.rank), n // p
     return False, w, 1
 
@@ -245,68 +236,38 @@ def count_reduced(n: int, rank: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (n - 1)
 
 
-def _nth_allowed(rank: int, prev: int, d: int) -> int:
-    ab = alphabet(rank)
-    skip = ab.index(-prev)
-    return ab[d] if d < skip else ab[d + 1]
-
-
-def _realize_from(digits: list[int], letters: list[int], rank: int, pos: int) -> None:
-    ab = alphabet(rank)
-    for i in range(pos, len(digits)):
-        if i == 0:
-            letters[i] = ab[digits[i]]
-        else:
-            letters[i] = _nth_allowed(rank, letters[i - 1], digits[i])
-
-
-def enumerate_reduced(
-    n: int, rank: int, start: int = 0, stop: int | None = None
-) -> Iterator[Word]:
-    """All freely reduced words of length exactly n, in a fixed total order.
-
-    The order is lexicographic in display order (a < a^-1 < b < ...).
-    start/stop address the stream by index so shards can be restarted.
-    """
+def _reduced_tuples(n: int, rank: int) -> Iterator[tuple[int, ...]]:
+    """Letter tuples of the freely reduced words of length exactly n >= 1,
+    depth first in display order (a < a^-1 < b < ...), hence sorted in it."""
     if n < 1 or rank < 1:
         raise InvalidInputError("need n >= 1 and rank >= 1")
-    total = count_reduced(n, rank)
-    stop = total if stop is None else min(stop, total)
-    if start < 0 or start > total:
-        raise InvalidInputError("start out of range")
-    if start >= stop:
-        return
-    digits = [0] * n
-    rem = start
-    tail = (2 * rank - 1) ** (n - 1)
-    digits[0], rem = divmod(rem, tail)
-    for i in range(1, n):
-        tail //= 2 * rank - 1
-        digits[i], rem = divmod(rem, tail)
-    letters = [0] * n
-    _realize_from(digits, letters, rank, 0)
-    idx = start
-    while True:
-        yield Word(tuple(letters), rank)
-        idx += 1
-        if idx >= stop:
-            return
-        pos = n - 1
-        while pos >= 0:
-            base = 2 * rank if pos == 0 else 2 * rank - 1
-            digits[pos] += 1
-            if digits[pos] < base:
-                break
-            digits[pos] = 0
-            pos -= 1
-        _realize_from(digits, letters, rank, max(pos, 0))
+    ab = alphabet(rank)
+    follow = {x: tuple(y for y in ab if y != -x) for x in ab}
+    stack = [(x,) for x in reversed(ab)]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == n:
+            yield prefix
+        elif len(prefix) == n - 1:
+            for y in follow[prefix[-1]]:
+                yield prefix + (y,)
+        else:
+            stack.extend([prefix + (y,) for y in reversed(follow[prefix[-1]])])
+
+
+def enumerate_reduced(n: int, rank: int) -> Iterator[Word]:
+    """All freely reduced words of length exactly n, lexicographic in
+    display order (a < a^-1 < b < ...)."""
+    for ls in _reduced_tuples(n, rank):
+        yield Word(ls, rank)
 
 
 def enumerate_cyclically_reduced(n: int, rank: int) -> Iterator[CyclicWord]:
-    """All cyclically reduced words of length exactly n."""
-    for w in enumerate_reduced(n, rank):
-        if n == 1 or w.letters[0] != -w.letters[-1]:
-            yield CyclicWord(w.letters, rank)
+    """All cyclically reduced words of length exactly n, in the order of
+    enumerate_reduced."""
+    for ls in _reduced_tuples(n, rank):
+        if n == 1 or ls[0] != -ls[-1]:
+            yield CyclicWord(ls, rank)
 
 
 def _letter(code: int) -> int:

@@ -123,6 +123,16 @@ def test_d_simp_census_matches_quotient_scan():
             assert d_simp_census(w, 4) == v
 
 
+def test_d_simp_census_matches_quotient_scan_rank_3():
+    # 81 root-free classes, all with d_simp <= 2
+    reps = [w for n in range(1, 7) for w in class_representatives(n, 3, skip_powers=True)]
+    assert len(reps) == 81
+    for w in reps:
+        d = index_values(w)[1]
+        assert d <= 2
+        assert d_simp_census(w, d) == d, w.text()
+
+
 def test_power_monotonicity_of_d_simp():
     for text in ["ab", "aab", "abAB"]:
         w = CW(text, 2)
@@ -292,18 +302,28 @@ def test_index_values_same_on_cache_hit_and_miss():
     assert missed == (report.d_prim, report.d_simp, report.d_fill_lower)
 
 
-_SHORT_REPS = [
-    rep for n in range(1, 7) for rep in class_representatives(n, 2, skip_powers=False)
-]
-_SECOND_KIND = [t for t in enumerate_whitehead(2) if t.kind == "second"]
+_SHORT_REPS = {
+    2: [rep for n in range(1, 7) for rep in class_representatives(n, 2, skip_powers=False)],
+    3: [rep for n in range(1, 6) for rep in class_representatives(n, 3, skip_powers=False)],
+}
+_SECOND_KIND = {
+    rank: [t for t in enumerate_whitehead(rank) if t.kind == "second"] for rank in (2, 3)
+}
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from(_SHORT_REPS), st.sampled_from(_SECOND_KIND))
-def test_index_values_invariant_under_whitehead_automorphisms(rep, t):
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda rank: st.tuples(
+            st.sampled_from(_SHORT_REPS[rank]), st.sampled_from(_SECOND_KIND[rank])
+        )
+    )
+)
+def test_index_values_invariant_under_whitehead_automorphisms(rep_and_aut):
     # d_prim and d_simp are invariants of Aut(F_N); rotation, inversion and
     # relabeling are covered by the class cache, this draws the other kind
-    image = cyclic_reduce(Word(apply_letters(t, rep.letters), 2))[1]
+    rep, t = rep_and_aut
+    image = cyclic_reduce(Word(apply_letters(t, rep.letters), rep.rank))[1]
     assume(len(image) <= 10)
     assert index_values(image) == index_values(rep)
     assert d_simp_census(image, 4) == d_simp_census(rep, 4)

@@ -23,8 +23,6 @@ from primindex.whitehead import (
     orbit_min_oracle,
     rauzy3_full,
     replay_trace,
-    whitehead_graph,
-    WhiteheadGraph,
 )
 from primindex.words import (
     CyclicWord,
@@ -259,46 +257,62 @@ def test_simple_implies_cut_vertex_up_to_len8():
                 continue
             if is_simple(w.word()):
                 m, _ = minimize(w)
-                assert has_cut_vertex(whitehead_graph(m)), w.text()
+                assert has_cut_vertex(m), w.text()
 
 
 # -- Whitehead graphs ---------------------------------------------------------------
 
 def test_whitehead_graph_of_square_word():
-    g = whitehead_graph(CW("aabb", 2))
-    assert g.edges == frozenset(
-        {(1, -1), (-1, 2), (2, -2), (1, -2)}
-    ) or len(g.edges) == 4
-    # 4-cycle: every vertex has degree 2
-    for v in (1, -1, 2, -2):
-        assert len(g.neighbors(v)) == 2
-    assert not has_cut_vertex(g)
+    # aabb: the 4-cycle a - A - b - B - a, so no single vertex disconnects it
+    w = CW("aabb", 2)
+    ends = _junction_ends(w)
+    for x in alphabet(2):
+        assert sum(1 for y in alphabet(2) if y != x and ends[x] & ends[y]) == 2
+    assert not has_cut_vertex(w)
 
 
 def test_whitehead_graph_single_letter():
-    g = whitehead_graph(CW("a", 2))
-    assert g.edges == frozenset({(1, -1)})
-    assert has_cut_vertex(g)  # isolated b/B disconnect once an endpoint goes
-
-
-def test_whitehead_graph_rotation_inversion_invariant():
-    w = CW("aabAb", 2)
-    g = whitehead_graph(w)
-    for rot in w.rotations():
-        assert whitehead_graph(CyclicWord(rot, 2)).edges == g.edges
-    assert whitehead_graph(w.inverse()).edges == g.edges
+    assert has_cut_vertex(CW("a", 2))  # isolated b/B disconnect the graph
+    assert not has_cut_vertex(CW("a", 1))  # two vertices, one edge
+    with pytest.raises(InvalidInputError):
+        has_cut_vertex(CyclicWord((), 2))
 
 
 def test_star_has_cut_vertex():
-    g = WhiteheadGraph(2, frozenset({(1, -1), (1, 2), (1, -2)}))
-    assert has_cut_vertex(g)
+    # every letter occurs, yet the graph is the path b - A - a - B (aab) or
+    # falls apart into two edges (ab)
+    assert has_cut_vertex(CW("aab", 2))
+    assert has_cut_vertex(CW("ab", 2))
+    assert has_cut_vertex(CW("aabcc", 3))
+
+
+@st.composite
+def relabelings(draw, rank):
+    images = draw(st.permutations(range(1, rank + 1)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=rank, max_size=rank))
+    return [s * g for s, g in zip(signs, images)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_whitehead_graph_rotation_inversion_invariant(data):
+    # rotation, inversion and relabeling are graph isomorphisms
+    rank = data.draw(st.sampled_from([2, 3]))
+    w = data.draw(cyclic_words_of_rank(rank, 12))
+    expected = has_cut_vertex(w)
+    r = data.draw(st.integers(0, len(w) - 1))
+    assert has_cut_vertex(CyclicWord(w.letters[r:] + w.letters[:r], rank)) == expected
+    assert has_cut_vertex(w.inverse()) == expected
+    images = data.draw(relabelings(rank))
+    relabeled = tuple(images[x - 1] if x > 0 else -images[-x - 1] for x in w.letters)
+    assert has_cut_vertex(CyclicWord(relabeled, rank)) == expected
 
 
 def test_blocking_pattern_word_not_simple():
     # contains b^2 a^2 b^2
     w = CW("bbaabb", 2)
     assert contains_blocking_pattern(w)
-    assert not has_cut_vertex(whitehead_graph(w))
+    assert not has_cut_vertex(w)
     assert not is_simple(w.word())
 
 

@@ -215,13 +215,16 @@ def test_enumerate_reduced_counts_to_8(rank):
         assert sum(1 for _ in enumerate_reduced(n, rank)) == count_reduced(n, rank)
 
 
-def test_enumerate_reduced_sharding():
-    full = [w.letters for w in enumerate_reduced(4, 2)]
-    shards = [
-        [w.letters for w in enumerate_reduced(4, 2, start=a, stop=b)]
-        for a, b in [(0, 30), (30, 75), (75, len(full))]
-    ]
-    assert sum(shards, []) == full
+@pytest.mark.parametrize("rank,n_max", [(2, 6), (3, 4)])
+def test_enumerate_reduced_in_display_order(rank, n_max):
+    # universal_three_word, hence the witness words, reads this order
+    def display(letters):
+        return [(abs(x), x < 0) for x in letters]
+
+    for n in range(1, n_max + 1):
+        words = [w.letters for w in enumerate_reduced(n, rank)]
+        assert len(words) == count_reduced(n, rank)
+        assert all(display(u) < display(v) for u, v in zip(words, words[1:]))
 
 
 def test_enumerate_index_candidates_counts():
