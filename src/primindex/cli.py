@@ -4,8 +4,8 @@ cover censuses, graph export, and the acceptance self test.
 Every JSON payload embeds a manifest (command, parameters, version, seeds);
 wall time goes to stderr so payloads replay byte-for-byte.
 
-Exit codes: 0 success, 2 invalid input, 3 resource guard tripped,
-4 self-test failure.
+Exit codes: 0 success, 2 invalid input or input outside an operation's
+supported domain, 3 resource guard tripped, 4 self-test failure.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .acceptance import run_all
 from .blockers import blocking_word, forcing_word, witness_word
-from .errors import InvalidInputError, ResourceGuardError
+from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from .graphs import (
     alpha_path,
     beta_path,
@@ -416,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.fn(args)
     except InvalidInputError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except UnsupportedInputError as exc:
+        print(f"unsupported input: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

@@ -300,6 +300,41 @@ def path_contains(hay: EdgePath, needle: EdgePath) -> bool:
     return _edge_token_string(needle.edges) in _edge_token_string(hay.edges)
 
 
+# -- growing folded graphs ------------------------------------------------------
+
+_DEAD = (0, 0, ())  # a hole with no targets: the branch ends without a graph
+
+
+def _grow(
+    rank: int, hole: Callable[[dict, int], tuple | None], on_step: Callable[[], None] | None
+) -> Iterator[AGraph]:
+    """Grow folded graphs from vertex 0 one edge at a time, depth first.
+
+    hole(out, size) reads the edges out[(vertex, letter)] -> vertex and
+    names the next hole (vertex, letter, targets), or None when the graph is
+    finished; target size is a new vertex.  Targets already holding the
+    inverse letter are skipped; on_step is called once per target tried."""
+    out: dict[tuple[int, int], int] = {}
+
+    def grow(size: int) -> Iterator[AGraph]:
+        h = hole(out, size)
+        if h is None:
+            edges = sorted((v, t, x) for (v, x), t in out.items() if x > 0)
+            yield AGraph(rank, size, 0, tuple(edges))
+            return
+        v, x, targets = h
+        for t in targets:
+            if (t, -x) in out:
+                continue
+            if on_step is not None:
+                on_step()
+            out[v, x], out[t, -x] = t, v
+            yield from grow(size + (t == size))
+            del out[v, x], out[t, -x]
+
+    return grow(1)
+
+
 # -- covers -------------------------------------------------------------------
 
 def complete_to_cover(g: AGraph) -> AGraph:
@@ -328,41 +363,40 @@ def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
 
     Each cover is a transitive N-tuple of permutations of range(degree),
     generator i sending vertex j to perm_i[j], with edges (j, perm_i[j], i)
-    listed in (gen, vertex) order and base 0.  The census is the
-    lexicographically sorted list of such tuples, each the lex-least among
-    its relabelings fixing the base; the numbering is generally not
-    canonical_form's, and witness words and `covers --json` depend on it.
+    listed in (gen, vertex) order and base 0.  Each subgroup of index degree
+    is grown once by filling the first empty (vertex, letter) entry (Sims,
+    Computation with Finitely Presented Groups, 1994, ch. 5), relabeled to
+    the lex-least tuple among its relabelings fixing the base, and the
+    tuples sorted, with no dedup.  The numbering is generally not
+    canonical_form's; witness words and `covers --json` depend on it.
     """
-    if degree < 1:
-        raise InvalidInputError("degree must be >= 1")
-    seen: set[tuple] = set()
-    census = []
-    for perms in itertools.product(
-        itertools.permutations(range(degree)), repeat=rank
-    ):
-        edges = tuple(
-            (j, perm[j], i + 1)
-            for i, perm in enumerate(perms)
-            for j in range(degree)
-        )
-        g = AGraph(rank, degree, 0, edges)
-        if not is_connected(g):
-            continue
-        key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
-            census.append(g)
-    return tuple(census)
+    if rank < 1 or degree < 1:
+        raise InvalidInputError("rank and degree must be >= 1")
+    letters = alphabet(rank)
+
+    def hole(out: dict, size: int) -> tuple | None:
+        for v, x in itertools.product(range(size), letters):
+            if (v, x) not in out:
+                return v, x, range(size + (size < degree))
+        return None if size == degree else _DEAD
+
+    # a relabeled edge list sorted by (gen, vertex) compares as its tuple
+    fixing_base = [(0,) + p for p in itertools.permutations(range(1, degree))]
+    keys = sorted(
+        min(tuple(sorted((gen, s[o], s[t]) for o, t, gen in g.edges)) for s in fixing_base)
+        for g in _grow(rank, hole, None)
+    )
+    return tuple(
+        AGraph(rank, degree, 0, tuple((o, t, gen) for gen, o, t in key)) for key in keys
+    )
 
 
 def subgroup_count(rank: int, degree: int) -> int:
     """len(cover_census(rank, degree)) without building it: the number of
     index-degree subgroups of the rank-N free group by Hall's recursion
     (1949), a_d = d (d!)^(N-1) - sum_{i<d} ((d-i)!)^(N-1) a_i."""
-    if rank < 1:
-        raise InvalidInputError("rank must be >= 1")
-    if degree < 1:
-        raise InvalidInputError("degree must be >= 1")
+    if rank < 1 or degree < 1:
+        raise InvalidInputError("rank and degree must be >= 1")
     counts: list[int] = []
     for d in range(1, degree + 1):
         counts.append(
@@ -474,37 +508,18 @@ def quotients_with_vertices(
     letters, n = w.letters, len(w)
     if n == 0:
         raise InvalidInputError("need a nonempty cyclic word")
-    out: dict[tuple[int, int], int] = {}  # (vertex, signed letter) -> vertex
-    edges: list[tuple[int, int, int]] = []
-    size = 1
 
-    def grow(i: int, v: int) -> Iterator[AGraph]:
-        nonlocal size
-        while i < n and (v, letters[i]) in out:  # so depth <= #edges, not |w|
+    def hole(out: dict, size: int) -> tuple | None:
+        v = i = 0
+        while i < n and (v, letters[i]) in out:
             v, i = out[v, letters[i]], i + 1
         if i == n:
-            if v == 0 and size == k:
-                yield AGraph(w.rank, k, 0, tuple(sorted(edges)))
-            return
-        x = letters[i]
+            return None if v == 0 and size == k else _DEAD
         if size + n - i - 1 < k:  # only letters before the last add vertices
-            return
-        targets = (0,) if i == n - 1 else range(size + (size < k))
-        for t in targets:
-            if (t, -x) in out:
-                continue
-            if on_step is not None:
-                on_step()
-            new = t == size
-            size += new
-            out[v, x], out[t, -x] = t, v
-            edges.append((v, t, x) if x > 0 else (t, v, -x))
-            yield from grow(i + 1, t)
-            edges.pop()
-            del out[v, x], out[t, -x]
-            size -= new
+            return _DEAD
+        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k))
 
-    return grow(0, 0)
+    return _grow(w.rank, hole, on_step)
 
 
 # -- spanning data and rewriting ------------------------------------------------

@@ -78,9 +78,7 @@ def sample_word(cfg: WalkConfig, with_stats: bool = True) -> WalkSample:
     return WalkSample(word=word, seed=cfg.seed, algorithm=RNG_ALGORITHM, stats=stats)
 
 
-def pair_frequency_counts(
-    rank: int, n: int, samples: int, seed: int, batch: int | None = None
-) -> np.ndarray:
+def pair_frequency_counts(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
     """Aggregate counts of adjacent letter-code pairs over many walks.
 
     Streams the chain one step at a time across all samples at once, so

@@ -79,3 +79,43 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert not found, found
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{line} {name}"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    ]
+
+
+def test_no_unused_imports():
+    # an import nothing reads is dead code; names re-exported on purpose are
+    # listed in __all__ or marked "# noqa: F401" on the import line
+    root = Path(__file__).resolve().parent.parent
+    found = [
+        f"{path.relative_to(root)}:{entry}"
+        for folder in ("src/primindex", "tests", "scripts")
+        for path in sorted((root / folder).glob("*.py"))
+        for entry in _unused_imports(path)
+    ]
+    assert not found, found

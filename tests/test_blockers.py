@@ -11,7 +11,6 @@ from primindex.blockers import (
 from primindex.errors import ResourceGuardError
 from primindex.graphs import (
     alpha_path,
-    beta_path,
     cover_census,
     path_contains,
     rewrite_loop_cyclic,
@@ -22,7 +21,6 @@ from primindex.graphs import (
 )
 from primindex.index import d_fill_bounds
 from primindex.whitehead import contains_blocking_pattern, rauzy3_full
-from primindex.words import CyclicWord, subword_count
 
 
 def test_blocking_word_on_rose():

@@ -178,6 +178,22 @@ def test_covers_cap_exits_before_building_the_census(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_covers_rank_0_exit_2(capsys):
+    code, _, err = run_cli(capsys, ["covers", "--rank", "0", "--degree", "1"])
+    assert code == 2
+    assert "invalid input" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--degree", "1", "--rank", "1"],
+    ["blocker", "--degree", "2", "--rank", "1"],
+])
+def test_unsupported_input_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.splitlines()[0] == "unsupported input: need dual rank >= 2"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

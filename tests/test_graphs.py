@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -255,7 +254,7 @@ def test_complete_to_cover_adds_missing_loop():
 
 
 def test_cover_census_counts_match_subgroup_recursion():
-    for d in range(1, 5):
+    for d in range(1, 7):  # 3447 covers of degree 6
         assert len(cover_census(2, d)) == subgroup_count_oracle(2, d)
 
 
@@ -266,12 +265,13 @@ def test_subgroup_count_matches_recursion_oracle():
     assert [len(cover_census(3, d)) for d in (1, 2, 3)] == [
         subgroup_count(3, d) for d in (1, 2, 3)
     ]
-    for rank, d in ((0, 2), (2, 0)):
-        with pytest.raises(InvalidInputError):
-            subgroup_count(rank, d)
+    for rank, d in ((0, 1), (0, 2), (2, 0)):
+        for fn in (subgroup_count, cover_census):
+            with pytest.raises(InvalidInputError):
+                fn(rank, d)
 
 
-@pytest.mark.parametrize("rank,d_max", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
 def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
     # witness words and `covers --json` depend on this numbering, which is
     # not canonical_form's; a faster census engine must reproduce it
@@ -466,6 +466,25 @@ def cyclic_words(draw):
 @settings(max_examples=30, deadline=None)
 def test_quotient_generator_matches_partition_oracle_on_random_words(w):
     _assert_generator_matches_oracle(w, range(1, 4))
+
+
+def test_quotient_generator_steps_and_counts_per_k():
+    # --max-partitions caps these search steps; pinning them keeps its meaning
+    w = CW("aaabaBAbAB", 2)
+    found = []
+    for k in range(1, 11):
+        steps = []
+        quotients = list(quotients_with_vertices(w, k, lambda: steps.append(1)))
+        found.append(f"{len(steps)}/{len(quotients)}")
+    assert found == [
+        "2/1", "10/3", "38/0", "142/18", "324/34", "509/62", "526/54", "358/32", "149/8", "37/1"
+    ]
+
+
+def test_quotient_generator_rejects_empty_word_eagerly():
+    # raised at the call, before any quotient is drawn from the iterator
+    with pytest.raises(InvalidInputError):
+        quotients_with_vertices(CyclicWord((), 2), 1)
 
 
 # -- Euler circuits and coverage ---------------------------------------------

@@ -13,7 +13,6 @@ import primindex
 from primindex.errors import InvalidInputError, ResourceGuardError
 from primindex.index import (
     _class_values,
-    FillBounds,
     commutator_witness,
     d_fill_bounds,
     d_prim,
@@ -31,9 +30,7 @@ from primindex.words import (
     CyclicWord,
     Word,
     class_representatives,
-    concat,
     cyclic_reduce,
-    enumerate_cyclically_reduced,
     enumerate_reduced,
     index_candidates_exact,
     is_proper_power,

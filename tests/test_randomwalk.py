@@ -12,7 +12,7 @@ from primindex.randomwalk import (
     subword_spectrum,
     trial_seed,
 )
-from primindex.words import Word, cyclic_reduce
+from primindex.words import cyclic_reduce
 
 
 def test_sample_is_reduced_and_exact_length():

@@ -16,7 +16,6 @@ from primindex.whitehead import (
     contains_blocking_pattern,
     enumerate_whitehead,
     has_cut_vertex,
-    identity_aut,
     is_primitive,
     is_simple,
     minimize,
@@ -30,7 +29,6 @@ from primindex.words import (
     alphabet,
     cyclic_reduce,
     enumerate_cyclically_reduced,
-    enumerate_reduced,
     free_reduce,
 )
 
