@@ -42,13 +42,19 @@ KIND_BETA = "beta-forcing"
 
 @dataclass(frozen=True)
 class BlockerReport:
+    """per_vertex_containment[x]: does the word's trace from vertex x run
+    through the pattern loop?"""
+
     cover: AGraph
-    tree: SpanningData
     word: Word
     kind: str
     length_bound: int
-    verified: bool
+    per_vertex_containment: tuple[bool, ...]
     piece_lengths: tuple[int, ...]
+
+    @property
+    def verified(self) -> bool:
+        return len(self.word) <= self.length_bound and all(self.per_vertex_containment)
 
     def to_json(self) -> dict:
         from .graphs import graph_to_json
@@ -95,13 +101,6 @@ def _pattern_covering_word(
     return word, tuple(len(p) for p in pieces)
 
 
-def _verify_containment(g: AGraph, w: Word, pattern: EdgePath) -> bool:
-    return all(
-        path_contains(trace_path(g, x, w), pattern)
-        for x in range(g.num_vertices)
-    )
-
-
 def _blocker(
     g: AGraph,
     caller: str,
@@ -114,8 +113,10 @@ def _blocker(
     sd = spanning_data(g)
     pattern = pattern_fn(g, sd)
     word, piece_lengths = _pattern_covering_word(g, sd, pattern)
-    verified = len(word) <= bound and _verify_containment(g, word, pattern)
-    return BlockerReport(g, sd, word, kind, bound, verified, piece_lengths)
+    containment = tuple(
+        path_contains(trace_path(g, x, word), pattern) for x in range(g.num_vertices)
+    )
+    return BlockerReport(g, word, kind, bound, containment, piece_lengths)
 
 
 def blocking_word(g: AGraph) -> BlockerReport:

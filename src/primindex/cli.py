@@ -20,16 +20,7 @@ from . import __version__
 from .acceptance import run_all
 from .blockers import blocking_word, forcing_word, witness_word
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
-from .graphs import (
-    alpha_path,
-    beta_path,
-    cover_census,
-    graph_to_dot,
-    graph_to_json,
-    path_contains,
-    subgroup_count,
-    trace_path,
-)
+from .graphs import cover_census, graph_to_dot, graph_to_json, subgroup_count
 from .index import f_table, index_report
 from .randomwalk import (
     RNG_ALGORITHM,
@@ -148,12 +139,7 @@ def cmd_blocker(args) -> int:
         for rep in reports:
             entry = rep.to_json()
             if args.verify:
-                pattern_fn = alpha_path if args.kind == "alpha" else beta_path
-                pattern = pattern_fn(rep.cover, rep.tree)
-                entry["per_vertex_containment"] = [
-                    path_contains(trace_path(rep.cover, x, rep.word), pattern)
-                    for x in range(rep.cover.num_vertices)
-                ]
+                entry["per_vertex_containment"] = list(rep.per_vertex_containment)
             payload.append(entry)
         _emit_json(manifest, payload)
     else:

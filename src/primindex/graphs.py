@@ -79,13 +79,15 @@ class SpanningData:
     """A maximal tree plus the ordered positive complement edges.
 
     Dual letter i (1-based) corresponds to complement[i-1]; parent_edge[v]
-    is the directed tree edge into v from its parent (None at the root).
+    is the directed tree edge into v from its parent (None at the root);
+    order lists the vertices in the order the search found them.
     """
 
     tree_edges: frozenset[int]
     complement: tuple[int, ...]
     parent_edge: tuple[int | None, ...]
     depth: tuple[int, ...]
+    order: tuple[int, ...]
 
     @property
     def dual_rank(self) -> int:
@@ -413,25 +415,12 @@ def rose(rank: int) -> AGraph:
 # -- canonical forms -----------------------------------------------------------
 
 def canonical_form(g: AGraph) -> AGraph:
-    """Relabel vertices by breadth-first discovery from the base, edges
-    explored in display-letter order. Folded connected graphs only."""
-    om = out_map(g)
-    order: dict[int, int] = {g.base: 0}
-    queue = deque([g.base])
-    letters = alphabet(g.rank)
-    while queue:
-        v = queue.popleft()
-        for x in letters:
-            e = om.get((v, x))
-            if e is None:
-                continue
-            w = g.terminus(e)
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
-    if len(order) != g.num_vertices:
-        raise InvalidInputError("canonical_form expects a connected graph")
-    edges = tuple(sorted((order[o], order[t], gen) for o, t, gen in g.edges))
+    """Relabel vertices in the order spanning_data's breadth-first search
+    from the base finds them. Folded connected graphs only."""
+    label = [0] * g.num_vertices
+    for i, v in enumerate(spanning_data(g).order):
+        label[v] = i
+    edges = tuple(sorted((label[o], label[t], gen) for o, t, gen in g.edges))
     return AGraph(g.rank, g.num_vertices, 0, edges)
 
 
@@ -524,51 +513,29 @@ def quotients_with_vertices(
 
 # -- spanning data and rewriting ------------------------------------------------
 
-def spanning_data(g: AGraph, tree_edges: Sequence[int] | None = None) -> SpanningData:
-    """Choose a maximal tree (breadth-first from the base, letters in
-    display order) or validate a provided one, and order the complement."""
+def spanning_data(g: AGraph) -> SpanningData:
+    """Choose a maximal tree breadth-first from the base, letters in display
+    order, and order the complement."""
     om = out_map(g)
     letters = alphabet(g.rank)
     parent_edge: list[int | None] = [None] * g.num_vertices
     depth = [0] * g.num_vertices
     tree: set[int] = set()
+    order = [g.base]  # also the queue: the loop reads what it appends
     seen = {g.base}
-    queue = deque([g.base])
-    if tree_edges is None:
-        while queue:
-            v = queue.popleft()
-            for x in letters:
-                e = om.get((v, x))
-                if e is None:
-                    continue
-                w = g.terminus(e)
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(abs(e) - 1)
-                    parent_edge[w] = e
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-    else:
-        tree = {int(j) for j in tree_edges}
-        if len(tree) != g.num_vertices - 1:
-            raise InvalidInputError("tree edge set has wrong size")
-        incident: dict[int, list[int]] = {v: [] for v in range(g.num_vertices)}
-        for j in sorted(tree):
-            o, t, _ = g.edges[j]
-            incident[o].append(j + 1)
-            incident[t].append(-(j + 1))
-        while queue:
-            v = queue.popleft()
-            for e in incident[v]:
-                w = g.terminus(e)
-                if w not in seen:
-                    seen.add(w)
-                    parent_edge[w] = e
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-        if len(seen) != g.num_vertices:
-            raise InvalidInputError("given edges do not span the graph")
-    if len(seen) != g.num_vertices:
+    for v in order:
+        for x in letters:
+            e = om.get((v, x))
+            if e is None:
+                continue
+            w = g.terminus(e)
+            if w not in seen:
+                seen.add(w)
+                tree.add(abs(e) - 1)
+                parent_edge[w] = e
+                depth[w] = depth[v] + 1
+                order.append(w)
+    if len(order) != g.num_vertices:
         raise InvalidInputError("graph is not connected")
     complement = tuple(j + 1 for j in range(len(g.edges)) if j not in tree)
     return SpanningData(
@@ -576,6 +543,7 @@ def spanning_data(g: AGraph, tree_edges: Sequence[int] | None = None) -> Spannin
         complement=complement,
         parent_edge=tuple(parent_edge),
         depth=tuple(depth),
+        order=tuple(order),
     )
 
 
@@ -611,11 +579,14 @@ def dual_basis_loop(g: AGraph, sd: SpanningData, i: int) -> EdgePath:
     return EdgePath(g.base, edges)
 
 
-def _dual_word(sd: SpanningData, edges: Sequence[int]) -> Word:
-    """Drop tree edges, map complement edges to dual letters, reduce."""
+def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
+    """Rewrite a base loop as a freely reduced word over the dual basis:
+    drop tree edges and map complement edges to dual letters."""
+    if p.start != g.base or path_terminus(g, p) != g.base:
+        raise InvalidInputError("rewrite_loop expects a loop at the base vertex")
     index = {e: i + 1 for i, e in enumerate(sd.complement)}
     letters = []
-    for e in edges:
+    for e in p.edges:
         j = abs(e)
         if j - 1 in sd.tree_edges:
             continue
@@ -623,26 +594,10 @@ def _dual_word(sd: SpanningData, edges: Sequence[int]) -> Word:
     return free_reduce(letters, len(sd.complement))
 
 
-def _require_base_loop(g: AGraph, p: EdgePath, caller: str) -> None:
-    if p.start != g.base or path_terminus(g, p) != g.base:
-        raise InvalidInputError(f"{caller} expects a loop at the base vertex")
-
-
-def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
-    """Rewrite a reduced base loop as a freely reduced word over the dual
-    basis."""
-    _require_base_loop(g, p, "rewrite_loop")
-    return _dual_word(sd, p.edges)
-
-
 def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
-    """Rewrite the cyclically reduced form of a base loop over the dual
-    basis."""
-    _require_base_loop(g, p, "rewrite_loop_cyclic")
-    edges = p.edges
-    while len(edges) >= 2 and edges[0] == -edges[-1]:
-        edges = edges[1:-1]
-    return cyclic_reduce(_dual_word(sd, edges))[1]
+    """The cyclic reduction of rewrite_loop(g, sd, p); its rotation is
+    whatever cyclic_reduce leaves."""
+    return cyclic_reduce(rewrite_loop(g, sd, p))[1]
 
 
 # -- explicit path constructions -------------------------------------------------

@@ -78,8 +78,6 @@ class IndexReport:
 
 @dataclass
 class _Quotient:
-    graph: AGraph
-    cover: bool
     primitive: bool
     simple_success: bool
     fill_potential: bool
@@ -89,19 +87,12 @@ def _quotient_predicates(q: AGraph, w: CyclicWord) -> _Quotient:
     loop = trace_path(q, q.base, w)
     if path_terminus(q, loop) != q.base:
         raise InvalidInputError("w does not close at the base of the quotient")
-    sd = spanning_data(q)
-    lin = rewrite_loop(q, sd, loop)
-    cover = is_cover(q)
-    primitive = is_primitive(lin)
-    if cover:
-        simple_success = is_simple(lin)
-        fill_potential = simple_success or not rauzy3_full(
-            rewrite_loop_cyclic(q, sd, loop)
-        )
-    else:
-        simple_success = True
-        fill_potential = True
-    return _Quotient(q, cover, primitive, simple_success, fill_potential)
+    cyc = rewrite_loop_cyclic(q, spanning_data(q), loop)
+    primitive = is_primitive(cyc)
+    if not is_cover(q):
+        return _Quotient(primitive, True, True)
+    simple_success = is_simple(cyc)
+    return _Quotient(primitive, simple_success, simple_success or not rauzy3_full(cyc))
 
 
 @dataclass

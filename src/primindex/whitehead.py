@@ -15,6 +15,7 @@ from .words import (
     Word,
     alphabet,
     count_reduced,
+    cyclic_class_key,
     cyclic_reduce,
     reduce_letters,
 )
@@ -105,17 +106,6 @@ class WhiteheadAut:
             "multiplier": self.multiplier,
             "actions": list(self.tags),  # type: ignore[arg-type]
         }
-
-    @staticmethod
-    def from_json(data: dict, rank: int) -> "WhiteheadAut":
-        if data["kind"] == "first":
-            return WhiteheadAut(rank, "first", perm=tuple(data["permutation"]))
-        return WhiteheadAut(
-            rank,
-            "second",
-            multiplier=data["multiplier"],
-            tags=tuple(data["actions"]),
-        )
 
 
 def identity_aut(rank: int) -> WhiteheadAut:
@@ -258,19 +248,15 @@ def minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAut]]:
     pass scores every automorphism from the Whitehead graph of the current
     word and applies only the one it picks.
     """
-    if isinstance(w, CyclicWord):
-        w = w.word()
-    if w.is_trivial():
+    if not w.letters:
         raise InvalidInputError("the trivial word cannot be minimized")
     rank = w.rank
     trace: list[WhiteheadAut] = []
 
-    def peel(word: Word) -> CyclicWord:
-        while len(word) >= 2 and word.letters[0] == -word.letters[-1]:
-            c = word.letters[0]
-            trace.append(conjugation_by(c, rank))
-            word = Word(word.letters[1:-1], rank)
-        return CyclicWord(word.letters, rank)
+    def peel(word: Word | CyclicWord) -> CyclicWord:
+        conj, core = cyclic_reduce(word)
+        trace.extend(conjugation_by(c, rank) for c in conj.letters)
+        return core
 
     cw = peel(w)
     while (t := _first_reducing(cw)) is not None:
@@ -288,45 +274,34 @@ def replay_trace(w: Word, trace: Sequence[WhiteheadAut]) -> Word:
 @lru_cache(maxsize=200000)
 def _min_facts(rank: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(minimal cyclic length, generators present in one minimal form) for
-    the conjugacy class with the given cyclically reduced representative."""
+    the class whose cyclic_class_key is key, in the rank its letters span."""
     cw = CyclicWord(key, rank)
     m, _ = minimize(cw)
     return len(m), tuple(sorted({abs(x) for x in m.letters}))
 
 
-def _class_key(w: Word) -> tuple[int, ...]:
-    core = cyclic_reduce(w)[1]
-    if not core.letters:
-        return ()
-    return min(core.min_rotation(), core.inverse().min_rotation())
-
-
-def is_primitive(w: Word) -> bool:
+def is_primitive(w: Word | CyclicWord) -> bool:
     """Is w part of some free basis?  True iff its minimal form is a single
-    letter.  Words omitting generators are decided inside the subfactor they
-    span (primitivity there is equivalent)."""
-    if w.is_trivial():
+    letter.  The class key renames the generators w uses to the first ones,
+    so a word omitting generators is decided inside the subfactor it spans
+    (primitivity there is equivalent)."""
+    if not w.letters:
         raise InvalidInputError("the trivial word is not primitive")
-    used = sorted({abs(x) for x in w.letters})
-    if len(used) < w.rank:
-        compact = {g: i + 1 for i, g in enumerate(used)}
-        w = Word(
-            tuple(compact[x] if x > 0 else -compact[-x] for x in w.letters),
-            len(used),
-        )
-    length, _ = _min_facts(w.rank, _class_key(w))
+    key = cyclic_class_key(cyclic_reduce(w)[1].letters, w.rank)
+    length, _ = _min_facts(len({abs(x) for x in key}), key)
     return length == 1
 
 
-def is_simple(w: Word) -> bool:
+def is_simple(w: Word | CyclicWord) -> bool:
     """Is w inside a proper free factor?  True iff some generator pair is
     absent from w or from its Whitehead-minimal form."""
-    if w.is_trivial():
+    if not w.letters:
         raise InvalidInputError("the trivial word is not simple")
     used = {abs(x) for x in w.letters}
     if len(used) < w.rank:
         return True
-    _, used_min = _min_facts(w.rank, _class_key(w))
+    key = cyclic_class_key(cyclic_reduce(w)[1].letters, w.rank)
+    _, used_min = _min_facts(w.rank, key)
     return len(used_min) < w.rank
 
 

@@ -125,8 +125,8 @@ class Word:
 class CyclicWord:
     """A cyclically reduced word with a fixed stored rotation.
 
-    Equality is rotation-sensitive; use equivalent() / class_key() for
-    conjugacy-class comparisons.
+    Equality is rotation-sensitive; use min_rotation() or cyclic_class_key()
+    for conjugacy-class comparisons.
     """
 
     letters: tuple[int, ...]
@@ -162,14 +162,6 @@ class CyclicWord:
     def min_rotation(self) -> tuple[int, ...]:
         return min(self.rotations()) if self.letters else ()
 
-    def equivalent(self, other: "CyclicWord") -> bool:
-        """Equal up to rotation."""
-        return (
-            self.rank == other.rank
-            and len(self) == len(other)
-            and self.min_rotation() == other.min_rotation()
-        )
-
     @staticmethod
     def parse(text: str, rank: int) -> "CyclicWord":
         return cyclic_reduce(Word.parse(text, rank))[1]
@@ -194,17 +186,16 @@ def concat(*words: Word) -> Word:
     return free_reduce(raw, rank)
 
 
-def cyclic_reduce(w: Word) -> tuple[Word, CyclicWord]:
+def cyclic_reduce(w: Word | CyclicWord) -> tuple[Word, CyclicWord]:
     """Split w = c · core · c^-1 with core cyclically reduced.
 
     Returns (conjugator c, core).  The empty word yields two empties.
     """
-    ls = list(w.letters)
-    conj: list[int] = []
-    while len(ls) >= 2 and ls[0] == -ls[-1]:
-        conj.append(ls[0])
-        ls = ls[1:-1]
-    return Word(tuple(conj), w.rank), CyclicWord(tuple(ls), w.rank)
+    ls, n = w.letters, len(w.letters)
+    k = 0
+    while n - 2 * k >= 2 and ls[k] == -ls[n - 1 - k]:
+        k += 1
+    return Word(ls[:k], w.rank), CyclicWord(ls[k : n - k], w.rank)
 
 
 def iota_length(w: Word) -> int:

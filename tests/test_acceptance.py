@@ -108,6 +108,44 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _names_used(path: Path) -> set[str]:
+    """Identifiers a module reads, imports or spells as a whole string."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_no_unreferenced_functions():
+    # a library function or method no code, test, script or benchmark
+    # names is dead; strings count, since perfbench patches functions by name
+    root = Path(__file__).resolve().parent.parent
+    library = sorted((root / "src/primindex").glob("*.py"))
+    used = set().union(
+        *(
+            _names_used(path)
+            for folder in ("src/primindex", "tests", "scripts", "perfbench")
+            for path in sorted((root / folder).glob("*.py"))
+        )
+    )
+    found = [
+        f"{path.relative_to(root)}:{node.lineno} {node.name}"
+        for path in library
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert not found, found
+
+
 def test_no_unused_imports():
     # an import nothing reads is dead code; names re-exported on purpose are
     # listed in __all__ or marked "# noqa: F401" on the import line

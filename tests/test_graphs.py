@@ -53,6 +53,7 @@ from primindex.words import (
     enumerate_cyclically_reduced,
     free_reduce,
 )
+from primindex.whitehead import is_primitive
 
 CW = CyclicWord.parse
 W = Word.parse
@@ -364,19 +365,14 @@ def test_rewrite_cyclic_rejects_non_loop():
 
 
 def test_primitivity_witness_rewrite_single_letter():
-    # completing the circle of w to a cover with tree = circle minus one
-    # edge rewrites the defining loop to a single dual letter
+    # the defining loop of w on the completed circle is primitive in its
+    # subgroup (the d_prim <= |w| lemma), whatever the spanning tree
     for n in range(1, 7):
         for w in enumerate_cyclically_reduced(n, 2):
-            g = circle_graph(w)
-            c = complete_to_cover(g)
-            tree = tuple(range(n - 1))  # circle edges 0..n-2
-            sd = spanning_data(c, tree_edges=tree)
+            c = complete_to_cover(circle_graph(w))
             loop = trace_path(c, 0, w)
             assert path_terminus(c, loop) == 0
-            # single dual letter; its sign follows the stored orientation
-            # of the omitted circle edge
-            assert rewrite_loop(c, sd, loop).letters in ((1,), (-1,))
+            assert is_primitive(rewrite_loop(c, spanning_data(c), loop))
 
 
 def test_rewrite_cyclic_matches_linear_up_to_rotation():

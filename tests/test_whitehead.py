@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from primindex.whitehead import (
     WhiteheadAut,
     _cuts,
     _junction_ends,
+    _min_facts,
     _second_kind_at,
     apply,
     apply_letters,
@@ -191,6 +193,24 @@ def test_minimize_examples():
     assert len(m) == 4  # a^2 b^2 is already Whitehead minimal
 
 
+def test_long_conjugators_are_peeled_in_linear_time():
+    # a^k b a^-k: peeling one conjugator letter per slice or per Word took
+    # seconds at this k
+    k = 20000
+    w = Word((1,) * k + (2,) + (-1,) * k, 2)
+    start = time.perf_counter()
+    conj, core = cyclic_reduce(w)
+    assert time.perf_counter() - start < 1
+    assert conj.letters == (1,) * k and core.letters == (2,)
+    start = time.perf_counter()
+    m, trace = minimize(w)
+    assert time.perf_counter() - start < 1
+    assert m.letters == (2,) and trace == [conjugation_by(1, 2)] * k
+    # replay applies each conjugation to the whole word, so keep k small
+    short = Word((1,) * 50 + (2,) + (-1,) * 50, 2)
+    assert replay_trace(short, minimize(short)[1]) == W("b", 2)
+
+
 def test_minimize_rejects_trivial():
     with pytest.raises(InvalidInputError):
         minimize(Word((), 2))
@@ -238,6 +258,24 @@ def test_simple_examples():
     assert is_simple(W("a", 2))
     assert not is_simple(W("abAB", 2))
     assert not is_simple(W("aabb", 2))
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        # a signed relabeling (a -> B, b -> a), one of them as a cyclic word
+        [W("aabAB", 2), CW("BBabA", 2)],
+        # generators other than the first ones: bcBC is abAB inside rank 3
+        [W("bcBC", 3), W("abAB", 2)],
+    ],
+)
+def test_predicates_share_one_minimization_per_class(words):
+    # both predicates key the minimizer cache by cyclic_class_key
+    _min_facts.cache_clear()
+    for w in words:
+        assert not is_primitive(w)
+        assert is_simple(w) == (w.rank == 3)
+    assert _min_facts.cache_info().misses == 1
 
 
 def test_simple_uses_one_minimal_form():
