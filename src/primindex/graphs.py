@@ -15,7 +15,8 @@ import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     InvalidInputError,
@@ -25,9 +26,9 @@ from .errors import (
 from .words import (
     CyclicWord,
     Word,
+    _reduced_tuples,
     alphabet,
     cyclic_reduce,
-    enumerate_reduced,
     free_reduce,
 )
 
@@ -97,8 +98,9 @@ class SpanningData:
 # -- basic structure ---------------------------------------------------------
 
 @lru_cache(maxsize=65536)
-def out_map(g: AGraph) -> dict[tuple[int, int], int]:
-    """(vertex, signed letter) -> directed edge. Raises if g is not folded."""
+def out_map(g: AGraph) -> Mapping[tuple[int, int], int]:
+    """(vertex, signed letter) -> directed edge, as a read-only view shared
+    by every caller. Raises if g is not folded."""
     out: dict[tuple[int, int], int] = {}
     for j, (o, t, gen) in enumerate(g.edges):
         for v, letter, e in ((o, gen, j + 1), (t, -gen, -(j + 1))):
@@ -108,7 +110,7 @@ def out_map(g: AGraph) -> dict[tuple[int, int], int]:
                     f"graph not folded: two edges labeled {letter} at vertex {v}"
                 )
             out[key] = e
-    return out
+    return MappingProxyType(out)
 
 
 def is_folded(g: AGraph) -> bool:
@@ -264,18 +266,26 @@ def trace_path(g: AGraph, start: int, letters: Sequence[int] | Word) -> EdgePath
     """The unique path from start reading the given letters.
 
     Total on covers; on other folded graphs raises NoSuchPathError at the
-    first missing edge.
+    first missing edge.  Each step is one lookup in a table built once per
+    call, rows[v][letter] = (edge, row of the edge's terminus).
     """
     ls = letters.letters if isinstance(letters, (Word, CyclicWord)) else tuple(letters)
-    om = out_map(g)
-    edges = []
-    v = start
-    for i, x in enumerate(ls):
-        e = om.get((v, x))
-        if e is None:
-            raise NoSuchPathError(vertex=v, letter=x, position=i)
-        edges.append(e)
-        v = g.terminus(e)
+    out_map(g)  # raises InvalidInputError unless g is folded
+    rows: dict[int, dict] = {v: {} for v in range(g.num_vertices)}
+    for j, (o, t, gen) in enumerate(g.edges, 1):
+        rows[o][gen] = (j, rows[t])
+        rows[t][-gen] = (-j, rows[o])
+    edges: list[int] = []
+    append = edges.append
+    row = rows.get(start, {})  # a start outside the graph has no edges
+    try:
+        for x in ls:
+            e, row = row[x]
+            append(e)
+    except KeyError:
+        i = len(edges)
+        v = g.terminus(edges[-1]) if edges else start
+        raise NoSuchPathError(vertex=v, letter=ls[i], position=i) from None
     return EdgePath(start, tuple(edges))
 
 
@@ -292,7 +302,7 @@ def path_is_reduced(p: EdgePath) -> bool:
 
 
 def _edge_token_string(edges: Sequence[int]) -> str:
-    return "," + ",".join(str(e) for e in edges) + "," if edges else ","
+    return "," + ",".join(map(str, edges)) + "," if edges else ","
 
 
 def path_contains(hay: EdgePath, needle: EdgePath) -> bool:
@@ -584,14 +594,10 @@ def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
     drop tree edges and map complement edges to dual letters."""
     if p.start != g.base or path_terminus(g, p) != g.base:
         raise InvalidInputError("rewrite_loop expects a loop at the base vertex")
-    index = {e: i + 1 for i, e in enumerate(sd.complement)}
-    letters = []
-    for e in p.edges:
-        j = abs(e)
-        if j - 1 in sd.tree_edges:
-            continue
-        letters.append(index[j] if e > 0 else -index[j])
-    return free_reduce(letters, len(sd.complement))
+    dual: dict[int, int] = {}  # signed complement edge -> signed dual letter
+    for i, e in enumerate(sd.complement, 1):
+        dual[e], dual[-e] = i, -i
+    return free_reduce(tuple(filter(None, map(dual.get, p.edges))), len(sd.complement))
 
 
 def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
@@ -645,7 +651,7 @@ def universal_three_word(r: int) -> Word:
     length-3 word as a factor; length <= 4L-1 for L = 2r(2r-1)^2."""
     if r < 2:
         raise UnsupportedInputError("need dual rank >= 2")
-    triples = [w.letters for w in enumerate_reduced(3, r)]
+    triples = list(_reduced_tuples(3, r))
     letters: list[int] = list(triples[0])
     for nxt in triples[1:]:
         if letters[-1] == -nxt[0]:

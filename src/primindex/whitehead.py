@@ -13,10 +13,12 @@ from .errors import InvalidInputError, ResourceGuardError
 from .words import (
     CyclicWord,
     Word,
+    _trusted,
     alphabet,
     count_reduced,
     cyclic_class_key,
     cyclic_reduce,
+    free_reduce,
     reduce_letters,
 )
 
@@ -261,14 +263,30 @@ def minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAut]]:
     cw = peel(w)
     while (t := _first_reducing(cw)) is not None:
         trace.append(t)
-        cw = peel(Word(apply_letters(t, cw.letters), rank))
+        # the image of a checked word under an automorphism of its rank
+        cw = peel(_trusted(Word, apply_letters(t, cw.letters), rank))
     return cw, trace
 
 
 def replay_trace(w: Word, trace: Sequence[WhiteheadAut]) -> Word:
+    """Apply the automorphisms of trace to w in order.  A run of
+    conjugations by c_1, ..., c_k is applied once, as conjugation by
+    c_1 ... c_k, so replaying a long peeled conjugator takes linear time."""
+    run: list[int] = []
     for t in trace:
+        if t.kind == "second" and t == conjugation_by(t.multiplier, t.rank):  # type: ignore[arg-type]
+            run.append(t.multiplier)  # type: ignore[arg-type]
+            continue
+        if run:
+            w = _conjugate(w, run)
+            run = []
         w = apply(t, w)
-    return w
+    return _conjugate(w, run) if run else w
+
+
+def _conjugate(w: Word, u: Sequence[int]) -> Word:
+    """u^-1 w u, freely reduced."""
+    return free_reduce([-x for x in reversed(u)] + list(w.letters) + list(u), w.rank)
 
 
 @lru_cache(maxsize=200000)
@@ -336,15 +354,13 @@ def has_cut_vertex(w: CyclicWord) -> bool:
 
 
 def _cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:
-    n = len(cw)
-    out: set[tuple[int, ...]] = set()
-    if n < 3:
-        return out
-    for base in (cw.letters, cw.inverse().letters):
-        dbl = base + base
-        for i in range(n):
-            out.add(dbl[i : i + 3])
-    return out
+    """The length-3 cyclic factors of cw and cw^-1 (none when |cw| < 3)."""
+    ls = cw.letters
+    if len(ls) < 3:
+        return set()
+    d = ls + ls[:2]
+    out = set(zip(d, d[1:], d[2:]))
+    return out | {(-z, -y, -x) for x, y, z in out}
 
 
 def rauzy3_full(w: CyclicWord) -> bool:

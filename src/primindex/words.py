@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
@@ -28,11 +29,25 @@ def alphabet(rank: int) -> tuple[int, ...]:
 
 
 def _check_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:
+    """The letters as a tuple, after checking each is a nonzero int of
+    absolute value <= rank; the per-letter loop runs only to name the first
+    bad letter."""
     ls = tuple(letters)
+    if set(map(type, ls)) <= {int, bool} and set(ls).issubset(alphabet(rank)):
+        return ls
     for x in ls:
         if not isinstance(x, int) or x == 0 or abs(x) > rank:
             raise InvalidInputError(f"letter {x!r} out of range for rank {rank}")
     return ls
+
+
+def _trusted(cls, letters: tuple[int, ...], rank: int):
+    """A Word or CyclicWord built without checks, for letters derived from
+    an already validated word; the result must satisfy cls's checks."""
+    w = object.__new__(cls)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "rank", rank)
+    return w
 
 
 def letters_to_text(letters: Sequence[int], rank: int) -> str:
@@ -100,9 +115,8 @@ class Word:
     def __post_init__(self):
         ls = _check_letters(self.letters, self.rank)
         object.__setattr__(self, "letters", ls)
-        for a, b in zip(ls, ls[1:]):
-            if a == -b:
-                raise InvalidInputError("word is not freely reduced")
+        if 0 in map(add, ls, ls[1:]):  # some letter cancels the next
+            raise InvalidInputError("word is not freely reduced")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -111,7 +125,7 @@ class Word:
         return letters_to_text(self.letters, self.rank)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)), self.rank)
+        return _trusted(Word, tuple(map(neg, reversed(self.letters))), self.rank)
 
     def is_trivial(self) -> bool:
         return not self.letters
@@ -135,9 +149,8 @@ class CyclicWord:
     def __post_init__(self):
         ls = _check_letters(self.letters, self.rank)
         object.__setattr__(self, "letters", ls)
-        for a, b in zip(ls, ls[1:]):
-            if a == -b:
-                raise InvalidInputError("cyclic word is not freely reduced")
+        if 0 in map(add, ls, ls[1:]):
+            raise InvalidInputError("cyclic word is not freely reduced")
         if len(ls) >= 2 and ls[0] == -ls[-1]:
             raise InvalidInputError("cyclic word is not cyclically reduced")
 
@@ -148,10 +161,10 @@ class CyclicWord:
         return letters_to_text(self.letters, self.rank)
 
     def word(self) -> Word:
-        return Word(self.letters, self.rank)
+        return _trusted(Word, self.letters, self.rank)
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord(tuple(-x for x in reversed(self.letters)), self.rank)
+        return _trusted(CyclicWord, tuple(map(neg, reversed(self.letters))), self.rank)
 
     def rotations(self) -> Iterator[tuple[int, ...]]:
         n = len(self.letters)
@@ -169,8 +182,8 @@ class CyclicWord:
 
 def free_reduce(raw: Sequence[int], rank: int) -> Word:
     """Freely reduce a raw letter sequence into a Word."""
-    _check_letters(raw, rank)
-    return Word(reduce_letters(raw), rank)
+    ls = _check_letters(raw, rank)
+    return _trusted(Word, reduce_letters(ls) if 0 in map(add, ls, ls[1:]) else ls, rank)
 
 
 def concat(*words: Word) -> Word:
@@ -195,7 +208,7 @@ def cyclic_reduce(w: Word | CyclicWord) -> tuple[Word, CyclicWord]:
     k = 0
     while n - 2 * k >= 2 and ls[k] == -ls[n - 1 - k]:
         k += 1
-    return Word(ls[:k], w.rank), CyclicWord(ls[k : n - k], w.rank)
+    return _trusted(Word, ls[:k], w.rank), _trusted(CyclicWord, ls[k : n - k], w.rank)
 
 
 def iota_length(w: Word) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from primindex.graphs import (
     graph_to_json,
     is_cover,
     is_folded,
+    out_map,
     path_contains,
     path_is_reduced,
     path_letters,
@@ -43,6 +45,7 @@ from primindex.graphs import (
     subgroup_count,
     trace_covers_all_edges,
     trace_path,
+    tree_path,
     universal_three_word,
 )
 from primindex.words import (
@@ -50,6 +53,7 @@ from primindex.words import (
     Word,
     alphabet,
     cyclic_class_key,
+    cyclic_reduce,
     enumerate_cyclically_reduced,
     free_reduce,
 )
@@ -321,6 +325,101 @@ def test_trace_missing_edge_reports_position():
     assert exc.value.position == 1 and exc.value.letter == 2
 
 
+def test_out_map_is_read_only():
+    g = two_vertex_cover()
+    om = out_map(g)
+    with pytest.raises(TypeError):
+        om[0, 1] = -1
+    with pytest.raises(TypeError):
+        del om[0, 1]
+    assert out_map(g) == om and len(om) == 2 * len(g.edges)
+
+
+def trace_path_oracle(g, start, letters):
+    """Per-letter tracing through out_map, one edge lookup per letter."""
+    om = out_map(g)
+    edges = []
+    v = start
+    for i, x in enumerate(letters):
+        e = om.get((v, x))
+        if e is None:
+            raise NoSuchPathError(vertex=v, letter=x, position=i)
+        edges.append(e)
+        v = g.terminus(e)
+    return EdgePath(start, tuple(edges))
+
+
+def rewrite_loop_oracle(g, sd, p):
+    """Per-edge rewriting: skip tree edges, map complement edges by index."""
+    index = {e: i + 1 for i, e in enumerate(sd.complement)}
+    letters = []
+    for e in p.edges:
+        j = abs(e)
+        if j - 1 in sd.tree_edges:
+            continue
+        letters.append(index[j] if e > 0 else -index[j])
+    return free_reduce(letters, len(sd.complement))
+
+
+def _seeded_words(rank, rng, count, max_len):
+    return [
+        free_reduce([rng.choice(alphabet(rank)) for _ in range(rng.randrange(max_len))], rank)
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("rank, d_max", [(2, 4), (3, 3)])
+def test_trace_and_rewrite_match_per_letter_oracles_on_census(rank, d_max):
+    rng = random.Random(rank * 100 + d_max)
+    closed = opened = 0
+    for d in range(1, d_max + 1):
+        for g in cover_census(rank, d):
+            sd = spanning_data(g)
+            for u in _seeded_words(rank, rng, 6, 40):
+                for start in range(g.num_vertices):
+                    assert trace_path(g, start, u) == trace_path_oracle(g, start, u.letters)
+                # close u at the base with the tree path back from its end
+                end = path_terminus(g, trace_path_oracle(g, g.base, u.letters))
+                back = path_letters(g, EdgePath(end, tree_path(g, sd, end, g.base)))
+                for w in (u, free_reduce(u.letters + back, rank)):
+                    p = trace_path(g, g.base, w)
+                    assert p == trace_path_oracle(g, g.base, w.letters)
+                    if path_terminus(g, p) != g.base:
+                        opened += 1
+                        with pytest.raises(InvalidInputError):
+                            rewrite_loop(g, sd, p)
+                        continue
+                    closed += 1
+                    lin = rewrite_loop(g, sd, p)
+                    assert lin == rewrite_loop_oracle(g, sd, p)
+                    assert rewrite_loop_cyclic(g, sd, p) == cyclic_reduce(lin)[1]
+    assert closed > 0 and opened > 0
+
+
+def test_trace_errors_match_oracle_on_principal_quotients():
+    rng = random.Random(7)
+    failed = 0
+    for text, rank in (("aaabaBAbAB", 2), ("aabbcAbC", 3)):
+        w = CW(text, rank)
+        for k in range(1, len(w) + 1):
+            for q in quotients_with_vertices(w, k):
+                for u in _seeded_words(rank, rng, 4, 12) + [w.word()]:
+                    for start in range(-1, q.num_vertices + 1):
+                        try:
+                            expected = trace_path_oracle(q, start, u.letters)
+                        except NoSuchPathError as err:
+                            failed += 1
+                            with pytest.raises(NoSuchPathError) as exc:
+                                trace_path(q, start, u)
+                            assert str(exc.value) == str(err)
+                            assert (exc.value.vertex, exc.value.letter, exc.value.position) == (
+                                err.vertex, err.letter, err.position
+                            )
+                        else:
+                            assert trace_path(q, start, u) == expected
+    assert failed > 0
+
+
 # -- spanning data and rewriting ----------------------------------------------
 
 def test_rank_formula_on_folded_graphs():
@@ -386,8 +485,6 @@ def test_rewrite_cyclic_matches_linear_up_to_rotation():
             continue
         if path_terminus(g, p) != 0:
             continue
-        from primindex.words import cyclic_reduce
-
         lin = rewrite_loop(g, sd, p)
         cyc = rewrite_loop_cyclic(g, sd, p)
         assert cyclic_reduce(lin)[1].min_rotation() == cyc.min_rotation()

@@ -9,6 +9,7 @@ from primindex.errors import InvalidInputError
 from primindex.whitehead import (
     WhiteheadAut,
     _cuts,
+    _cyclic_triples,
     _junction_ends,
     _min_facts,
     _second_kind_at,
@@ -206,9 +207,49 @@ def test_long_conjugators_are_peeled_in_linear_time():
     m, trace = minimize(w)
     assert time.perf_counter() - start < 1
     assert m.letters == (2,) and trace == [conjugation_by(1, 2)] * k
-    # replay applies each conjugation to the whole word, so keep k small
     short = Word((1,) * 50 + (2,) + (-1,) * 50, 2)
     assert replay_trace(short, minimize(short)[1]) == W("b", 2)
+
+
+def replay_oracle(w, trace):
+    """Apply each automorphism of the trace to the whole word in turn."""
+    for t in trace:
+        w = apply(t, w)
+    return w
+
+
+def test_replay_composes_conjugations_in_linear_time():
+    # a^k b a^-k: applying each of the k peeled conjugations to the whole
+    # word took 7.7 s at this k
+    k = 4000
+    w = Word((1,) * k + (2,) + (-1,) * k, 2)
+    trace = minimize(w)[1]
+    start = time.perf_counter()
+    assert replay_trace(w, trace) == W("b", 2)
+    assert time.perf_counter() - start < 1
+    for k in range(51):
+        for text in ("b", "ab", "bab", "bbA"):
+            w = free_reduce((1,) * k + W(text, 2).letters + (-1,) * k, 2)
+            trace = minimize(w)[1]
+            assert replay_trace(w, trace) == replay_oracle(w, trace)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_replay_matches_step_by_step_on_random_words(rank):
+    rng = random.Random(rank)
+    for _ in range(40):
+        conj = [rng.choice(alphabet(rank)) for _ in range(rng.randrange(8))]
+        core = [rng.choice(alphabet(rank)) for _ in range(rng.randrange(1, 12))]
+        w = free_reduce(conj + core + [-x for x in reversed(conj)], rank)
+        if not len(w):
+            continue
+        m, trace = minimize(w)
+        # a mixed trace: conjugation runs between and around other automorphisms
+        mixed = [conjugation_by(x, rank) for x in conj] + trace
+        mixed += [conjugation_by(rng.choice(alphabet(rank)), rank) for _ in range(3)]
+        assert replay_trace(w, trace) == replay_oracle(w, trace)
+        assert replay_trace(w, trace).letters == m.letters
+        assert replay_trace(w, mixed) == replay_oracle(w, mixed)
 
 
 def test_minimize_rejects_trivial():
@@ -359,6 +400,33 @@ def test_contains_blocking_pattern_cyclic_wraparound():
 
 
 # -- rauzy3 ---------------------------------------------------------------------
+
+def cyclic_triples_oracle(cw):
+    """Every length-3 window of cw and of cw^-1, read around the circle."""
+    n = len(cw)
+    out = set()
+    if n < 3:
+        return out
+    for base in (cw.letters, tuple(-x for x in reversed(cw.letters))):
+        dbl = base + base
+        for i in range(n):
+            out.add(dbl[i : i + 3])
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cyclic_triples_match_sliding_oracle(data):
+    rank = data.draw(st.integers(1, 4))
+    cw = data.draw(cyclic_words_of_rank(rank, data.draw(st.sampled_from([3, 4, 30]))))
+    assert _cyclic_triples(cw) == cyclic_triples_oracle(cw)
+
+
+def test_cyclic_triples_of_short_words():
+    for rank in (1, 2, 3):
+        for n in (1, 2, 3):
+            for cw in enumerate_cyclically_reduced(n, rank):
+                assert _cyclic_triples(cw) == cyclic_triples_oracle(cw)
 
 def test_rauzy3_examples():
     from primindex.graphs import universal_three_word

@@ -135,6 +135,58 @@ def test_word_constructor_rejects_unreduced():
         Word((1, -1), 2)
 
 
+def check_letters_oracle(letters, rank):
+    """The per-letter check: the first bad letter names the error."""
+    for x in letters:
+        if not isinstance(x, int) or x == 0 or abs(x) > rank:
+            return f"letter {x!r} out of range for rank {rank}"
+    return None
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_check_letters_raises_the_loop_message(rank):
+    import numpy
+
+    bad = [0, rank + 1, -(rank + 1), 1.0, numpy.int64(1), "a", None]
+    for x in bad:
+        for letters in ((x,), (1, -1, x, 0), (rank, x)):
+            expected = check_letters_oracle(letters, rank)
+            assert expected is not None
+            for build in (
+                lambda ls: words._check_letters(ls, rank),
+                lambda ls: free_reduce(ls, rank),
+                lambda ls: Word(ls, rank),
+                lambda ls: CyclicWord(ls, rank),
+            ):
+                with pytest.raises(InvalidInputError) as exc:
+                    build(letters)
+                assert str(exc.value) == expected
+    assert words._check_letters((True, 1, -1), rank) == (True, 1, -1)
+    assert Word((True, True), rank).letters == (1, 1)
+    assert free_reduce([True, -1, rank], rank).letters == (rank,)
+
+
+def test_derived_words_equal_their_validated_constructions():
+    # cyclic_reduce, inverse(), word() and free_reduce build their results
+    # without rechecking; each must pass the checks it skipped
+    for rank, n_max in ((1, 4), (2, 6), (3, 4)):
+        for n in range(n_max + 1):
+            sphere = [Word((), rank)] if n == 0 else enumerate_reduced(n, rank)
+            for w in sphere:
+                conj, core = cyclic_reduce(w)
+                assert conj == Word(conj.letters, rank) and type(conj) is Word
+                assert core == CyclicWord(core.letters, rank)
+                assert type(core) is CyclicWord
+                inv = tuple(-x for x in reversed(w.letters))
+                assert w.inverse() == Word(inv, rank) and type(w.inverse()) is Word
+                assert core.inverse() == CyclicWord(
+                    tuple(-x for x in reversed(core.letters)), rank
+                )
+                assert core.word() == Word(core.letters, rank)
+                raw = w.letters + inv[:1] + w.letters[:2]
+                assert free_reduce(raw, rank) == Word(naive_reduce(raw), rank)
+
+
 # -- text syntax ------------------------------------------------------------
 
 def test_text_roundtrip_low_rank():
