@@ -314,37 +314,54 @@ def path_contains(hay: EdgePath, needle: EdgePath) -> bool:
 
 # -- growing folded graphs ------------------------------------------------------
 
-_DEAD = (0, 0, ())  # a hole with no targets: the branch ends without a graph
+_DEAD = (0, 0, (), None)  # a hole with no targets: the branch ends without a graph
 
 
 def _grow(
-    rank: int, hole: Callable[[dict, int], tuple | None], on_step: Callable[[], None] | None
-) -> Iterator[AGraph]:
+    hole: Callable[[dict, int, object], tuple | None],
+    cursor: object,
+    finish: Callable[[dict, int], object],
+    on_step: Callable[[], None] | None,
+) -> Iterator:
     """Grow folded graphs from vertex 0 one edge at a time, depth first.
 
-    hole(out, size) reads the edges out[(vertex, letter)] -> vertex and
-    names the next hole (vertex, letter, targets), or None when the graph is
-    finished; target size is a new vertex.  Targets already holding the
-    inverse letter are skipped; on_step is called once per target tried."""
+    hole(out, size, cursor) reads the edges out[(vertex, letter)] -> vertex
+    and names the next hole (vertex, letter, targets, cursor), or None when
+    the graph is finished, which yields finish(out, size); target size is a
+    new vertex.  The cursor a hole returns is handed to the holes below it,
+    so each search resumes where its parent's stopped (edges are only added
+    on the way down); the first hole gets the cursor given here.  Targets
+    already holding the inverse letter are skipped; on_step is called once
+    per target tried."""
     out: dict[tuple[int, int], int] = {}
-
-    def grow(size: int) -> Iterator[AGraph]:
-        h = hole(out, size)
+    frames = []  # per open hole: vertex, letter, targets left, cursor, size
+    size = 1
+    h = hole(out, size, cursor)
+    while True:
         if h is None:
-            edges = sorted((v, t, x) for (v, x), t in out.items() if x > 0)
-            yield AGraph(rank, size, 0, tuple(edges))
-            return
-        v, x, targets = h
-        for t in targets:
-            if (t, -x) in out:
+            yield finish(out, size)
+        else:
+            v, x, targets, cursor = h
+            frames.append((v, x, iter(targets), cursor, size))
+        while frames:  # place the next target of the deepest open hole
+            v, x, targets, cursor, size = frames[-1]
+            t = out.pop((v, x), None)  # the target placed here last time
+            if t is not None:
+                del out[t, -x]
+            for t in targets:
+                if (t, -x) not in out:
+                    break
+            else:
+                frames.pop()
                 continue
             if on_step is not None:
                 on_step()
             out[v, x], out[t, -x] = t, v
-            yield from grow(size + (t == size))
-            del out[v, x], out[t, -x]
-
-    return grow(1)
+            size += t == size
+            h = hole(out, size, cursor)
+            break
+        else:
+            return
 
 
 # -- covers -------------------------------------------------------------------
@@ -369,6 +386,56 @@ def complete_to_cover(g: AGraph) -> AGraph:
     return AGraph(g.rank, g.num_vertices, g.base, tuple(edges))
 
 
+def _least_relabeling(image: list[int], d: int) -> list[int]:
+    """The lex-least of the images perm_1[0..d-1] + perm_2[0..d-1] + ...
+    of a transitive permutation tuple, given flat as image[(gen - 1) * d +
+    j] = perm_gen[j], over its relabelings fixing 0, by branch and bound.
+
+    The positions are filled in order.  An image with no label yet takes
+    the next free label (any other label would make that position larger);
+    a position whose vertex has no label yet branches over the unlabeled
+    vertices; a branch is cut as soon as its prefix exceeds the best tuple
+    found so far."""
+    n = len(image)
+    best: list[int] = []
+
+    def search(p: int, label: list[int], vertex: list[int], free: int,
+               prefix: list[int], tight: bool) -> None:
+        # label: old vertex -> new label (-1: none), vertex: its inverse;
+        # tight: prefix equals best[:p], else it is smaller (or best empty)
+        nonlocal best
+        while p < n:
+            j = p % d
+            u = vertex[j]
+            if u < 0:  # label j == free is unused: branch on who takes it
+                for u in range(d):
+                    if label[u] < 0:
+                        before = best
+                        lab, ver = label[:], vertex[:]
+                        lab[u], ver[j] = j, u
+                        search(p, lab, ver, free + 1, prefix[:], tight)
+                        # a new best shares this prefix, so siblings are tight
+                        tight = tight or best is not before
+                return
+            t = image[p - j + u]
+            lt = label[t]
+            if lt < 0:
+                lt = label[t] = free
+                vertex[free] = t
+                free += 1
+            if tight:
+                b = best[p]
+                if lt > b:
+                    return
+                tight = lt == b
+            prefix.append(lt)
+            p += 1
+        best = prefix
+
+    search(0, [0] + [-1] * (d - 1), [0] + [-1] * (d - 1), 1, [], False)
+    return best
+
+
 @lru_cache(maxsize=None)
 def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
     """All based covers of exact degree, one per based-isomorphism class.
@@ -377,29 +444,36 @@ def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
     generator i sending vertex j to perm_i[j], with edges (j, perm_i[j], i)
     listed in (gen, vertex) order and base 0.  Each subgroup of index degree
     is grown once by filling the first empty (vertex, letter) entry (Sims,
-    Computation with Finitely Presented Groups, 1994, ch. 5), relabeled to
-    the lex-least tuple among its relabelings fixing the base, and the
-    tuples sorted, with no dedup.  The numbering is generally not
+    Computation with Finitely Presented Groups, 1994, ch. 5), each search
+    resuming at the entry its parent filled; each table is relabeled to the
+    lex-least tuple among its relabelings fixing the base, found by branch
+    and bound rather than by trying all (degree-1)! of them, and the tuples
+    are sorted, with no dedup.  The numbering is generally not
     canonical_form's; witness words and `covers --json` depend on it.
     """
     if rank < 1 or degree < 1:
         raise InvalidInputError("rank and degree must be >= 1")
-    letters = alphabet(rank)
+    cells = list(itertools.product(range(degree), alphabet(rank)))
+    width = 2 * rank
 
-    def hole(out: dict, size: int) -> tuple | None:
-        for v, x in itertools.product(range(size), letters):
-            if (v, x) not in out:
-                return v, x, range(size + (size < degree))
-        return None if size == degree else _DEAD
+    def hole(out: dict, size: int, c: int) -> tuple | None:
+        end = size * width  # cells before c are filled in every ancestor
+        while c < end and cells[c] in out:
+            c += 1
+        if c == end:
+            return None if size == degree else _DEAD
+        v, x = cells[c]
+        return v, x, range(size + (size < degree)), c + 1
 
-    # a relabeled edge list sorted by (gen, vertex) compares as its tuple
-    fixing_base = [(0,) + p for p in itertools.permutations(range(1, degree))]
-    keys = sorted(
-        min(tuple(sorted((gen, s[o], s[t]) for o, t, gen in g.edges)) for s in fixing_base)
-        for g in _grow(rank, hole, None)
-    )
+    images = [(j, gen) for gen in range(1, rank + 1) for j in range(degree)]
+
+    def finish(out: dict, size: int) -> list[int]:
+        return _least_relabeling(list(map(out.__getitem__, images)), degree)
+
+    origins, gens = [j for j, _ in images], [gen for _, gen in images]
     return tuple(
-        AGraph(rank, degree, 0, tuple((o, t, gen) for gen, o, t in key)) for key in keys
+        AGraph(rank, degree, 0, tuple(zip(origins, key, gens)))
+        for key in sorted(_grow(hole, 0, finish, None))
     )
 
 
@@ -508,17 +582,21 @@ def quotients_with_vertices(
     if n == 0:
         raise InvalidInputError("need a nonempty cyclic word")
 
-    def hole(out: dict, size: int) -> tuple | None:
-        v = i = 0
+    def hole(out: dict, size: int, at: tuple[int, int]) -> tuple | None:
+        v, i = at  # w is traced to letter i, at vertex v, in every ancestor
         while i < n and (v, letters[i]) in out:
             v, i = out[v, letters[i]], i + 1
         if i == n:
             return None if v == 0 and size == k else _DEAD
         if size + n - i - 1 < k:  # only letters before the last add vertices
             return _DEAD
-        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k))
+        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k)), (v, i)
 
-    return _grow(w.rank, hole, on_step)
+    def finish(out: dict, size: int) -> AGraph:
+        edges = sorted((v, t, x) for (v, x), t in out.items() if x > 0)
+        return AGraph(w.rank, size, 0, tuple(edges))
+
+    return _grow(hole, (0, 0), finish, on_step)
 
 
 # -- spanning data and rewriting ------------------------------------------------

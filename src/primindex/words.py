@@ -28,12 +28,21 @@ def alphabet(rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+_LETTER_TYPES = frozenset((int, bool))
+
+
+@lru_cache(maxsize=None)
+def _letter_set(rank: int) -> frozenset[int]:
+    return frozenset(alphabet(rank))
+
+
 def _check_letters(letters: Iterable[int], rank: int) -> tuple[int, ...]:
     """The letters as a tuple, after checking each is a nonzero int of
     absolute value <= rank; the per-letter loop runs only to name the first
     bad letter."""
     ls = tuple(letters)
-    if set(map(type, ls)) <= {int, bool} and set(ls).issubset(alphabet(rank)):
+    # types first: the value test would let 1.0 through, and fails on unhashables
+    if _LETTER_TYPES.issuperset(map(type, ls)) and _letter_set(rank).issuperset(ls):
         return ls
     for x in ls:
         if not isinstance(x, int) or x == 0 or abs(x) > rank:

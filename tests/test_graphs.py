@@ -9,6 +9,8 @@ from primindex.errors import InvalidInputError, NoSuchPathError, UnsupportedInpu
 from primindex.graphs import (
     AGraph,
     EdgePath,
+    _DEAD,
+    _grow,
     alpha_path,
     beta_path,
     canonical_form,
@@ -119,6 +121,52 @@ def lex_least_transitive_tuples(rank, d):
             conjugates.append(tuple(conj))
         reps.add(min(conjugates))
     return sorted(reps)
+
+
+def _finished(rank, out, size):
+    edges = sorted((v, t, x) for (v, x), t in out.items() if x > 0)
+    return AGraph(rank, size, 0, tuple(edges))
+
+
+def census_by_plain_min(rank, degree):
+    """Oracle for cover_census: every subgroup grown once by rescanning for
+    the first empty (vertex, letter) entry from (0, a), relabeled by a plain
+    min over all (degree-1)! relabelings fixing the base, then sorted."""
+    letters = alphabet(rank)
+
+    def hole(out, size, cursor):
+        for v, x in itertools.product(range(size), letters):
+            if (v, x) not in out:
+                return v, x, range(size + (size < degree)), cursor
+        return None if size == degree else _DEAD
+
+    # a relabeled edge list sorted by (gen, vertex) compares as its tuple
+    fixing_base = [(0,) + p for p in itertools.permutations(range(1, degree))]
+    keys = sorted(
+        min(tuple(sorted((gen, s[o], s[t]) for o, t, gen in g.edges)) for s in fixing_base)
+        for g in _grow(hole, None, lambda out, size: _finished(rank, out, size), None)
+    )
+    return tuple(
+        AGraph(rank, degree, 0, tuple((o, t, gen) for gen, o, t in key)) for key in keys
+    )
+
+
+def quotients_by_retracing(w, k, on_step):
+    """Oracle for quotients_with_vertices: the same search, but each hole
+    retraces w from vertex 0 instead of resuming at its parent's."""
+    letters, n = w.letters, len(w)
+
+    def hole(out, size, cursor):
+        v = i = 0
+        while i < n and (v, letters[i]) in out:
+            v, i = out[v, letters[i]], i + 1
+        if i == n:
+            return None if v == 0 and size == k else _DEAD
+        if size + n - i - 1 < k:
+            return _DEAD
+        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k)), cursor
+
+    return _grow(hole, None, lambda out, size: _finished(w.rank, out, size), on_step)
 
 
 def set_partitions(n):
@@ -274,6 +322,21 @@ def test_subgroup_count_matches_recursion_oracle():
         for fn in (subgroup_count, cover_census):
             with pytest.raises(InvalidInputError):
                 fn(rank, d)
+
+
+@pytest.mark.parametrize("rank,d_max", [(2, 6), (3, 4)])
+def test_cover_census_matches_plain_min_relabeling(rank, d_max):
+    # branch-and-bound relabeling and cursor-resumed growth, against the
+    # plain min and the rescan they replace: the same list, order included
+    for d in range(1, d_max + 1):
+        assert cover_census(rank, d) == census_by_plain_min(rank, d), (rank, d)
+
+
+def test_cover_census_degree_7_matches_hall():
+    # unwrapped, so the 29,093 covers are not kept in the cache
+    census = cover_census.__wrapped__(2, 7)
+    assert len(census) == subgroup_count(2, 7) == 29093
+    assert len(set(census)) == len(census)
 
 
 @pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
@@ -572,6 +635,21 @@ def test_quotient_generator_steps_and_counts_per_k():
     assert found == [
         "2/1", "10/3", "38/0", "142/18", "324/34", "509/62", "526/54", "358/32", "149/8", "37/1"
     ]
+
+
+def test_quotient_generator_matches_retracing_oracle_on_class_reps():
+    # the cursor-resumed trace gives the same quotients, in the same order,
+    # from the same number of search steps as retracing from vertex 0
+    for n in range(1, 9):
+        for w in enumerate_cyclically_reduced(n, 2):
+            if w.letters[0] != 1 or w.letters != cyclic_class_key(w.letters, 2):
+                continue
+            for k in range(1, n + 1):
+                steps, oracle_steps = [], []
+                grown = list(quotients_with_vertices(w, k, lambda: steps.append(1)))
+                expected = list(quotients_by_retracing(w, k, lambda: oracle_steps.append(1)))
+                assert grown == expected, (w.text(), k)
+                assert len(steps) == len(oracle_steps), (w.text(), k)
 
 
 def test_quotient_generator_rejects_empty_word_eagerly():
