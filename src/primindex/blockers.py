@@ -11,12 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidInputError, ResourceGuardError
 from .index import CERT_RAUZY, CERT_UNDETERMINED
 from .graphs import (
     AGraph,
     EdgePath,
     SpanningData,
+    _census_duals,
+    _census_ends,
     alpha_path,
     beta_path,
     connector_path,
@@ -24,15 +28,16 @@ from .graphs import (
     coverage_word,
     is_cover,
     path_contains,
-    path_terminus,
-    rewrite_loop_cyclic,
     spanning_data,
     subgroup_count,
     trace_covers_all_edges,
     trace_path,
     tree_path,
 )
-from .whitehead import rauzy3_full
+from .whitehead import rauzy3_array
+# Unused here; perfbench/tracer.py patches these names on this module.
+from .graphs import rewrite_loop_cyclic  # noqa: F401
+from .whitehead import rauzy3_full  # noqa: F401
 from .words import CyclicWord, Word, alphabet
 
 KIND_ALPHA = "alpha-blocking"
@@ -221,15 +226,15 @@ def witness_word(
     z = CyclicWord(tuple(letters), rank)
 
     entries = []
-    for deg, i, g in census:
-        p = trace_path(g, g.base, z)
-        contains = path_terminus(g, p) == g.base
-        cert = None
-        if contains:
-            sd = spanning_data(g)
-            rewritten = rewrite_loop_cyclic(g, sd, p)
-            cert = CERT_RAUZY if rauzy3_full(rewritten) else CERT_UNDETERMINED
-        entries.append(AuditEntry(deg, i, contains, cert))
+    degrees = range(1, d + 1)
+    for deg, ends in zip(degrees, _census_ends(rank, degrees, z.letters)):
+        closing = np.flatnonzero(ends == 0).tolist()
+        dual_rank = deg * (rank - 1) + 1  # Schreier's index formula
+        certs = {
+            i: CERT_RAUZY if rauzy3_array(u, dual_rank) else CERT_UNDETERMINED
+            for i, u in zip(closing, _census_duals(rank, deg, closing, z.letters))
+        }
+        entries.extend(AuditEntry(deg, i, i in certs, certs.get(i)) for i in range(len(ends)))
     audit = WitnessAudit(d, rank, len(census), tuple(entries))
     return z, audit
 

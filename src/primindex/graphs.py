@@ -18,6 +18,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     InvalidInputError,
     NoSuchPathError,
@@ -492,6 +494,122 @@ def subgroup_count(rank: int, degree: int) -> int:
     return counts[-1]
 
 
+# -- batch walks over the census ----------------------------------------------
+
+_WALK_CHUNK = 8  # closing covers whose dual words are filled in together
+
+
+@lru_cache(maxsize=None)
+def _census_table(rank: int, degree: int) -> np.ndarray:
+    """cover_census(rank, degree) as one read-only permutation table:
+    nxt[x + rank, c * degree + j] = c * degree + the vertex that letter x
+    leads to from vertex j of cover c; row rank (letter 0) is the identity.
+    Cached under the census's key, for as long."""
+    census = cover_census(rank, degree)
+    # intp, so that gathers index with the states as they come
+    states = np.arange(len(census) * degree, dtype=np.intp)
+    # edges are (j, perm_gen[j], gen) in (gen, vertex) order
+    perms = np.array([[t for _, t, _ in g.edges] for g in census], dtype=np.intp)
+    perms = perms.reshape(len(census), rank, degree) + states[::degree, None, None]
+    nxt = np.empty((2 * rank + 1, len(states)), dtype=np.intp)
+    nxt[rank] = states
+    for gen in range(1, rank + 1):
+        image = perms[:, gen - 1].ravel()
+        nxt[rank + gen] = image
+        nxt[rank - gen, image] = states
+    nxt.flags.writeable = False
+    return nxt
+
+
+def _census_ends(
+    rank: int, degrees: Sequence[int], letters: Sequence[int]
+) -> list[np.ndarray]:
+    """Per listed degree, the vertex where each cover's path from the base
+    reading letters ends (0: the word closes).  The covers of all listed
+    degrees walk together, one gather per letter over their states."""
+    tables = [_census_table(rank, d) for d in degrees]
+    offsets = list(itertools.accumulate((t.shape[1] for t in tables), initial=0))
+    nxt = tables[0] if len(tables) == 1 else np.concatenate(
+        [t + o for t, o in zip(tables, offsets)], axis=1
+    )
+    starts = np.concatenate(
+        [np.arange(o, o + t.shape[1], d) for t, o, d in zip(tables, offsets, degrees)]
+    )
+    rows = list(nxt)
+    state = starts
+    for x in letters:
+        state = rows[x + rank][state]
+    ends = state - starts
+    bounds = list(itertools.accumulate((t.shape[1] // d for t, d in zip(tables, degrees)), initial=0))
+    return [ends[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _census_duals(
+    rank: int, degree: int, covers: Sequence[int], letters: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """For each listed cover of cover_census(rank, degree), in order, whose
+    path from the base reading letters closes: the cyclically reduced dual
+    word of that loop (rewrite_loop_cyclic's letters) as a signed array.
+
+    The word is cut into blocks of about sqrt(len) letters.  Per chunk of
+    covers, every block's vertex map takes one gather per letter position
+    for all blocks at once, the maps are composed once per block to give
+    each block's first vertex, and the vertices inside every block then
+    follow, each with one more gather through the signed dual-letter table
+    (0 on tree edges).  A reduced word traces a reduced path, whose dual
+    word is freely reduced; that is checked, not assumed."""
+    census = cover_census(rank, degree)
+    nxt = _census_table(rank, degree)
+    n = len(letters)
+    block = math.isqrt(n - 1) + 1 if n else 1
+    blocks = -(-n // block)
+    # letter + rank, the last block padded with letter 0 (the identity row)
+    codes = np.full(blocks * block, rank, dtype=np.min_scalar_type(-2 * rank))
+    codes[:n] = np.fromiter(letters, dtype=codes.dtype, count=n)
+    codes[:n] += rank
+    codes = codes.reshape(blocks, block)
+    dual_dtype = np.min_scalar_type(-cycle_rank(census[0]))
+    for lo in range(0, len(covers), _WALK_CHUNK):
+        chunk = np.asarray(covers[lo : lo + _WALK_CHUNK], dtype=np.intp)
+        m, width = len(chunk), len(chunk) * degree
+        # the chunk's own table, states renumbered k * degree + j
+        cols = (chunk[:, None] * degree + np.arange(degree)).ravel()
+        step = (nxt[:, cols] - (cols - np.arange(width))).ravel()
+        dual = np.zeros((2 * rank + 1, width), dtype=dual_dtype)
+        for k, c in enumerate(chunk.tolist()):
+            g = census[c]
+            for i, e in enumerate(spanning_data(g).complement, 1):
+                o, t, gen = g.edges[e - 1]
+                dual[rank + gen, k * degree + o] = i
+                dual[rank - gen, k * degree + t] = -i
+        dual = dual.ravel()
+        maps = np.tile(np.arange(width, dtype=np.intp), (blocks, 1))
+        for t in range(block):
+            maps = step.take(codes[:, t, None].astype(np.intp) * width + maps)
+        base = np.arange(0, width, degree, dtype=np.intp)
+        firsts = np.empty((m, blocks), dtype=np.intp)
+        state = base
+        for j in range(blocks):
+            firsts[:, j] = state
+            state = maps[j][state]
+        if not np.array_equal(state, base):
+            raise InvalidInputError("_census_duals expects covers that close the word")
+        words = np.empty((m, blocks, block), dtype=dual_dtype)
+        state = firsts
+        for t in range(block):
+            at = codes[:, t].astype(np.intp) * width + state
+            words[:, :, t] = dual.take(at)
+            state = step.take(at)
+        for row in words.reshape(m, -1):
+            u = row[row != 0]
+            if np.any(u[1:] == -u[:-1]):
+                raise InvalidInputError("dual word of a traced loop is not freely reduced")
+            half = len(u) // 2
+            cancel = u[:half] != -u[::-1][:half]
+            k = int(cancel.argmax()) if cancel.any() else half
+            yield u[k : len(u) - k]
+
+
 def rose(rank: int) -> AGraph:
     return AGraph(rank, 1, 0, tuple((0, 0, g) for g in range(1, rank + 1)))
 
@@ -694,10 +812,15 @@ def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
     if u.rank != sd.dual_rank:
         raise InvalidInputError("dual word rank does not match the complement")
     edges: list[int] = []
+    joins: dict[tuple[int, int], tuple[int, ...]] = {}  # tree paths already built
     v = g.base
     for y in u.letters:
         e = sd.complement[abs(y) - 1] * (1 if y > 0 else -1)
-        edges.extend(tree_path(g, sd, v, g.origin(e)))
+        key = (v, g.origin(e))
+        join = joins.get(key)
+        if join is None:
+            join = joins[key] = tree_path(g, sd, *key)
+        edges.extend(join)
         edges.append(e)
         v = g.terminus(e)
     edges.extend(tree_path(g, sd, v, g.base))

@@ -1,7 +1,7 @@
 """Exact primitivity and simplicity indexes via principal quotients,
 certified interval bounds for the non-filling index, index-function tables,
-and one cover-census scan behind the d_prim oracle, d_simp_census and the
-divisibility / residual-growth helpers.
+one cover-census scan behind the d_prim oracle and d_simp_census, and the
+census closing test behind the divisibility / residual-growth helpers.
 """
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .errors import InvalidInputError, ResourceGuardError
 from .graphs import (
     AGraph,
-    EdgePath,
+    _census_ends,
     canonical_key,
     cover_census,
     graph_to_json,
@@ -361,47 +363,45 @@ def f_table(
 
 # -- census scans ----------------------------------------------------------------
 
-def first_cover(
-    w: Word | CyclicWord,
-    d_max: int,
-    accept: Callable[[AGraph, EdgePath], bool],
-) -> int | None:
-    """Least degree d <= d_max of a based cover g (subgroups of index d are
-    exactly the based degree-d covers) with accept(g, trace of w from the
-    base); None when no cover within the cap is accepted."""
+def first_cover(w: Word | CyclicWord, d_max: int, pred: Callable[[Word], bool]) -> int | None:
+    """Least degree d <= d_max of a based cover (subgroups of index d are
+    exactly the based degree-d covers) whose traced w-loop closes at the
+    base and rewrites to a dual word satisfying pred; None when no cover
+    within the cap qualifies.  Each degree's covers take the closing test
+    together; only those that close are traced, in census order."""
     if len(w) == 0:
         raise InvalidInputError("census scans reject the trivial word")
     for d in range(1, d_max + 1):
-        for g in cover_census(w.rank, d):
-            if accept(g, trace_path(g, g.base, w)):
+        census = cover_census(w.rank, d)
+        (ends,) = _census_ends(w.rank, (d,), w.letters)
+        for i in np.flatnonzero(ends == 0).tolist():
+            g = census[i]
+            if pred(rewrite_loop(g, spanning_data(g), trace_path(g, g.base, w))):
                 return d
     return None
-
-
-def _closed_loop_is(pred: Callable[[Word], bool]) -> Callable[[AGraph, EdgePath], bool]:
-    """accept: the traced loop closes at the base and its dual rewrite
-    satisfies pred."""
-    return lambda g, p: (
-        path_terminus(g, p) == g.base and pred(rewrite_loop(g, spanning_data(g), p))
-    )
 
 
 def d_prim_census_oracle(w: CyclicWord, d_max: int) -> int | None:
     """Independent oracle: least cover degree <= d_max whose traced w-loop
     closes and rewrites to a primitive dual word; None when none found."""
-    return first_cover(w, d_max, _closed_loop_is(is_primitive))
+    return first_cover(w, d_max, is_primitive)
 
 
 def d_simp_census(w: CyclicWord, d_max: int) -> int | None:
     """Exact d_simp capped at d_max: least cover degree whose traced w-loop
     closes and rewrites to a simple dual word."""
-    return first_cover(w, d_max, _closed_loop_is(is_simple))
+    return first_cover(w, d_max, is_simple)
 
 
 def divisibility(g: Word, d_max: int) -> int | None:
     """Least degree <= d_max of a based cover whose traced g-path does not
     close (a subgroup avoiding g); None if every cover contains g."""
-    return first_cover(g, d_max, lambda cov, p: path_terminus(cov, p) != cov.base)
+    if len(g) == 0:
+        raise InvalidInputError("census scans reject the trivial word")
+    for d in range(1, d_max + 1):
+        if _census_ends(g.rank, (d,), g.letters)[0].any():
+            return d
+    return None
 
 
 def rf_growth(n: int, rank: int, d_max: int) -> int:

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import InvalidInputError, ResourceGuardError
 from .words import (
     CyclicWord,
@@ -372,6 +374,28 @@ def rauzy3_full(w: CyclicWord) -> bool:
         raise InvalidInputError("rank must be >= 1")
     needed = count_reduced(3, w.rank)
     return len(_cyclic_triples(w)) == needed
+
+
+def rauzy3_array(u: np.ndarray, rank: int) -> bool:
+    """rauzy3_full on a cyclically reduced word of the given rank held as
+    a signed-letter array, which the caller has checked to be cyclically
+    reduced: each length-3 cyclic factor of u and of u^-1 is coded in base
+    2 rank + 1 and marked in one mask, whose count is compared with the
+    number of freely reduced length-3 words."""
+    if len(u) == 0:
+        raise InvalidInputError("need a nonempty cyclic word")
+    if rank < 1:
+        raise InvalidInputError("rank must be >= 1")
+    if len(u) < 3:
+        return False
+    base = 2 * rank + 1
+    d = np.concatenate([u, u[:2]]).astype(np.int32) + rank
+    x, y, z = d[:-2], d[1:-1], d[2:]
+    seen = np.zeros(base**3, dtype=bool)
+    seen[(x * base + y) * base + z] = True
+    top = 2 * rank  # the code of -letter is top - the code of letter
+    seen[((top - z) * base + top - y) * base + top - x] = True
+    return int(np.count_nonzero(seen)) == count_reduced(3, rank)
 
 
 def contains_blocking_pattern(w: CyclicWord) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -158,6 +159,18 @@ def test_witness_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["result"]["audit"]["complete"]
+
+
+WITNESS_3_2_SHA256 = "96ca9d5204e0bfb88fc5fbb851cba4d5508daa96917003b2b569c8e4d32c1630"
+
+
+def test_witness_degree_3_rank_2_result_is_pinned(capsys):
+    # z_3 over rank 2 and its audit of 17 covers, byte for byte
+    code, out, _ = run_cli(capsys, ["witness", "--degree", "3", "--rank", "2", "--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_3_2_SHA256
 
 
 def test_witness_resource_guard(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,9 @@ from primindex.graphs import (
     AGraph,
     EdgePath,
     _DEAD,
+    _census_duals,
+    _census_ends,
+    _census_table,
     _grow,
     alpha_path,
     beta_path,
@@ -59,7 +63,7 @@ from primindex.words import (
     enumerate_cyclically_reduced,
     free_reduce,
 )
-from primindex.whitehead import is_primitive
+from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full
 
 CW = CyclicWord.parse
 W = Word.parse
@@ -339,6 +343,23 @@ def test_cover_census_degree_7_matches_hall():
     assert len(set(census)) == len(census)
 
 
+def test_cover_census_rank_3_degree_5_matches_hall():
+    # unwrapped, so the 68,641 covers are not kept in the cache
+    census = cover_census.__wrapped__(3, 5)
+    assert len(census) == subgroup_count(3, 5) == 68641
+    assert len(set(census)) == len(census)
+
+
+def test_census_table_is_read_only_and_shared():
+    table = _census_table(2, 3)
+    with pytest.raises(ValueError):
+        table[2, 0] = 1
+    with pytest.raises(ValueError):
+        table.ravel()[0] = 1
+    assert _census_table(2, 3) is table
+    assert table.shape == (5, 3 * len(cover_census(2, 3)))
+
+
 @pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
 def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
     # witness words and `covers --json` depend on this numbering, which is
@@ -457,6 +478,69 @@ def test_trace_and_rewrite_match_per_letter_oracles_on_census(rank, d_max):
                     assert lin == rewrite_loop_oracle(g, sd, p)
                     assert rewrite_loop_cyclic(g, sd, p) == cyclic_reduce(lin)[1]
     assert closed > 0 and opened > 0
+
+
+WALK_LENGTHS = (1, 2, 3, 4, 7, 40, 333, 2000)
+
+
+@pytest.mark.parametrize("rank, d_max", [(2, 5), (3, 4)])
+def test_census_walk_matches_per_cover_trace(rank, d_max):
+    # the per-cover trace_path loop is the oracle for the batch walker: the
+    # end vertex on every cover, walking each degree alone and all degrees
+    # together, and on the covers that close, the dual word and the rauzy3
+    # certificate
+    rng = random.Random(rank * 1000 + d_max)
+    degrees = range(1, d_max + 1)
+    closed = certified = 0
+    for n in WALK_LENGTHS:
+        w = free_reduce([rng.choice(alphabet(rank)) for _ in range(n)], rank)
+        while len(w) < n:
+            w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
+        together = _census_ends(rank, degrees, w.letters)
+        for d, ends in zip(degrees, together):
+            census = cover_census(rank, d)
+            paths = [trace_path(g, g.base, w) for g in census]
+            expected = [path_terminus(g, p) for g, p in zip(census, paths)]
+            assert ends.tolist() == expected, (n, d)
+            assert _census_ends(rank, (d,), w.letters)[0].tolist() == expected, (n, d)
+            closing = [i for i, v in enumerate(expected) if v == 0]
+            duals = list(_census_duals(rank, d, closing, w.letters))
+            assert len(duals) == len(closing)
+            for i, u in zip(closing, duals):
+                g = census[i]
+                cyc = rewrite_loop_cyclic(g, spanning_data(g), paths[i])
+                assert tuple(u.tolist()) == cyc.letters, (n, d, i)
+                if len(cyc):
+                    assert rauzy3_array(u, cyc.rank) == rauzy3_full(cyc)
+                    certified += rauzy3_full(cyc)
+            closed += len(closing)
+    assert closed > 0 and certified > 0
+
+
+def test_census_walk_rejects_open_covers_and_unreduced_words():
+    w = W("abAAbab", 2)
+    ends = _census_ends(2, (2,), w.letters)[0]
+    opened = [i for i, v in enumerate(ends.tolist()) if v]
+    assert opened
+    with pytest.raises(InvalidInputError):
+        list(_census_duals(2, 2, opened[:1], w.letters))
+    # on the rose every edge is a dual letter, so aA gives a cancelling pair
+    with pytest.raises(InvalidInputError):
+        list(_census_duals(2, 1, [0], (1, -1, 2)))
+
+
+def test_rauzy3_array_matches_rauzy3_full_on_short_words():
+    for rank in (1, 2, 3):
+        for n in range(1, 5):
+            for cw in enumerate_cyclically_reduced(n, rank):
+                u = np.array(cw.letters, dtype=np.int8)
+                assert rauzy3_array(u, rank) == rauzy3_full(cw), cw
+    u3 = universal_three_word(3)
+    cw = cyclic_reduce(u3)[1]
+    assert rauzy3_array(np.array(cw.letters), 3) == rauzy3_full(cw) is True
+    for bad in ((np.array([], dtype=np.int8), 2), (np.array([1]), 0)):
+        with pytest.raises(InvalidInputError):
+            rauzy3_array(*bad)
 
 
 def test_trace_errors_match_oracle_on_principal_quotients():

@@ -25,7 +25,8 @@ from primindex.index import (
     index_values,
     rf_growth,
 )
-from primindex.whitehead import apply_letters, enumerate_whitehead
+from primindex.graphs import cover_census, path_terminus, rewrite_loop, spanning_data, trace_path
+from primindex.whitehead import apply_letters, enumerate_whitehead, is_primitive, is_simple
 from primindex.words import (
     CyclicWord,
     Word,
@@ -173,6 +174,40 @@ def test_divisibility_examples():
     assert divisibility(W("a", 2), 3) == 2
     assert divisibility(W("aa", 2), 4) == 3  # inside every index-2 subgroup
     assert divisibility(W("abAB", 2), 4) == 3  # commutators survive index 2
+
+
+def first_cover_by_trace(w, d_max, accept):
+    """The per-cover census scan: trace w on every cover, degree by degree."""
+    for d in range(1, d_max + 1):
+        for g in cover_census(w.rank, d):
+            if accept(g, trace_path(g, g.base, w)):
+                return d
+    return None
+
+
+def _closes_and(pred):
+    return lambda g, p: (
+        path_terminus(g, p) == g.base and pred(rewrite_loop(g, spanning_data(g), p))
+    )
+
+
+def test_census_scans_match_per_cover_oracle_on_class_reps():
+    # the closing test runs on every cover at once and only the covers that
+    # close are traced; the scans must agree with tracing every cover
+    words = 0
+    for n in range(1, 7):
+        for rep in class_representatives(n, 2, skip_powers=False):
+            words += 1
+            assert d_prim_census_oracle(rep, 4) == first_cover_by_trace(
+                rep, 4, _closes_and(is_primitive)
+            ), rep
+            assert d_simp_census(rep, 4) == first_cover_by_trace(
+                rep, 4, _closes_and(is_simple)
+            ), rep
+            assert divisibility(rep.word(), 4) == first_cover_by_trace(
+                rep, 4, lambda g, p: path_terminus(g, p) != g.base
+            ), rep
+    assert words > 30
 
 
 def test_divisibility_rejects_trivial():
