@@ -10,7 +10,6 @@ from .whitehead import WhiteheadAut, is_primitive, is_simple, minimize
 from .index import (
     IndexFunctionTable,
     IndexReport,
-    d_fill_bounds,
     d_prim,
     d_simp,
     f_table,
@@ -31,7 +30,6 @@ __all__ = [
     "circle_graph",
     "complete_to_cover",
     "cyclic_reduce",
-    "d_fill_bounds",
     "d_prim",
     "d_simp",
     "experiment_dsimp",

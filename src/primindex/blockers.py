@@ -25,12 +25,10 @@ from .graphs import (
     beta_path,
     connector_path,
     cover_census,
-    coverage_word,
     is_cover,
     path_contains,
     spanning_data,
     subgroup_count,
-    trace_covers_all_edges,
     trace_path,
     tree_path,
 )
@@ -237,25 +235,3 @@ def witness_word(
         entries.extend(AuditEntry(deg, i, i in certs, certs.get(i)) for i in range(len(ends)))
     audit = WitnessAudit(d, rank, len(census), tuple(entries))
     return z, audit
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    degree: int
-    rank: int
-    results: tuple[tuple[int, int, bool], ...]  # (cover index, |v|, all covered)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, _, ok in self.results)
-
-
-def coverage_demo(d: int, rank: int) -> CoverageReport:
-    """For every cover of degree d, build the full-coverage word and check
-    edge coverage from every vertex."""
-    results = []
-    for i, g in enumerate(cover_census(rank, d)):
-        v = coverage_word(g)
-        ok = all(trace_covers_all_edges(g, x, v) for x in range(g.num_vertices))
-        results.append((i, len(v), ok))
-    return CoverageReport(d, rank, tuple(results))

@@ -288,6 +288,14 @@ def cmd_selftest(args) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type of the caps, the deadline and the job count: anything
+    but a positive integer is invalid input, and argparse exits 2."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primindex",
@@ -304,16 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
-            "--timeout-seconds", type=int, default=None,
+            "--timeout-seconds", type=_positive_int, default=None,
             help="abort with exit code 3 after this many seconds",
         )
 
     p = sub.add_parser("index", help="compute d_prim / d_simp / d_fill bounds")
     p.add_argument("--word", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-index", type=int, default=None)
+    p.add_argument("--max-index", type=_positive_int, default=None)
     p.add_argument(
-        "--max-partitions", type=int, default=None,
+        "--max-partitions", type=_positive_int, default=None,
         help="cap on quotient search steps (edge choices tried); exit 3 beyond it",
     )
     common(p)
@@ -323,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
-        "--max-partitions", type=int, default=None,
+        "--max-partitions", type=_positive_int, default=None,
         help="cap on quotient search steps (edge choices tried); exit 3 beyond it",
     )
     common(p)
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="witness word with filling audit")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-covers", type=int, default=None)
+    p.add_argument("--max-covers", type=_positive_int, default=None)
     common(p)
     p.set_defaults(fn=cmd_witness)
 
@@ -375,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--dot", default=None, help="directory for DOT export")
-    p.add_argument("--max-covers", type=int, default=None)
+    p.add_argument("--max-covers", type=_positive_int, default=None)
     common(p)
     p.set_defaults(fn=cmd_covers)
 

@@ -1,4 +1,4 @@
-"""Labeled graphs over a rank-N basis: folding, cores, covers, spanning
+"""Labeled graphs over a rank-N basis: folding, covers, spanning
 trees with dual bases, loop rewriting, circle graphs, principal quotients
 grown by tracing a word, cover censuses, and the explicit blocking/forcing
 path constructions.
@@ -230,38 +230,6 @@ def fold(g: AGraph) -> AGraph:
     return fold_with_map(g)[0]
 
 
-def core(g: AGraph) -> AGraph:
-    """Strip vertices not on any reduced loop through the base."""
-    if not is_folded(g) or not is_connected(g):
-        raise InvalidInputError("core expects a folded connected graph")
-    alive_edges = set(range(len(g.edges)))
-    deg = [0] * g.num_vertices
-    for o, t, _ in g.edges:
-        deg[o] += 1
-        deg[t] += 1
-    changed = True
-    while changed:
-        changed = False
-        for j in list(alive_edges):
-            o, t, _ = g.edges[j]
-            for v, w in ((o, t), (t, o)):
-                if deg[v] == 1 and v != g.base:
-                    alive_edges.discard(j)
-                    deg[v] -= 1
-                    deg[w] -= 1
-                    changed = True
-                    break
-    keep = sorted(
-        {g.base}
-        | {v for j in alive_edges for v in g.edges[j][:2]}
-    )
-    remap = {v: i for i, v in enumerate(keep)}
-    edges = tuple(
-        sorted((remap[o], remap[t], gen) for j in sorted(alive_edges) for o, t, gen in [g.edges[j]])
-    )
-    return AGraph(g.rank, len(keep), remap[g.base], edges)
-
-
 # -- tracing and paths --------------------------------------------------------
 
 def trace_path(g: AGraph, start: int, letters: Sequence[int] | Word) -> EdgePath:
@@ -293,10 +261,6 @@ def trace_path(g: AGraph, start: int, letters: Sequence[int] | Word) -> EdgePath
 
 def path_terminus(g: AGraph, p: EdgePath) -> int:
     return g.terminus(p.edges[-1]) if p.edges else p.start
-
-
-def path_letters(g: AGraph, p: EdgePath) -> tuple[int, ...]:
-    return tuple(g.label(e) for e in p.edges)
 
 
 def path_is_reduced(p: EdgePath) -> bool:
@@ -518,7 +482,8 @@ def _census_table(rank: int, degree: int) -> np.ndarray:
         nxt[rank + gen] = image
         nxt[rank - gen, image] = states
     nxt.flags.writeable = False
-    return nxt
+    # a view of a read-only base cannot be made writeable again
+    return nxt.view()
 
 
 def _census_ends(
@@ -608,10 +573,6 @@ def _census_duals(
             cancel = u[:half] != -u[::-1][:half]
             k = int(cancel.argmax()) if cancel.any() else half
             yield u[k : len(u) - k]
-
-
-def rose(rank: int) -> AGraph:
-    return AGraph(rank, 1, 0, tuple((0, 0, g) for g in range(1, rank + 1)))
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -774,17 +735,6 @@ def tree_path(g: AGraph, sd: SpanningData, u: int, v: int) -> tuple[int, ...]:
     return tuple(up) + tuple(reversed(down))
 
 
-def dual_basis_loop(g: AGraph, sd: SpanningData, i: int) -> EdgePath:
-    """The loop at the base for dual letter i (1-based)."""
-    e = sd.complement[i - 1]
-    edges = (
-        tree_path(g, sd, g.base, g.origin(e))
-        + (e,)
-        + tree_path(g, sd, g.terminus(e), g.base)
-    )
-    return EdgePath(g.base, edges)
-
-
 def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
     """Rewrite a base loop as a freely reduced word over the dual basis:
     drop tree edges and map complement edges to dual letters."""
@@ -906,63 +856,6 @@ def connector_path(g: AGraph, e1: int, e2: int) -> EdgePath:
     return EdgePath(g.origin(e1), tuple(edges))
 
 
-# -- Euler circuits and coverage words -------------------------------------------
-
-def _euler_circuit_positive(g: AGraph, start: int) -> list[int]:
-    """Hierholzer's algorithm on the positively labeled directed edges."""
-    out: dict[int, deque[int]] = {v: deque() for v in range(g.num_vertices)}
-    order = sorted(range(len(g.edges)), key=lambda j: (g.edges[j][2], j))
-    for j in order:
-        out[g.edges[j][0]].append(j + 1)
-    stack_v = [start]
-    stack_e: list[int] = []
-    circuit: list[int] = []
-    while stack_v:
-        v = stack_v[-1]
-        if out[v]:
-            e = out[v].popleft()
-            stack_v.append(g.terminus(e))
-            stack_e.append(e)
-        else:
-            stack_v.pop()
-            if stack_e:
-                circuit.append(stack_e.pop())
-    circuit.reverse()
-    if len(circuit) != len(g.edges):
-        raise InvalidInputError("graph has no Euler circuit over positive edges")
-    return circuit
-
-
-def euler_word(g: AGraph, start: int | None = None) -> Word:
-    """Positive word of length rank·degree labeling an Euler circuit over
-    the positive edges of a connected cover."""
-    if not is_cover(g):
-        raise InvalidInputError("euler_word expects a cover")
-    start = g.base if start is None else start
-    circuit = _euler_circuit_positive(g, start)
-    return Word(tuple(g.label(e) for e in circuit), g.rank)
-
-
-def coverage_word(g: AGraph) -> Word:
-    """Positive word v with |v| = rank·degree² whose trace from every vertex
-    passes through every topological edge at least once."""
-    if not is_cover(g):
-        raise InvalidInputError("coverage_word expects a cover")
-    d = g.num_vertices
-    order = [g.base] + [v for v in range(d) if v != g.base]
-    pieces = [euler_word(g, g.base).letters]
-    for i in range(1, d):
-        sofar = tuple(itertools.chain.from_iterable(pieces))
-        end = path_terminus(g, trace_path(g, order[i], sofar))
-        pieces.append(euler_word(g, end).letters)
-    return Word(tuple(itertools.chain.from_iterable(pieces)), g.rank)
-
-
-def trace_covers_all_edges(g: AGraph, start: int, w: Word) -> bool:
-    p = trace_path(g, start, w)
-    return {abs(e) - 1 for e in p.edges} == set(range(len(g.edges)))
-
-
 # -- serialization -----------------------------------------------------------
 
 def graph_to_json(g: AGraph) -> dict:
@@ -973,14 +866,6 @@ def graph_to_json(g: AGraph) -> dict:
             {"from": o, "to": t, "gen": gen, "sign": 1} for o, t, gen in g.edges
         ],
     }
-
-
-def graph_from_json(data: dict, rank: int) -> AGraph:
-    edges = []
-    for e in data["edges"]:
-        o, t, gen, sign = e["from"], e["to"], e["gen"], e.get("sign", 1)
-        edges.append((o, t, gen) if sign > 0 else (t, o, gen))
-    return AGraph(rank, len(data["vertices"]), data["base"], tuple(edges))
 
 
 def graph_to_dot(g: AGraph, name: str = "agraph") -> str:

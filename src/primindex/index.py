@@ -1,7 +1,7 @@
 """Exact primitivity and simplicity indexes via principal quotients,
 certified interval bounds for the non-filling index, index-function tables,
 one cover-census scan behind the d_prim oracle and d_simp_census, and the
-census closing test behind the divisibility / residual-growth helpers.
+appendix's divisibility (the census closing test) and commutator witness.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .graphs import collapse_vertices, fold_with_map, set_partitions_with_blocks
 from .words import (
     CyclicWord,
     Word,
-    class_representatives,
     concat,
     cyclic_class_key,
     index_candidates_exact,
@@ -184,43 +183,6 @@ def d_simp(
     if res.d_simp is None:
         raise ResourceGuardError("d_simp not reached within max_index")
     return res.d_simp, res.simp_witness  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class FillBounds:
-    lower: int
-    upper: int | None
-    lower_witness: Witness | None
-    upper_witness: Witness | None
-
-    @property
-    def exact(self) -> bool:
-        return self.upper == self.lower
-
-
-def d_fill_bounds(
-    w: CyclicWord,
-    max_index: int | None = None,
-    max_partitions: int | None = None,
-) -> FillBounds:
-    """Certified interval for the non-filling index.
-
-    upper: least vertex count of a quotient certified non-filling (simple,
-    or a non-cover whose completion keeps w inside a proper free factor).
-    lower: least vertex count of a quotient not certified filling by the
-    level-3 subword test, hence a possible non-filling witness.
-    """
-    res = _scan_quotients(w, False, max_index, max_partitions)
-    if res.d_fill_lower is None:
-        # every quotient within the cap was certified filling
-        cap = max_index if max_index is not None else len(w)
-        return FillBounds(cap + 1, None, None, None)
-    return FillBounds(
-        res.d_fill_lower,
-        res.d_simp,
-        res.fill_witness,
-        res.simp_witness,
-    )
 
 
 def index_report(
@@ -402,24 +364,6 @@ def divisibility(g: Word, d_max: int) -> int | None:
         if _census_ends(g.rank, (d,), g.letters)[0].any():
             return d
     return None
-
-
-def rf_growth(n: int, rank: int, d_max: int) -> int:
-    """max of divisibility over all nontrivial words of length <= n.
-
-    Divisibility is invariant under conjugation, inversion and relabeling,
-    so cyclically reduced class representatives (powers included) suffice.
-    """
-    best = 0
-    for m in range(1, n + 1):
-        for rep in class_representatives(m, rank, skip_powers=False):
-            v = divisibility(rep.word(), d_max)
-            if v is None:
-                raise ResourceGuardError(
-                    f"divisibility of {rep.text()} exceeds census cap {d_max}"
-                )
-            best = max(best, v)
-    return best
 
 
 def commutator_witness(w: Word) -> Word:

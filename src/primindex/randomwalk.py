@@ -100,13 +100,6 @@ def pair_frequency_counts(rank: int, n: int, samples: int, seed: int) -> np.ndar
     return counts.reshape(two_n, two_n)
 
 
-def first_letter_counts(rank: int, samples: int, seed: int) -> np.ndarray:
-    """Counts of the initial letter code over independent walks."""
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 2 * rank, size=samples)
-    return np.bincount(draws, minlength=2 * rank)
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     n: int
@@ -155,31 +148,6 @@ def subword_spectrum(
         deviation_band=band,
         counts=counts,
         max_abs_deviation=max_dev,
-    )
-
-
-@dataclass(frozen=True)
-class IotaReport:
-    count: int
-    mean: float
-    max: int
-    threshold_frac: float
-    fraction_exceeding: float
-
-
-def iota_stat(words: list[Word], threshold_frac: float = 0.001) -> IotaReport:
-    """Distribution of the cancellation-tail length across sampled words."""
-    if not words:
-        raise InvalidInputError("need at least one sample")
-    lengths = [len(cyclic_reduce(w)[0]) for w in words]
-    n = len(words[0])
-    exceeding = sum(1 for v in lengths if v > threshold_frac * n)
-    return IotaReport(
-        count=len(words),
-        mean=sum(lengths) / len(lengths),
-        max=max(lengths),
-        threshold_frac=threshold_frac,
-        fraction_exceeding=exceeding / len(words),
     )
 
 

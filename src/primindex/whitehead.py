@@ -57,11 +57,6 @@ class WhiteheadAut:
         else:
             raise InvalidInputError(f"unknown kind {self.kind!r}")
 
-    def is_identity(self) -> bool:
-        if self.kind == "first":
-            return self.perm == tuple(range(1, self.rank + 1))
-        return all(t == "id" for t in self.tags)  # type: ignore[union-attr]
-
     def inverse(self) -> "WhiteheadAut":
         if self.kind == "first":
             inv = [0] * self.rank
@@ -396,23 +391,6 @@ def rauzy3_array(u: np.ndarray, rank: int) -> bool:
     top = 2 * rank  # the code of -letter is top - the code of letter
     seen[((top - z) * base + top - y) * base + top - x] = True
     return int(np.count_nonzero(seen)) == count_reduced(3, rank)
-
-
-def contains_blocking_pattern(w: CyclicWord) -> bool:
-    """Cheap non-simplicity certificate: the square chain
-    a_N^2 a_1^2 ... a_N^2 occurs among the cyclic factors of w or w^-1."""
-    r = w.rank
-    pattern = [r, r] + [g for g in range(1, r + 1) for _ in (0, 1)]
-    pat = tuple(pattern)
-    n = len(w)
-    if n < len(pat):
-        return False
-    for base in (w.letters, w.inverse().letters):
-        dbl = base + base
-        for i in range(n):
-            if dbl[i : i + len(pat)] == pat:
-                return True
-    return False
 
 
 def orbit_min_oracle(w: Word | CyclicWord, budget: int = 50000) -> CyclicWord:

@@ -4,7 +4,6 @@ import pytest
 
 from primindex.blockers import (
     blocking_word,
-    coverage_demo,
     forcing_word,
     witness_word,
 )
@@ -14,17 +13,16 @@ from primindex.graphs import (
     cover_census,
     path_contains,
     rewrite_loop_cyclic,
-    rose,
     spanning_data,
     trace_path,
     universal_three_word,
 )
-from primindex.index import d_fill_bounds
-from primindex.whitehead import contains_blocking_pattern, rauzy3_full
+from primindex.index import _scan_quotients
+from primindex.whitehead import rauzy3_full
 
 
 def test_blocking_word_on_rose():
-    rep = blocking_word(rose(2))
+    rep = blocking_word(cover_census(2, 1)[0])
     assert rep.kind == "alpha-blocking"
     assert rep.word.text() == "bbaabb"  # the pattern loop itself
     assert len(rep.word) <= rep.length_bound == 9
@@ -51,12 +49,12 @@ def test_blocking_word_negative_control_empty_word():
 
 
 def test_forcing_word_on_rose():
-    rep = forcing_word(rose(2))
+    rep = forcing_word(cover_census(2, 1)[0])
     assert rep.kind == "beta-forcing"
     assert rep.verified
     assert len(rep.word) <= 1000 * 8  # far below the bound in practice
     # the trace closes up at the base and rewrites to the universal word
-    sd = spanning_data(rose(2))
+    sd = spanning_data(cover_census(2, 1)[0])
     assert rep.word.letters == universal_three_word(2).letters
 
 
@@ -76,7 +74,7 @@ def test_forcing_trace_rewrite_contains_all_dual_triples():
     from primindex.graphs import path_terminus
 
     checked = 0
-    for g in [rose(2)] + list(cover_census(2, 2)):
+    for g in cover_census(2, 1) + cover_census(2, 2):
         rep = forcing_word(g)
         p = trace_path(g, g.base, rep.word)
         if path_terminus(g, p) != g.base:
@@ -88,20 +86,34 @@ def test_forcing_trace_rewrite_contains_all_dual_triples():
     assert checked >= 1
 
 
+def _has_square_chain(w):
+    """Does the square chain a_N^2 a_1^2 ... a_N^2 occur among the cyclic
+    factors of w or w^-1?"""
+    r = w.rank
+    pattern = (r, r) + tuple(g for g in range(1, r + 1) for _ in (0, 1))
+    if len(w) < len(pattern):
+        return False
+    return any(
+        pattern == (base + base)[i : i + len(pattern)]
+        for base in (w.letters, w.inverse().letters)
+        for i in range(len(w))
+    )
+
+
 def test_blocking_word_soundness_chain():
     # a cyclically reduced word containing v whose loop closes rewrites to
     # a word containing the square chain, hence is not simple
     from primindex.graphs import path_terminus
 
     checked = 0
-    for g in [rose(2)] + list(cover_census(2, 2)):
+    for g in cover_census(2, 1) + cover_census(2, 2):
         rep = blocking_word(g)
         p = trace_path(g, g.base, rep.word)
         if path_terminus(g, p) != g.base:
             continue
         sd = spanning_data(g)
         rewritten = rewrite_loop_cyclic(g, sd, p)
-        assert contains_blocking_pattern(rewritten)
+        assert _has_square_chain(rewritten)
         checked += 1
     assert checked >= 1  # the rose always closes
 
@@ -112,8 +124,8 @@ def test_witness_word_degree_one():
     assert audit.complete
     # certified filling inside the whole group
     assert rauzy3_full(z)
-    fb = d_fill_bounds(z, max_index=1)
-    assert fb.lower >= 2
+    # every k = 1 quotient is certified filling, so d_fill >= 2
+    assert _scan_quotients(z, False, max_index=1).d_fill_lower is None
 
 
 def test_witness_word_degree_two():
@@ -138,11 +150,3 @@ def test_witness_word_cap_is_checked_before_the_census_is_built():
     with pytest.raises(ResourceGuardError, match="exceeds cover cap 3995"):
         witness_word(6, 2, max_covers=3995)
     assert time.perf_counter() - start < 1.0
-
-
-def test_coverage_demo():
-    for d in (1, 2):
-        rep = coverage_demo(d, 2)
-        assert rep.all_pass
-        for _, length, _ in rep.results:
-            assert length == 2 * d * d

@@ -207,6 +207,24 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert err.splitlines()[0] == "unsupported input: need dual rank >= 2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--word", "ab", "--rank", "2", "--timeout-seconds", "-1"],
+    ["index", "--word", "ab", "--rank", "2", "--max-index", "0"],
+    ["index", "--word", "ab", "--rank", "2", "--max-partitions", "-1"],
+    ["table", "--rank", "2", "--nmax", "3", "--max-partitions", "-1"],
+    ["covers", "--rank", "2", "--degree", "2", "--max-covers", "-1"],
+    ["witness", "--degree", "1", "--rank", "2", "--max-covers", "0"],
+    ["table", "--rank", "2", "--nmax", "3", "--jobs", "-2"],
+    ["table", "--rank", "2", "--nmax", "3", "--jobs", "two"],
+])
+def test_caps_that_are_not_positive_exit_2(capsys, argv):
+    # argparse rejects them before any work starts
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

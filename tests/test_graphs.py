@@ -23,16 +23,11 @@ from primindex.graphs import (
     collapse_vertices,
     complete_to_cover,
     connector_path,
-    core,
-    coverage_word,
     cover_census,
     cycle_rank,
     delta_path,
-    dual_basis_loop,
-    euler_word,
     fold,
     fold_with_map,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
     is_cover,
@@ -40,16 +35,13 @@ from primindex.graphs import (
     out_map,
     path_contains,
     path_is_reduced,
-    path_letters,
     path_terminus,
     quotients_with_vertices,
     rewrite_loop,
     rewrite_loop_cyclic,
-    rose,
     set_partitions_with_blocks,
     spanning_data,
     subgroup_count,
-    trace_covers_all_edges,
     trace_path,
     tree_path,
     universal_three_word,
@@ -267,32 +259,17 @@ def test_fold_confluent_under_edge_reordering(g, rng):
     assert is_folded(f1)
 
 
-# -- core ---------------------------------------------------------------------
-
-def test_core_strips_dangling_tree():
-    # loop at 0 plus a path hanging off it
-    g = AGraph(2, 3, 0, ((0, 0, 1), (0, 1, 2), (1, 2, 1)))
-    c = core(g)
-    assert c.num_vertices == 1 and c.edges == ((0, 0, 1),)
-
-
-def test_core_fixpoint_and_circle():
-    g = two_vertex_cover()
-    assert core(g).edges == tuple(sorted(g.edges))
-    cg = circle_graph(CW("abAB", 2))
-    assert core(cg).num_vertices == 4
-
-
 # -- covers ---------------------------------------------------------------------
 
 def test_is_cover_examples():
-    assert is_cover(rose(2))
+    assert is_cover(cover_census(2, 1)[0])
     assert is_cover(two_vertex_cover())
     assert not is_cover(circle_graph(CW("ab", 2)))
 
 
 def test_complete_to_cover_rose_unchanged():
-    assert complete_to_cover(rose(2)).edges == rose(2).edges
+    (rose,) = cover_census(2, 1)
+    assert complete_to_cover(rose).edges == rose.edges
 
 
 def test_complete_to_cover_abAB():
@@ -356,6 +333,8 @@ def test_census_table_is_read_only_and_shared():
         table[2, 0] = 1
     with pytest.raises(ValueError):
         table.ravel()[0] = 1
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
     assert _census_table(2, 3) is table
     assert table.shape == (5, 3 * len(cover_census(2, 3)))
 
@@ -386,8 +365,9 @@ def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
 # -- tracing -----------------------------------------------------------------
 
 def test_trace_on_rose():
-    p = trace_path(rose(2), 0, W("abAB", 2))
-    assert len(p) == 4 and path_terminus(rose(2), p) == 0
+    (rose,) = cover_census(2, 1)
+    p = trace_path(rose, 0, W("abAB", 2))
+    assert len(p) == 4 and path_terminus(rose, p) == 0
 
 
 def test_trace_empty_word():
@@ -464,7 +444,7 @@ def test_trace_and_rewrite_match_per_letter_oracles_on_census(rank, d_max):
                     assert trace_path(g, start, u) == trace_path_oracle(g, start, u.letters)
                 # close u at the base with the tree path back from its end
                 end = path_terminus(g, trace_path_oracle(g, g.base, u.letters))
-                back = path_letters(g, EdgePath(end, tree_path(g, sd, end, g.base)))
+                back = tuple(g.label(e) for e in tree_path(g, sd, end, g.base))
                 for w in (u, free_reduce(u.letters + back, rank)):
                     p = trace_path(g, g.base, w)
                     assert p == trace_path_oracle(g, g.base, w.letters)
@@ -570,7 +550,7 @@ def test_trace_errors_match_oracle_on_principal_quotients():
 # -- spanning data and rewriting ----------------------------------------------
 
 def test_rank_formula_on_folded_graphs():
-    for g in [rose(2), two_vertex_cover(), circle_graph(CW("abAB", 2))]:
+    for g in [cover_census(2, 1)[0], two_vertex_cover(), circle_graph(CW("abAB", 2))]:
         sd = spanning_data(g)
         assert len(sd.complement) == len(g.edges) - g.num_vertices + 1
         assert cycle_rank(g) == len(sd.complement)
@@ -590,7 +570,7 @@ def test_rewrite_dual_loop_single_letter():
     g = two_vertex_cover()
     sd = spanning_data(g)
     for i in range(1, len(sd.complement) + 1):
-        p = dual_basis_loop(g, sd, i)
+        p = delta_path(g, sd, Word((i,), sd.dual_rank))
         assert rewrite_loop(g, sd, p).letters == (i,)
 
 
@@ -742,59 +722,6 @@ def test_quotient_generator_rejects_empty_word_eagerly():
         quotients_with_vertices(CyclicWord((), 2), 1)
 
 
-# -- Euler circuits and coverage ---------------------------------------------
-
-def test_euler_word_on_roses():
-    w2 = euler_word(rose(2))
-    assert sorted(w2.letters) == [1, 2]
-    w3 = euler_word(rose(3))
-    assert sorted(w3.letters) == [1, 2, 3]
-
-
-def test_euler_word_covers_degree_two():
-    for g in cover_census(2, 2):
-        w = euler_word(g)
-        assert len(w) == 4
-        assert all(x > 0 for x in w.letters)
-        p = trace_path(g, g.base, w)
-        assert {abs(e) - 1 for e in p.edges} == set(range(len(g.edges)))
-        assert path_terminus(g, p) == g.base
-
-
-def test_coverage_word_rose_and_degree_two():
-    assert coverage_word(rose(2)).letters == euler_word(rose(2)).letters
-    for g in cover_census(2, 2):
-        v = coverage_word(g)
-        assert len(v) == 2 * 4  # N d^2
-        for x in range(g.num_vertices):
-            assert trace_covers_all_edges(g, x, v)
-
-
-def test_coverage_word_all_covers_up_to_degree_four():
-    for d in (1, 2, 3, 4):
-        for g in cover_census(2, d):
-            v = coverage_word(g)
-            assert len(v) == 2 * d * d
-            for x in range(g.num_vertices):
-                assert trace_covers_all_edges(g, x, v)
-
-
-def test_coverage_word_truncation_negative_control():
-    # truncating to the first N·d letters (one Euler circuit) is not enough
-    # in general; at degree 3 several covers exhibit the failure
-    found = False
-    for d in (2, 3):
-        for g in cover_census(2, d):
-            v = coverage_word(g)
-            trunc = Word(v.letters[: 2 * g.num_vertices], 2)
-            if any(
-                not trace_covers_all_edges(g, x, trunc)
-                for x in range(g.num_vertices)
-            ):
-                found = True
-    assert found
-
-
 # -- connectors -----------------------------------------------------------------
 
 def connector_oracle(g, e1, e2, bound):
@@ -823,7 +750,7 @@ def connector_oracle(g, e1, e2, bound):
 
 
 def test_connector_on_rose():
-    g = rose(2)
+    g = cover_census(2, 1)[0]
     p = connector_path(g, 1, 1)
     assert p.edges == (1,)
     p = connector_path(g, 1, 2)
@@ -854,18 +781,18 @@ def test_connector_rejects_rank_one():
 # -- delta, alpha, beta ---------------------------------------------------------
 
 def test_alpha_on_roses():
-    g = rose(2)
+    g = cover_census(2, 1)[0]
     sd = spanning_data(g)
     a = alpha_path(g, sd)
-    assert path_letters(g, a) == (2, 2, 1, 1, 2, 2)  # b b a a b b
+    assert tuple(g.label(e) for e in a.edges) == (2, 2, 1, 1, 2, 2)  # b b a a b b
     assert len(a) == 6
-    g3 = rose(3)
+    g3 = cover_census(3, 1)[0]
     a3 = alpha_path(g3, spanning_data(g3))
-    assert path_letters(g3, a3) == (3, 3, 1, 1, 2, 2, 3, 3)
+    assert tuple(g3.label(e) for e in a3.edges) == (3, 3, 1, 1, 2, 2, 3, 3)
 
 
 def test_alpha_beta_rewrite_roundtrip():
-    for g in list(cover_census(2, 2)) + [rose(2)]:
+    for g in cover_census(2, 2) + cover_census(2, 1):
         sd = spanning_data(g)
         r = len(sd.complement)
         a = alpha_path(g, sd)
@@ -929,6 +856,15 @@ def test_universal_word_truncation_loses_a_triple():
 
 # -- serialization -----------------------------------------------------------
 
+def graph_from_json(data: dict, rank: int) -> AGraph:
+    """The inverse of graph_to_json."""
+    edges = []
+    for e in data["edges"]:
+        o, t, gen, sign = e["from"], e["to"], e["gen"], e.get("sign", 1)
+        edges.append((o, t, gen) if sign > 0 else (t, o, gen))
+    return AGraph(rank, len(data["vertices"]), data["base"], tuple(edges))
+
+
 def test_json_roundtrip():
     g = two_vertex_cover()
     data = graph_to_json(g)
@@ -937,7 +873,7 @@ def test_json_roundtrip():
 
 
 def test_dot_export_mentions_base_and_labels():
-    s = graph_to_dot(rose(2))
+    s = graph_to_dot(cover_census(2, 1)[0])
     assert "doublecircle" in s and '"a1"' in s and '"a2"' in s
 
 

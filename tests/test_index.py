@@ -13,8 +13,8 @@ import primindex
 from primindex.errors import InvalidInputError, ResourceGuardError
 from primindex.index import (
     _class_values,
+    _scan_quotients,
     commutator_witness,
-    d_fill_bounds,
     d_prim,
     d_prim_census_oracle,
     d_simp,
@@ -23,7 +23,6 @@ from primindex.index import (
     f_table,
     index_report,
     index_values,
-    rf_growth,
 )
 from primindex.graphs import cover_census, path_terminus, rewrite_loop, spanning_data, trace_path
 from primindex.whitehead import apply_letters, enumerate_whitehead, is_primitive, is_simple
@@ -83,17 +82,16 @@ def test_index_report_chain_and_trivial_rejection():
 
 
 def test_d_fill_bounds_simple_word():
-    fb = d_fill_bounds(CW("a", 2))
-    assert (fb.lower, fb.upper) == (1, 1)
-    assert fb.exact
+    rep = index_report(CW("a", 2))
+    assert (rep.d_fill_lower, rep.d_fill_upper) == (1, 1)
 
 
 def test_d_fill_bounds_ordering_small_words():
     for n in range(1, 5):
         for w in index_candidates_exact(n, 2):
-            fb = d_fill_bounds(w)
+            rep = index_report(w)
             s, _ = d_simp(w)
-            assert fb.lower <= fb.upper == s
+            assert rep.d_fill_lower <= rep.d_fill_upper == s
 
 
 def test_oracle_equivalence_small():
@@ -215,6 +213,20 @@ def test_divisibility_rejects_trivial():
         divisibility(Word((), 2), 2)
 
 
+def rf_growth(n: int, rank: int, d_max: int) -> int:
+    """The appendix's residual-finiteness growth: the largest divisibility
+    of a nontrivial word of length <= n.  Divisibility is invariant under
+    conjugation, inversion and relabeling, so cyclically reduced class
+    representatives (powers included) suffice."""
+    best = 0
+    for m in range(1, n + 1):
+        for rep in class_representatives(m, rank, skip_powers=False):
+            v = divisibility(rep.word(), d_max)
+            assert v is not None, f"divisibility of {rep.text()} exceeds {d_max}"
+            best = max(best, v)
+    return best
+
+
 def test_rf_growth_n1():
     assert rf_growth(1, 2, 3) == 2
 
@@ -260,6 +272,21 @@ def test_commutator_witness_dominates_divisibility():
             core = cyclic_reduce(gamma)[1]
             oracle = d_prim_census_oracle(core, dv - 1) if dv > 1 else None
             assert oracle is None  # no small cover holds gamma primitively
+
+
+def test_commutator_witness_dominates_divisibility_to_length_6():
+    # the appendix at scale: d_prim([w, w^a]) >= divisibility(w) on every
+    # rank-2 class to length 6, powers included; no quotient with fewer
+    # vertices than divisibility(w) holds the commutator primitively
+    words = 0
+    for n in range(1, 7):
+        for rep in class_representatives(n, 2, skip_powers=False):
+            dv = divisibility(rep.word(), 7)
+            assert dv is not None, rep.text()
+            gamma = cyclic_reduce(commutator_witness(rep.word()))[1]
+            assert _scan_quotients(gamma, True, max_index=dv - 1).d_prim is None, rep.text()
+            words += 1
+    assert words == 37
 
 
 def test_resource_guard_trips():

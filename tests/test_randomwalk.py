@@ -5,8 +5,6 @@ from primindex.errors import InvalidInputError
 from primindex.randomwalk import (
     WalkConfig,
     experiment_dsimp,
-    first_letter_counts,
-    iota_stat,
     pair_frequency_counts,
     sample_word,
     subword_spectrum,
@@ -32,7 +30,12 @@ def test_seed_determinism_byte_exact():
 
 
 def test_first_letter_distribution_chi_square():
-    counts = first_letter_counts(2, 100_000, seed=3)
+    # the first letters of 100,000 seeded one-letter walks, as letter codes
+    firsts = [
+        sample_word(WalkConfig(2, 1, seed), with_stats=False).word.letters[0]
+        for seed in range(100_000)
+    ]
+    counts = np.bincount([2 * (abs(x) - 1) + (x < 0) for x in firsts], minlength=4)
     expected = 100_000 / 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     # 3 degrees of freedom; 16.27 is the 0.1% point
@@ -65,12 +68,10 @@ def test_subword_spectrum_shape():
 
 
 def test_iota_stat():
+    # no cancellation tail of 50 length-1000 walks exceeds 5% of the length
     words = [sample_word(WalkConfig(2, 1000, s), with_stats=False).word for s in range(50)]
-    rep = iota_stat(words, threshold_frac=0.05)
-    assert rep.count == 50
-    assert rep.fraction_exceeding == 0.0
     for w in words:
-        assert len(cyclic_reduce(w)[0]) <= len(w) // 2
+        assert len(cyclic_reduce(w)[0]) <= 0.05 * len(w)
 
 
 def test_trial_seed_stability():
