@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .blockers import blocking_word, forcing_word, witness_word
-from .graphs import cover_census
+from .graphs import cover_census, cover_graph
 from .index import (
     commutator_witness,
     d_prim,
@@ -160,7 +160,8 @@ def criterion_blockers() -> CriterionResult:
     def run() -> tuple[bool, str]:
         count = 0
         for d in (1, 2, 3):
-            for g in cover_census(2, d):
+            for perms in cover_census(2, d):
+                g = cover_graph(2, perms)
                 rb = blocking_word(g)
                 if not (rb.verified and len(rb.word) <= 9 * d**3):
                     return False, f"blocking word failed on a degree-{d} cover"

@@ -25,6 +25,7 @@ from .graphs import (
     beta_path,
     connector_path,
     cover_census,
+    cover_graph,
     is_cover,
     path_contains,
     spanning_data,
@@ -210,12 +211,8 @@ def witness_word(
         raise ResourceGuardError(
             f"census of degree <= {d} exceeds cover cap {max_covers}"
         )
-    census = [
-        (deg, i, g)
-        for deg in range(1, d + 1)
-        for i, g in enumerate(cover_census(rank, deg))
-    ]
-    blocks = [_forcing_letters(g) for _, _, g in census]
+    census = [perms for deg in range(1, d + 1) for perms in cover_census(rank, deg)]
+    blocks = [_forcing_letters(cover_graph(rank, perms)) for perms in census]
     letters: list[int] = list(blocks[0])
     for block in blocks[1:]:
         letters.extend(_separator(letters[-1], block[0], rank))

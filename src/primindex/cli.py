@@ -20,7 +20,7 @@ from . import __version__
 from .acceptance import run_all
 from .blockers import blocking_word, forcing_word, witness_word
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
-from .graphs import cover_census, graph_to_dot, graph_to_json, subgroup_count
+from .graphs import cover_census, cover_graph, graph_to_dot, graph_to_json, subgroup_count
 from .index import f_table, index_report
 from .randomwalk import (
     RNG_ALGORITHM,
@@ -124,7 +124,9 @@ def cmd_table(args) -> int:
 
 def cmd_blocker(args) -> int:
     build = blocking_word if args.kind == "alpha" else forcing_word
-    reports = [build(g) for g in cover_census(args.rank, args.degree)]
+    reports = [
+        build(cover_graph(args.rank, perms)) for perms in cover_census(args.rank, args.degree)
+    ]
     manifest = _manifest(
         "blocker",
         {
@@ -255,7 +257,7 @@ def cmd_covers(args) -> int:
             raise ResourceGuardError(
                 f"{count} covers exceed --max-covers {args.max_covers}"
             )
-    covers = cover_census(args.rank, args.degree)
+    covers = [cover_graph(args.rank, perms) for perms in cover_census(args.rank, args.degree)]
     manifest = _manifest(
         "covers",
         {"rank": args.rank, "degree": args.degree},

@@ -146,14 +146,13 @@ def is_connected(g: AGraph) -> bool:
     return len(seen) == g.num_vertices
 
 
-def is_cover(g: AGraph, rank: int | None = None) -> bool:
+def is_cover(g: AGraph) -> bool:
     """True iff every vertex has exactly one in- and out-edge per generator."""
-    rank = g.rank if rank is None else rank
     if not is_folded(g):
         return False
     om = out_map(g)
     return all(
-        (v, x) in om for v in range(g.num_vertices) for x in alphabet(rank)
+        (v, x) in om for v in range(g.num_vertices) for x in alphabet(g.rank)
     )
 
 
@@ -403,19 +402,19 @@ def _least_relabeling(image: list[int], d: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
-    """All based covers of exact degree, one per based-isomorphism class.
+def cover_census(rank: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All based covers of exact degree, one per based-isomorphism class, as
+    flat permutation tuples perm[(gen - 1) * degree + j] = perm_gen[j];
+    cover_graph builds a cover's AGraph from its tuple.
 
-    Each cover is a transitive N-tuple of permutations of range(degree),
-    generator i sending vertex j to perm_i[j], with edges (j, perm_i[j], i)
-    listed in (gen, vertex) order and base 0.  Each subgroup of index degree
-    is grown once by filling the first empty (vertex, letter) entry (Sims,
-    Computation with Finitely Presented Groups, 1994, ch. 5), each search
-    resuming at the entry its parent filled; each table is relabeled to the
-    lex-least tuple among its relabelings fixing the base, found by branch
-    and bound rather than by trying all (degree-1)! of them, and the tuples
-    are sorted, with no dedup.  The numbering is generally not
-    canonical_form's; witness words and `covers --json` depend on it.
+    Each subgroup of index degree is grown once by filling the first empty
+    (vertex, letter) entry (Sims, Computation with Finitely Presented
+    Groups, 1994, ch. 5), each search resuming at the entry its parent
+    filled; each table is relabeled to the lex-least tuple among its
+    relabelings fixing the base, found by branch and bound rather than by
+    trying all (degree-1)! of them, and the tuples are sorted, with no
+    dedup.  The numbering is generally not canonical_form's; witness words
+    and `covers --json` depend on it.
     """
     if rank < 1 or degree < 1:
         raise InvalidInputError("rank and degree must be >= 1")
@@ -433,13 +432,18 @@ def cover_census(rank: int, degree: int) -> tuple[AGraph, ...]:
 
     images = [(j, gen) for gen in range(1, rank + 1) for j in range(degree)]
 
-    def finish(out: dict, size: int) -> list[int]:
-        return _least_relabeling(list(map(out.__getitem__, images)), degree)
+    def finish(out: dict, size: int) -> tuple[int, ...]:
+        return tuple(_least_relabeling(list(map(out.__getitem__, images)), degree))
 
-    origins, gens = [j for j, _ in images], [gen for _, gen in images]
-    return tuple(
-        AGraph(rank, degree, 0, tuple(zip(origins, key, gens)))
-        for key in sorted(_grow(hole, 0, finish, None))
+    return tuple(sorted(_grow(hole, 0, finish, None)))
+
+
+def cover_graph(rank: int, perms: Sequence[int]) -> AGraph:
+    """The based cover of a census tuple perms[(gen - 1) * degree + j] =
+    perm_gen[j]: edges (j, perm_gen[j], gen) in (gen, vertex) order, base 0."""
+    degree = len(perms) // rank
+    return AGraph(
+        rank, degree, 0, tuple((i % degree, t, i // degree + 1) for i, t in enumerate(perms))
     )
 
 
@@ -465,16 +469,16 @@ _WALK_CHUNK = 8  # closing covers whose dual words are filled in together
 
 @lru_cache(maxsize=None)
 def _census_table(rank: int, degree: int) -> np.ndarray:
-    """cover_census(rank, degree) as one read-only permutation table:
-    nxt[x + rank, c * degree + j] = c * degree + the vertex that letter x
-    leads to from vertex j of cover c; row rank (letter 0) is the identity.
-    Cached under the census's key, for as long."""
+    """cover_census(rank, degree) as one read-only permutation table, read
+    straight from its tuples: nxt[x + rank, c * degree + j] = c * degree +
+    the vertex that letter x leads to from vertex j of cover c; row rank
+    (letter 0) is the identity.  Cached under the census's key, for as
+    long."""
     census = cover_census(rank, degree)
     # intp, so that gathers index with the states as they come
     states = np.arange(len(census) * degree, dtype=np.intp)
-    # edges are (j, perm_gen[j], gen) in (gen, vertex) order
-    perms = np.array([[t for _, t, _ in g.edges] for g in census], dtype=np.intp)
-    perms = perms.reshape(len(census), rank, degree) + states[::degree, None, None]
+    perms = np.array(census, dtype=np.intp).reshape(len(census), rank, degree)
+    perms += states[::degree, None, None]
     nxt = np.empty((2 * rank + 1, len(states)), dtype=np.intp)
     nxt[rank] = states
     for gen in range(1, rank + 1):
@@ -515,6 +519,7 @@ def _census_duals(
     """For each listed cover of cover_census(rank, degree), in order, whose
     path from the base reading letters closes: the cyclically reduced dual
     word of that loop (rewrite_loop_cyclic's letters) as a signed array.
+    Only the listed covers' graphs are built, for their spanning trees.
 
     The word is cut into blocks of about sqrt(len) letters.  Per chunk of
     covers, every block's vertex map takes one gather per letter position
@@ -533,7 +538,8 @@ def _census_duals(
     codes[:n] = np.fromiter(letters, dtype=codes.dtype, count=n)
     codes[:n] += rank
     codes = codes.reshape(blocks, block)
-    dual_dtype = np.min_scalar_type(-cycle_rank(census[0]))
+    # dual letters run to the cycle rank, degree (rank - 1) + 1 by Schreier
+    dual_dtype = np.min_scalar_type(-(degree * (rank - 1) + 1))
     for lo in range(0, len(covers), _WALK_CHUNK):
         chunk = np.asarray(covers[lo : lo + _WALK_CHUNK], dtype=np.intp)
         m, width = len(chunk), len(chunk) * degree
@@ -542,7 +548,7 @@ def _census_duals(
         step = (nxt[:, cols] - (cols - np.arange(width))).ravel()
         dual = np.zeros((2 * rank + 1, width), dtype=dual_dtype)
         for k, c in enumerate(chunk.tolist()):
-            g = census[c]
+            g = cover_graph(rank, census[c])
             for i, e in enumerate(spanning_data(g).complement, 1):
                 o, t, gen = g.edges[e - 1]
                 dual[rank + gen, k * degree + o] = i

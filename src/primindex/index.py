@@ -17,6 +17,7 @@ from .graphs import (
     _census_ends,
     canonical_key,
     cover_census,
+    cover_graph,
     graph_to_json,
     is_cover,
     path_terminus,
@@ -212,10 +213,13 @@ def index_report(
 # -- class-level cache --------------------------------------------------------
 
 @lru_cache(maxsize=1 << 14)
-def _class_values(rank: int, key: tuple[int, ...]) -> tuple[int, int, int]:
+def _class_values(
+    rank: int, key: tuple[int, ...], max_partitions: int | None = None
+) -> tuple[int, int, int]:
     """(d_prim, d_simp, d_fill_lower) of the class whose cyclic_class_key is
-    key; cache_info() gives the hit rate of index_values."""
-    res = _scan_quotients(CyclicWord(key, rank), True)
+    key, its scan capped at max_partitions search steps; cache_info() gives
+    the hit rate of index_values and f_table."""
+    res = _scan_quotients(CyclicWord(key, rank), True, max_partitions=max_partitions)
     return res.d_prim, res.d_simp, res.d_fill_lower  # type: ignore[return-value]
 
 
@@ -260,14 +264,6 @@ class IndexFunctionTable:
         }
 
 
-def _rep_values(task: tuple[int, tuple[int, ...], int | None]) -> tuple[int, int, int]:
-    rank, letters, max_partitions = task
-    res = _scan_quotients(
-        CyclicWord(letters, rank), True, max_partitions=max_partitions
-    )
-    return res.d_prim, res.d_simp, res.d_fill_lower  # type: ignore[return-value]
-
-
 def f_table(
     n_max: int,
     rank: int,
@@ -285,16 +281,16 @@ def f_table(
     per_length: list[list[CyclicWord]] = [
         list(index_candidates_exact(n, rank)) for n in range(1, n_max + 1)
     ]
-    tasks = [
-        (rank, rep.letters, max_partitions) for reps in per_length for rep in reps
-    ]
+    # representatives are their own class keys
+    keys = [rep.letters for reps in per_length for rep in reps]
+    args = ([rank] * len(keys), keys, [max_partitions] * len(keys))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(_rep_values, tasks, chunksize=4))
+            values = list(pool.map(_class_values, *args, chunksize=4))
     else:
-        values = [_rep_values(t) for t in tasks]
+        values = list(map(_class_values, *args))
     rows: list[TableRow] = []
     fp = fs = fl = fu = 0
     wp = ws = ""
@@ -337,7 +333,7 @@ def first_cover(w: Word | CyclicWord, d_max: int, pred: Callable[[Word], bool]) 
         census = cover_census(w.rank, d)
         (ends,) = _census_ends(w.rank, (d,), w.letters)
         for i in np.flatnonzero(ends == 0).tolist():
-            g = census[i]
+            g = cover_graph(w.rank, census[i])
             if pred(rewrite_loop(g, spanning_data(g), trace_path(g, g.base, w))):
                 return d
     return None

@@ -35,6 +35,8 @@ class WalkConfig:
     def __post_init__(self):
         if self.rank < 2 or self.length < 1:
             raise InvalidInputError("need rank >= 2 and length >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"need a non-negative seed, got {self.seed}")
 
     @property
     def lam(self) -> int:

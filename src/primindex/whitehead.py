@@ -125,14 +125,8 @@ def apply(t: WhiteheadAut, w: Word) -> Word:
 
 def _second_kind(rank: int) -> Iterator[WhiteheadAut]:
     for a in alphabet(rank):
-        others = [g for g in range(1, rank + 1) if g != abs(a)]
-        for combo in itertools.product(TAGS, repeat=len(others)):
-            if all(t == "id" for t in combo):
-                continue
-            tags = ["id"] * rank
-            for g, t in zip(others, combo):
-                tags[g - 1] = t
-            yield WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
+        for i in range(1, 4 ** (rank - 1)):  # entry 0 is the identity
+            yield _second_kind_at(rank, a, i)
 
 
 def _first_kind_generators(rank: int) -> Iterator[WhiteheadAut]:

@@ -11,6 +11,7 @@ from primindex.errors import ResourceGuardError
 from primindex.graphs import (
     alpha_path,
     cover_census,
+    cover_graph,
     path_contains,
     rewrite_loop_cyclic,
     spanning_data,
@@ -21,8 +22,12 @@ from primindex.index import _scan_quotients
 from primindex.whitehead import rauzy3_full
 
 
+def census_graphs(rank, degree):
+    return [cover_graph(rank, perms) for perms in cover_census(rank, degree)]
+
+
 def test_blocking_word_on_rose():
-    rep = blocking_word(cover_census(2, 1)[0])
+    rep = blocking_word(census_graphs(2, 1)[0])
     assert rep.kind == "alpha-blocking"
     assert rep.word.text() == "bbaabb"  # the pattern loop itself
     assert len(rep.word) <= rep.length_bound == 9
@@ -30,7 +35,7 @@ def test_blocking_word_on_rose():
 
 
 def test_blocking_word_degree_two():
-    for g in cover_census(2, 2):
+    for g in census_graphs(2, 2):
         rep = blocking_word(g)
         assert rep.verified
         assert len(rep.word) <= 9 * 8  # (2N+5) d^3
@@ -42,24 +47,24 @@ def test_blocking_word_degree_two():
 def test_blocking_word_negative_control_empty_word():
     from primindex.words import Word
 
-    g = next(iter(cover_census(2, 2)))
+    g = next(iter(census_graphs(2, 2)))
     pattern = alpha_path(g, spanning_data(g))
     empty = trace_path(g, 0, Word((), 2))
     assert not path_contains(empty, pattern)
 
 
 def test_forcing_word_on_rose():
-    rep = forcing_word(cover_census(2, 1)[0])
+    rep = forcing_word(census_graphs(2, 1)[0])
     assert rep.kind == "beta-forcing"
     assert rep.verified
     assert len(rep.word) <= 1000 * 8  # far below the bound in practice
     # the trace closes up at the base and rewrites to the universal word
-    sd = spanning_data(cover_census(2, 1)[0])
+    sd = spanning_data(census_graphs(2, 1)[0])
     assert rep.word.letters == universal_three_word(2).letters
 
 
 def test_forcing_word_degree_two():
-    for g in cover_census(2, 2):
+    for g in census_graphs(2, 2):
         rep = forcing_word(g)
         assert rep.verified
         d = g.num_vertices
@@ -74,7 +79,7 @@ def test_forcing_trace_rewrite_contains_all_dual_triples():
     from primindex.graphs import path_terminus
 
     checked = 0
-    for g in cover_census(2, 1) + cover_census(2, 2):
+    for g in census_graphs(2, 1) + census_graphs(2, 2):
         rep = forcing_word(g)
         p = trace_path(g, g.base, rep.word)
         if path_terminus(g, p) != g.base:
@@ -106,7 +111,7 @@ def test_blocking_word_soundness_chain():
     from primindex.graphs import path_terminus
 
     checked = 0
-    for g in cover_census(2, 1) + cover_census(2, 2):
+    for g in census_graphs(2, 1) + census_graphs(2, 2):
         rep = blocking_word(g)
         p = trace_path(g, g.base, rep.word)
         if path_terminus(g, p) != g.base:

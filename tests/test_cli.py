@@ -99,6 +99,16 @@ def test_walk_stats_json(capsys):
     assert payload["manifest"]["seeds"] == [3]
 
 
+@pytest.mark.parametrize("argv", [
+    ["walk", "--rank", "2", "--n", "5", "--seed", "-1"],
+    ["experiment", "--rank", "2", "--n", "6", "--trials", "2", "--seed", "-5"],
+])
+def test_negative_seed_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "non-negative seed" in err
+
+
 def test_blocker_beta_rose(capsys):
     code, out, _ = run_cli(
         capsys, ["blocker", "--degree", "1", "--rank", "2", "--kind", "beta"]
@@ -171,6 +181,25 @@ def test_witness_degree_3_rank_2_result_is_pinned(capsys):
     result = json.loads(out)["result"]
     text = json.dumps(result, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_3_2_SHA256
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["covers", "--rank", "2", "--degree", "4"],
+     "31e65adb0c25b95203aaa1e2d0f4696aacab9795fea6fcd6df2bf5ddc9945cb6"),
+    (["covers", "--rank", "3", "--degree", "3"],
+     "5d07c0fd88a36ede5e9401fc9219be90a6d94a27c54490e3013e307b38729409"),
+    (["blocker", "--degree", "3", "--rank", "2", "--kind", "alpha", "--verify"],
+     "c3585cfad38c7c0ed8291b2f77308a91a086031e6a30bed8fffbf3bd9869a4db"),
+    (["blocker", "--degree", "3", "--rank", "2", "--kind", "beta", "--verify"],
+     "4151ef99614b49aee2bf123d9ca6007126f73f76335a589fcf7ffdbe09af02f0"),
+])
+def test_census_results_are_pinned(capsys, argv, sha256):
+    # the census numbering and edge order, byte for byte
+    code, out, _ = run_cli(capsys, argv + ["--json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 def test_witness_resource_guard(capsys):

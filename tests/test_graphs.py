@@ -24,6 +24,7 @@ from primindex.graphs import (
     complete_to_cover,
     connector_path,
     cover_census,
+    cover_graph,
     cycle_rank,
     delta_path,
     fold,
@@ -142,9 +143,11 @@ def census_by_plain_min(rank, degree):
         min(tuple(sorted((gen, s[o], s[t]) for o, t, gen in g.edges)) for s in fixing_base)
         for g in _grow(hole, None, lambda out, size: _finished(rank, out, size), None)
     )
-    return tuple(
-        AGraph(rank, degree, 0, tuple((o, t, gen) for gen, o, t in key)) for key in keys
-    )
+    return tuple(tuple(t for _, _, t in key) for key in keys)
+
+
+def census_graphs(rank, degree):
+    return [cover_graph(rank, perms) for perms in cover_census(rank, degree)]
 
 
 def quotients_by_retracing(w, k, on_step):
@@ -262,13 +265,13 @@ def test_fold_confluent_under_edge_reordering(g, rng):
 # -- covers ---------------------------------------------------------------------
 
 def test_is_cover_examples():
-    assert is_cover(cover_census(2, 1)[0])
+    assert is_cover(cover_graph(2, cover_census(2, 1)[0]))
     assert is_cover(two_vertex_cover())
     assert not is_cover(circle_graph(CW("ab", 2)))
 
 
 def test_complete_to_cover_rose_unchanged():
-    (rose,) = cover_census(2, 1)
+    (rose,) = census_graphs(2, 1)
     assert complete_to_cover(rose).edges == rose.edges
 
 
@@ -317,6 +320,7 @@ def test_cover_census_degree_7_matches_hall():
     # unwrapped, so the 29,093 covers are not kept in the cache
     census = cover_census.__wrapped__(2, 7)
     assert len(census) == subgroup_count(2, 7) == 29093
+    assert all(len(perms) == 14 for perms in census)
     assert len(set(census)) == len(census)
 
 
@@ -324,6 +328,7 @@ def test_cover_census_rank_3_degree_5_matches_hall():
     # unwrapped, so the 68,641 covers are not kept in the cache
     census = cover_census.__wrapped__(3, 5)
     assert len(census) == subgroup_count(3, 5) == 68641
+    assert all(len(perms) == 15 for perms in census)
     assert len(set(census)) == len(census)
 
 
@@ -345,27 +350,41 @@ def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
     # not canonical_form's; a faster census engine must reproduce it
     relabeled = 0
     for d in range(1, d_max + 1):
-        census = cover_census(rank, d)
-        tuples = []
-        for g in census:
-            assert (g.rank, g.num_vertices, g.base) == (rank, d, 0)
-            perms = tuple(
-                tuple(t for _, t, _ in g.edges[i * d : (i + 1) * d]) for i in range(rank)
-            )
-            expected = tuple(
-                (j, perm[j], i + 1) for i, perm in enumerate(perms) for j in range(d)
-            )
-            assert g.edges == expected  # (gen, vertex) order
-            tuples.append(perms)
-            relabeled += canonical_form(g) != g
+        tuples = [
+            tuple(perms[i * d : (i + 1) * d] for i in range(rank))
+            for perms in cover_census(rank, d)
+        ]
         assert tuples == lex_least_transitive_tuples(rank, d)
+        relabeled += sum(canonical_form(g) != g for g in census_graphs(rank, d))
     assert relabeled > 0
+
+
+@pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
+def test_census_table_matches_cover_graph_edges(rank, d_max):
+    # the census holds plain int tuples; cover_graph lays each out as edges
+    # (j, perm_gen[j], gen) in (gen, vertex) order, and the walker's table,
+    # built from the tuples alone, follows those edges
+    cells = [(j, gen) for gen in range(1, rank + 1) for j in range(d_max)]
+    for d in range(1, d_max + 1):
+        census = cover_census(rank, d)
+        states = len(census) * d
+        expected = np.empty((2 * rank + 1, states), dtype=np.intp)
+        expected[rank] = np.arange(states)
+        for c, perms in enumerate(census):
+            assert type(perms) is tuple and all(type(t) is int for t in perms)
+            g = cover_graph(rank, perms)
+            assert (g.rank, g.num_vertices, g.base) == (rank, d, 0) and is_cover(g)
+            assert [(o, gen) for o, _, gen in g.edges] == [(j, gen) for j, gen in cells if j < d]
+            for o, t, gen in g.edges:
+                expected[rank + gen, c * d + o] = c * d + t
+                expected[rank - gen, c * d + t] = c * d + o
+        assert np.array_equal(_census_table(rank, d), expected), (rank, d)
 
 
 # -- tracing -----------------------------------------------------------------
 
 def test_trace_on_rose():
-    (rose,) = cover_census(2, 1)
+    (rose,) = census_graphs(2, 1)
     p = trace_path(rose, 0, W("abAB", 2))
     assert len(p) == 4 and path_terminus(rose, p) == 0
 
@@ -437,7 +456,7 @@ def test_trace_and_rewrite_match_per_letter_oracles_on_census(rank, d_max):
     rng = random.Random(rank * 100 + d_max)
     closed = opened = 0
     for d in range(1, d_max + 1):
-        for g in cover_census(rank, d):
+        for g in census_graphs(rank, d):
             sd = spanning_data(g)
             for u in _seeded_words(rank, rng, 6, 40):
                 for start in range(g.num_vertices):
@@ -478,7 +497,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
             w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
         together = _census_ends(rank, degrees, w.letters)
         for d, ends in zip(degrees, together):
-            census = cover_census(rank, d)
+            census = census_graphs(rank, d)
             paths = [trace_path(g, g.base, w) for g in census]
             expected = [path_terminus(g, p) for g, p in zip(census, paths)]
             assert ends.tolist() == expected, (n, d)
@@ -550,7 +569,7 @@ def test_trace_errors_match_oracle_on_principal_quotients():
 # -- spanning data and rewriting ----------------------------------------------
 
 def test_rank_formula_on_folded_graphs():
-    for g in [cover_census(2, 1)[0], two_vertex_cover(), circle_graph(CW("abAB", 2))]:
+    for g in census_graphs(2, 1) + [two_vertex_cover(), circle_graph(CW("abAB", 2))]:
         sd = spanning_data(g)
         assert len(sd.complement) == len(g.edges) - g.num_vertices + 1
         assert cycle_rank(g) == len(sd.complement)
@@ -582,7 +601,7 @@ def test_rewrite_rejects_non_loop():
 
 
 def test_rewrite_cyclic_rejects_non_loop():
-    g = cover_census(2, 2)[1]
+    g = census_graphs(2, 2)[1]
     sd = spanning_data(g)
     p = trace_path(g, 0, W("a", 2))
     assert path_terminus(g, p) == 1  # an open path, not a base loop
@@ -750,7 +769,7 @@ def connector_oracle(g, e1, e2, bound):
 
 
 def test_connector_on_rose():
-    g = cover_census(2, 1)[0]
+    (g,) = census_graphs(2, 1)
     p = connector_path(g, 1, 1)
     assert p.edges == (1,)
     p = connector_path(g, 1, 2)
@@ -781,18 +800,18 @@ def test_connector_rejects_rank_one():
 # -- delta, alpha, beta ---------------------------------------------------------
 
 def test_alpha_on_roses():
-    g = cover_census(2, 1)[0]
+    (g,) = census_graphs(2, 1)
     sd = spanning_data(g)
     a = alpha_path(g, sd)
     assert tuple(g.label(e) for e in a.edges) == (2, 2, 1, 1, 2, 2)  # b b a a b b
     assert len(a) == 6
-    g3 = cover_census(3, 1)[0]
+    (g3,) = census_graphs(3, 1)
     a3 = alpha_path(g3, spanning_data(g3))
     assert tuple(g3.label(e) for e in a3.edges) == (3, 3, 1, 1, 2, 2, 3, 3)
 
 
 def test_alpha_beta_rewrite_roundtrip():
-    for g in cover_census(2, 2) + cover_census(2, 1):
+    for g in census_graphs(2, 2) + census_graphs(2, 1):
         sd = spanning_data(g)
         r = len(sd.complement)
         a = alpha_path(g, sd)
@@ -804,7 +823,7 @@ def test_alpha_beta_rewrite_roundtrip():
 
 def test_alpha_length_bound_on_covers():
     for d in (1, 2):
-        for g in cover_census(2, d):
+        for g in census_graphs(2, d):
             a = alpha_path(g, spanning_data(g))
             assert len(a) <= 2 * d * d * (2 - 1) + 4 * d
 
@@ -823,7 +842,7 @@ def test_delta_length_bound():
 
 def test_beta_length_bound_on_covers():
     for d in (1, 2):
-        for g in cover_census(2, d):
+        for g in census_graphs(2, d):
             b = beta_path(g, spanning_data(g))
             assert len(b) <= 500 * d**4 * 2**3
 
@@ -873,7 +892,7 @@ def test_json_roundtrip():
 
 
 def test_dot_export_mentions_base_and_labels():
-    s = graph_to_dot(cover_census(2, 1)[0])
+    s = graph_to_dot(census_graphs(2, 1)[0])
     assert "doublecircle" in s and '"a1"' in s and '"a2"' in s
 
 

@@ -24,7 +24,14 @@ from primindex.index import (
     index_report,
     index_values,
 )
-from primindex.graphs import cover_census, path_terminus, rewrite_loop, spanning_data, trace_path
+from primindex.graphs import (
+    cover_census,
+    cover_graph,
+    path_terminus,
+    rewrite_loop,
+    spanning_data,
+    trace_path,
+)
 from primindex.whitehead import apply_letters, enumerate_whitehead, is_primitive, is_simple
 from primindex.words import (
     CyclicWord,
@@ -177,7 +184,8 @@ def test_divisibility_examples():
 def first_cover_by_trace(w, d_max, accept):
     """The per-cover census scan: trace w on every cover, degree by degree."""
     for d in range(1, d_max + 1):
-        for g in cover_census(w.rank, d):
+        for perms in cover_census(w.rank, d):
+            g = cover_graph(w.rank, perms)
             if accept(g, trace_path(g, g.base, w)):
                 return d
     return None

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from primindex.errors import InvalidInputError
 from primindex.whitehead import (
+    TAGS,
     WhiteheadAut,
     _cuts,
     _cyclic_triples,
@@ -153,10 +155,27 @@ def cut_scores(cw):
                 yield _second_kind_at(cw.rank, a, i), c - d
 
 
+def second_kind_by_product(rank):
+    """Independent reference for the second-kind order: per multiplier in
+    display order, every tag assignment of the other pairs but all-id, the
+    first pair varying slowest."""
+    for a in alphabet(rank):
+        others = [g for g in range(1, rank + 1) if g != abs(a)]
+        for combo in itertools.product(TAGS, repeat=len(others)):
+            if all(t == "id" for t in combo):
+                continue
+            tags = ["id"] * rank
+            for g, t in zip(others, combo):
+                tags[g - 1] = t
+            yield WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_cut_scores_follow_enumeration_order(rank):
+    expected = list(second_kind_by_product(rank))
     seconds = [t for t in enumerate_whitehead(rank) if t.kind == "second"]
-    assert [t for t, _ in cut_scores(CyclicWord((1,), rank))] == seconds
+    assert seconds == expected
+    assert [t for t, _ in cut_scores(CyclicWord((1,), rank))] == expected
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
