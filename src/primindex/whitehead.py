@@ -1,6 +1,7 @@
 """Whitehead automorphisms: enumeration, application, greedy cyclic-length
-minimization, primitivity and simplicity decisions, the cut-vertex test on
-the Whitehead graph, and the level-3 subword filling certificate.
+minimization, primitivity and simplicity decisions by Stallings' descent on
+the Whitehead graph (which also gives the cut-vertex test), and the level-3
+subword filling certificate.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .words import (
     _trusted,
     alphabet,
     count_reduced,
-    cyclic_class_key,
     cyclic_reduce,
     free_reduce,
     reduce_letters,
@@ -280,68 +280,122 @@ def _conjugate(w: Word, u: Sequence[int]) -> Word:
     return free_reduce([-x for x in reversed(u)] + list(w.letters) + list(u), w.rank)
 
 
-@lru_cache(maxsize=200000)
-def _min_facts(rank: int, key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(minimal cyclic length, generators present in one minimal form) for
-    the class whose cyclic_class_key is key, in the rank its letters span."""
-    cw = CyclicWord(key, rank)
-    m, _ = minimize(cw)
-    return len(m), tuple(sorted({abs(x) for x in m.letters}))
+def _whitehead_masks(cw: CyclicWord) -> list[int]:
+    """Whitehead graph of cw as 2N adjacency bitmasks over the display
+    codes 2(|x| - 1) + (x < 0) of the letters (so code ^ 1 is the inverse):
+    the cyclic junction y z gives the edge {y, z^-1}, which is never a loop.
+    Each distinct junction is read once; edge multiplicities are dropped."""
+    ls = cw.letters
+    adj = [0] * (2 * cw.rank)
+    for y, z in set(zip(ls, ls[1:] + ls[:1])):
+        u = 2 * y - 2 if y > 0 else -2 * y - 1
+        v = 2 * z - 1 if z > 0 else -2 * z - 2  # the code of z^-1
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _descent_step(cw: CyclicWord) -> WhiteheadAut | None:
+    """A Whitehead automorphism that shortens cw, which uses every
+    generator, or None when its Whitehead graph G is connected with no cut
+    vertex.
+
+    For each vertex x in code order, let R be the component of x^-1 in
+    G - x.  If x has a neighbour outside R, the automorphism (A, x) with
+    A = V - R (so x in A, x^-1 not in A) has cut(A) = edges(x, R) < deg(x),
+    so it shortens cw cyclically.  If G is connected, such an x is exactly
+    a cut vertex (every other component of G - x touches x).  If G is
+    disconnected, any x whose component misses x^-1 qualifies, with cut 0;
+    one exists, since a component closed under inversion would hold every
+    letter of cw.  If G is connected with no cut vertex, R = V - x for
+    every x and no step exists (Whitehead's cut-vertex lemma)."""
+    rank = cw.rank
+    adj = _whitehead_masks(cw)
+    full = (1 << 2 * rank) - 1
+    for x in range(2 * rank):
+        rest = full ^ (1 << x)
+        seen = frontier = 1 << (x ^ 1)
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & rest & ~seen
+            seen |= frontier
+        if adj[x] & ~seen:
+            a = -(x // 2 + 1) if x & 1 else x // 2 + 1
+            tags = ["id"] * rank
+            for h in range(1, rank + 1):
+                if h != abs(a):  # right if h is in A, left if h^-1 is, or both
+                    tags[h - 1] = TAGS[~seen >> (2 * h - 2) & 3]
+            return WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
+    return None
+
+
+def _uses_every_generator(cw: CyclicWord) -> bool:
+    return len(set(map(abs, cw.letters))) == cw.rank
+
+
+def _descend(cw: CyclicWord) -> CyclicWord:
+    """Stallings' descent: apply _descent_step until cw omits a generator
+    or its Whitehead graph is connected with no cut vertex.  A cyclically
+    reduced word of rank >= 2 that uses every generator and stops there
+    lies in no proper free factor (Whitehead 1936, Stallings 1999), so the
+    descent reaches a missing generator iff cw is simple."""
+    while _uses_every_generator(cw) and (t := _descent_step(cw)) is not None:
+        image = cyclic_reduce(_trusted(Word, apply_letters(t, cw.letters), cw.rank))[1]
+        if len(image) >= len(cw):
+            raise RuntimeError(f"descent step {t} does not shorten {cw.text()}")
+        cw = image
+    return cw
+
+
+def _in_used_generators(cw: CyclicWord) -> CyclicWord:
+    """cw renamed into the free factor of the generators it uses, which
+    become the first ones in their order."""
+    used = sorted(set(map(abs, cw.letters)))
+    if len(used) == cw.rank:
+        return cw
+    new = {g: i for i, g in enumerate(used, start=1)}
+    letters = tuple([new[x] if x > 0 else -new[-x] for x in cw.letters])
+    return _trusted(CyclicWord, letters, len(used))
 
 
 def is_primitive(w: Word | CyclicWord) -> bool:
-    """Is w part of some free basis?  True iff its minimal form is a single
-    letter.  The class key renames the generators w uses to the first ones,
-    so a word omitting generators is decided inside the subfactor it spans
-    (primitivity there is equivalent)."""
+    """Is w part of some free basis?  Primitivity in F_N is primitivity in
+    the free factor of the generators w uses, so w is renamed into that
+    factor and descends there, again after each descent that drops a
+    generator; w is primitive iff it ends as one letter in rank 1."""
     if not w.letters:
         raise InvalidInputError("the trivial word is not primitive")
-    key = cyclic_class_key(cyclic_reduce(w)[1].letters, w.rank)
-    length, _ = _min_facts(len({abs(x) for x in key}), key)
-    return length == 1
+    cw = cyclic_reduce(w)[1]
+    while True:
+        cw = _in_used_generators(cw)
+        if cw.rank == 1:
+            return len(cw) == 1
+        cw = _descend(cw)
+        if _uses_every_generator(cw):
+            return False
 
 
 def is_simple(w: Word | CyclicWord) -> bool:
-    """Is w inside a proper free factor?  True iff some generator pair is
-    absent from w or from its Whitehead-minimal form."""
+    """Is w inside a proper free factor?  True iff its descent reaches a
+    word that omits a generator."""
     if not w.letters:
         raise InvalidInputError("the trivial word is not simple")
-    used = {abs(x) for x in w.letters}
-    if len(used) < w.rank:
-        return True
-    key = cyclic_class_key(cyclic_reduce(w)[1].letters, w.rank)
-    _, used_min = _min_facts(w.rank, key)
-    return len(used_min) < w.rank
+    return not _uses_every_generator(_descend(cyclic_reduce(w)[1]))
 
 
 def has_cut_vertex(w: CyclicWord) -> bool:
     """Does the Whitehead graph of w, on all 2N letters, have a cut vertex:
-    is it disconnected, or does removing one of at least three vertices
-    disconnect it?  It reads the junction sets the minimizer scores:
-    letters x and y are adjacent when ends[x] & ends[y] is nonzero.  A
+    is it disconnected, or does removing one vertex disconnect it?  A
     generator absent from w leaves two isolated letters, so missing
-    generators make this True by design."""
+    generators make this True by design; otherwise it is True iff a
+    descent step exists."""
     if len(w) == 0:
         raise InvalidInputError("need a nonempty cyclic word")
-    ends = _junction_ends(w)
-
-    def connected(vs: list[int]) -> bool:
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            v = stack.pop()
-            for u in vs:
-                if u not in seen and ends[u] & ends[v]:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(vs)
-
-    vertices = list(ends)
-    if not connected(vertices):
-        return True
-    return len(vertices) > 2 and not all(
-        connected([u for u in vertices if u != v]) for v in vertices
-    )
+    return not _uses_every_generator(w) or _descent_step(w) is not None
 
 
 def _cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:

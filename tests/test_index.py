@@ -32,7 +32,14 @@ from primindex.graphs import (
     spanning_data,
     trace_path,
 )
-from primindex.whitehead import apply_letters, enumerate_whitehead, is_primitive, is_simple
+from primindex.randomwalk import WalkConfig, sample_word
+from primindex.whitehead import (
+    apply_letters,
+    enumerate_whitehead,
+    is_primitive,
+    is_simple,
+    minimize,
+)
 from primindex.words import (
     CyclicWord,
     Word,
@@ -214,6 +221,22 @@ def test_census_scans_match_per_cover_oracle_on_class_reps():
                 rep, 4, lambda g, p: path_terminus(g, p) != g.base
             ), rep
     assert words > 30
+
+
+def simple_by_minimization(w):
+    """Test-local oracle for is_simple: the minimal form omits a generator."""
+    m, _ = minimize(w)
+    return len({abs(x) for x in m.letters}) < w.rank
+
+
+def test_d_simp_census_of_a_long_word_matches_minimization_scan():
+    # d_simp_census decides each closing cover's dual word by the descent,
+    # the per-cover scan by minimize: they must stop at the same degree
+    w = cyclic_reduce(sample_word(WalkConfig(2, 1000, 1), with_stats=False).word)[1]
+    assert len(w) == 1000
+    assert d_simp_census(w, 5) == first_cover_by_trace(
+        w, 5, _closes_and(simple_by_minimization)
+    )
 
 
 def test_divisibility_rejects_trivial():

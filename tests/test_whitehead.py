@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primindex import whitehead
 from primindex.errors import InvalidInputError
 from primindex.whitehead import (
     TAGS,
     WhiteheadAut,
     _cuts,
     _cyclic_triples,
+    _descent_step,
     _junction_ends,
-    _min_facts,
     _second_kind_at,
     apply,
     apply_letters,
@@ -320,22 +321,123 @@ def test_simple_examples():
     assert not is_simple(W("aabb", 2))
 
 
-@pytest.mark.parametrize(
-    "words",
-    [
-        # a signed relabeling (a -> B, b -> a), one of them as a cyclic word
-        [W("aabAB", 2), CW("BBabA", 2)],
-        # generators other than the first ones: bcBC is abAB inside rank 3
-        [W("bcBC", 3), W("abAB", 2)],
-    ],
-)
-def test_predicates_share_one_minimization_per_class(words):
-    # both predicates key the minimizer cache by cyclic_class_key
-    _min_facts.cache_clear()
-    for w in words:
-        assert not is_primitive(w)
-        assert is_simple(w) == (w.rank == 3)
-    assert _min_facts.cache_info().misses == 1
+def minimal_form_facts(w):
+    """Test-local oracle for the predicates, read from minimize's minimal
+    form: (one letter, omits a generator)."""
+    m, _ = minimize(w)
+    return len(m) == 1, len({abs(x) for x in m.letters}) < w.rank
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 6)])
+def test_predicates_match_minimization_oracle_exhaustively(rank, max_len):
+    for n in range(1, max_len + 1):
+        for cw in enumerate_cyclically_reduced(n, rank):
+            assert (is_primitive(cw), is_simple(cw)) == minimal_form_facts(cw), cw.text()
+
+
+def seeded_oracle_words(rank, rng):
+    """Random cyclic words of length <= 30, and images of a letter and of
+    words in the first rank - 1 generators under random automorphism
+    products, so that primitive and simple words are drawn too."""
+    for _ in range(30):
+        yield random_cyclic_word(rank, rng.randrange(1, 31), rng)
+    for _ in range(40):
+        if rng.random() < 0.3:
+            w = Word((rng.choice(alphabet(rank)),), rank)
+        else:
+            factor = random_cyclic_word(rank - 1, rng.randrange(1, 9), rng)
+            w = Word(factor.letters, rank)
+        for _ in range(6):
+            image = apply(rng.choice(enumerate_whitehead(rank)), w)
+            if len(cyclic_reduce(image)[1]) <= 30:
+                w = image
+        yield cyclic_reduce(w)[1]
+
+
+@pytest.mark.parametrize("rank", [4, 5, 6])
+def test_predicates_match_minimization_oracle_on_seeded_words(rank):
+    rng = random.Random(rank)
+    facts = set()
+    for cw in seeded_oracle_words(rank, rng):
+        expected = minimal_form_facts(cw)
+        assert (is_primitive(cw), is_simple(cw)) == expected, cw.text()
+        facts.add(expected)
+    assert facts == {(True, True), (False, True), (False, False)}
+
+
+def whitehead_graph_oracle(cw):
+    """(connected, has a cut vertex) of the Whitehead graph of cw, a word
+    using every generator, by set closure over the minimizer's junction
+    sets: letters x and y are adjacent when ends[x] & ends[y] is nonzero."""
+    ends = _junction_ends(cw)
+
+    def connected(vs):
+        seen, stack = {vs[0]}, [vs[0]]
+        while stack:
+            v = stack.pop()
+            for u in vs:
+                if u not in seen and ends[u] & ends[v]:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(vs)
+
+    vertices = list(ends)
+    cut = any(not connected([u for u in vertices if u != v]) for v in vertices)
+    return connected(vertices), len(vertices) > 2 and cut
+
+
+def check_descent_step(cw):
+    t = _descent_step(cw)
+    connected, cut = whitehead_graph_oracle(cw)
+    assert (t is None) == (connected and not cut), cw.text()
+    if t is not None:
+        image = cyclic_reduce(Word(apply_letters(t, cw.letters), cw.rank))[1]
+        assert len(image) < len(cw), (cw.text(), t)
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 4), (2, 7), (3, 5)])
+def test_descent_steps_shorten_and_exist_iff_cut_vertex_exhaustively(rank, max_len):
+    for n in range(1, max_len + 1):
+        for cw in enumerate_cyclically_reduced(n, rank):
+            if len({abs(x) for x in cw.letters}) == rank:
+                check_descent_step(cw)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_descent_steps_shorten_and_exist_iff_cut_vertex(rank, data):
+    cw = data.draw(cyclic_words_of_rank(rank, 40))
+    if len({abs(x) for x in cw.letters}) < rank:  # a factor word, moved
+        auts = st.sampled_from(enumerate_whitehead(rank))
+        cw = cyclic_reduce(replay_oracle(cw.word(), data.draw(st.lists(auts, max_size=4))))[1]
+    if len({abs(x) for x in cw.letters}) == rank:
+        check_descent_step(cw)
+
+
+def test_descent_raises_when_a_step_does_not_shorten(monkeypatch):
+    # conjugation keeps the cyclic length, so it must not pass for a step
+    monkeypatch.setattr(whitehead, "_descent_step", lambda cw: conjugation_by(1, cw.rank))
+    with pytest.raises(RuntimeError, match="does not shorten"):
+        is_simple(W("aabb", 2))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_predicates_are_automorphism_invariant(rank, data):
+    # words of the first rank - 1 generators are simple; their images need not
+    # omit a generator
+    cw = data.draw(
+        st.one_of(
+            cyclic_words_of_rank(rank, 12),
+            cyclic_words_of_rank(rank - 1, 10).map(lambda w: CyclicWord(w.letters, rank)),
+        )
+    )
+    product = data.draw(st.lists(st.sampled_from(enumerate_whitehead(rank)), max_size=5))
+    image = replay_oracle(cw.word(), product)
+    assert is_primitive(image) == is_primitive(cw), (cw.text(), product)
+    assert is_simple(image) == is_simple(cw), (cw.text(), product)
 
 
 def test_simple_uses_one_minimal_form():
