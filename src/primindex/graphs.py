@@ -468,16 +468,24 @@ _WALK_CHUNK = 8  # closing covers whose dual words are filled in together
 
 
 @lru_cache(maxsize=None)
-def _census_table(rank: int, degree: int) -> np.ndarray:
-    """cover_census(rank, degree) as one read-only permutation table, read
-    straight from its tuples: nxt[x + rank, c * degree + j] = c * degree +
-    the vertex that letter x leads to from vertex j of cover c; row rank
-    (letter 0) is the identity.  Cached under the census's key, for as
-    long."""
+def _census_table(rank: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """cover_census(rank, degree) as two read-only tables over the states
+    c * degree + j (vertex j of cover c), built from its tuples alone:
+
+    - nxt[x + rank, c * degree + j] = c * degree + the vertex that letter x
+      leads to from vertex j of cover c; row rank (letter 0) is the identity;
+    - dual[x + rank, c * degree + j] = the signed dual letter of that edge,
+      0 on tree edges and in row rank: exactly the numbering of
+      spanning_data(cover_graph(rank, perms)).complement.
+
+    The spanning trees of all covers grow together, breadth-first from
+    vertex 0 with letters in alphabet order: one gather per queue position
+    and letter over every cover.  Cached under the census's key, for as long."""
     census = cover_census(rank, degree)
+    covers = len(census)
     # intp, so that gathers index with the states as they come
-    states = np.arange(len(census) * degree, dtype=np.intp)
-    perms = np.array(census, dtype=np.intp).reshape(len(census), rank, degree)
+    states = np.arange(covers * degree, dtype=np.intp)
+    perms = np.array(census, dtype=np.intp).reshape(covers, rank, degree)
     perms += states[::degree, None, None]
     nxt = np.empty((2 * rank + 1, len(states)), dtype=np.intp)
     nxt[rank] = states
@@ -485,9 +493,37 @@ def _census_table(rank: int, degree: int) -> np.ndarray:
         image = perms[:, gen - 1].ravel()
         nxt[rank + gen] = image
         nxt[rank - gen, image] = states
-    nxt.flags.writeable = False
-    # a view of a read-only base cannot be made writeable again
-    return nxt.view()
+    # order[p, c]: the state found p-th; the queue never runs dry before
+    # position degree - 1, which finds nothing new, since covers are connected
+    order = np.empty((degree, covers), dtype=np.intp)
+    order[0] = states[::degree]
+    found = np.ones(covers, dtype=np.intp)
+    seen = np.zeros(len(states), dtype=bool)
+    seen[order[0]] = True
+    ids = np.arange(covers)
+    tree = np.zeros((rank, len(states)), dtype=bool)  # [gen - 1, origin state]
+    for p in range(degree - 1):
+        v = order[p]
+        for x in alphabet(rank):
+            t = nxt[x + rank, v]
+            new = ~seen[t]
+            t = t[new]
+            seen[t] = True
+            order[found[new], ids[new]] = t
+            found += new
+            tree[abs(x) - 1, v[new] if x > 0 else t] = True
+    # number each cover's complement edges in cover_graph's (gen, vertex) order
+    free = ~tree.reshape(rank, covers, degree).transpose(1, 0, 2).reshape(covers, -1)
+    number = (np.cumsum(free, axis=1) * free).reshape(covers, rank, degree)
+    number = number.transpose(1, 0, 2).reshape(rank, len(states))
+    # dual letters run to the cycle rank, degree (rank - 1) + 1 by Schreier
+    dual = np.zeros(nxt.shape, dtype=np.min_scalar_type(-(degree * (rank - 1) + 1)))
+    for gen in range(1, rank + 1):
+        dual[rank + gen] = number[gen - 1]
+        dual[rank - gen, nxt[rank + gen]] = -number[gen - 1]
+    nxt.flags.writeable = dual.flags.writeable = False
+    # views of read-only bases cannot be made writeable again
+    return nxt.view(), dual.view()
 
 
 def _census_ends(
@@ -496,7 +532,7 @@ def _census_ends(
     """Per listed degree, the vertex where each cover's path from the base
     reading letters ends (0: the word closes).  The covers of all listed
     degrees walk together, one gather per letter over their states."""
-    tables = [_census_table(rank, d) for d in degrees]
+    tables = [_census_table(rank, d)[0] for d in degrees]
     offsets = list(itertools.accumulate((t.shape[1] for t in tables), initial=0))
     nxt = tables[0] if len(tables) == 1 else np.concatenate(
         [t + o for t, o in zip(tables, offsets)], axis=1
@@ -518,8 +554,8 @@ def _census_duals(
 ) -> Iterator[np.ndarray]:
     """For each listed cover of cover_census(rank, degree), in order, whose
     path from the base reading letters closes: the cyclically reduced dual
-    word of that loop (rewrite_loop_cyclic's letters) as a signed array.
-    Only the listed covers' graphs are built, for their spanning trees.
+    word of that loop (rewrite_loop_cyclic's letters) as a signed array,
+    read from _census_table's dual letters; no graph is built.
 
     The word is cut into blocks of about sqrt(len) letters.  Per chunk of
     covers, every block's vertex map takes one gather per letter position
@@ -528,8 +564,7 @@ def _census_duals(
     follow, each with one more gather through the signed dual-letter table
     (0 on tree edges).  A reduced word traces a reduced path, whose dual
     word is freely reduced; that is checked, not assumed."""
-    census = cover_census(rank, degree)
-    nxt = _census_table(rank, degree)
+    nxt, dual_table = _census_table(rank, degree)
     n = len(letters)
     block = math.isqrt(n - 1) + 1 if n else 1
     blocks = -(-n // block)
@@ -538,22 +573,13 @@ def _census_duals(
     codes[:n] = np.fromiter(letters, dtype=codes.dtype, count=n)
     codes[:n] += rank
     codes = codes.reshape(blocks, block)
-    # dual letters run to the cycle rank, degree (rank - 1) + 1 by Schreier
-    dual_dtype = np.min_scalar_type(-(degree * (rank - 1) + 1))
     for lo in range(0, len(covers), _WALK_CHUNK):
         chunk = np.asarray(covers[lo : lo + _WALK_CHUNK], dtype=np.intp)
         m, width = len(chunk), len(chunk) * degree
         # the chunk's own table, states renumbered k * degree + j
         cols = (chunk[:, None] * degree + np.arange(degree)).ravel()
         step = (nxt[:, cols] - (cols - np.arange(width))).ravel()
-        dual = np.zeros((2 * rank + 1, width), dtype=dual_dtype)
-        for k, c in enumerate(chunk.tolist()):
-            g = cover_graph(rank, census[c])
-            for i, e in enumerate(spanning_data(g).complement, 1):
-                o, t, gen = g.edges[e - 1]
-                dual[rank + gen, k * degree + o] = i
-                dual[rank - gen, k * degree + t] = -i
-        dual = dual.ravel()
+        dual = dual_table[:, cols].ravel()
         maps = np.tile(np.arange(width, dtype=np.intp), (blocks, 1))
         for t in range(block):
             maps = step.take(codes[:, t, None].astype(np.intp) * width + maps)
@@ -565,7 +591,7 @@ def _census_duals(
             state = maps[j][state]
         if not np.array_equal(state, base):
             raise InvalidInputError("_census_duals expects covers that close the word")
-        words = np.empty((m, blocks, block), dtype=dual_dtype)
+        words = np.empty((m, blocks, block), dtype=dual.dtype)
         state = firsts
         for t in range(block):
             at = codes[:, t].astype(np.intp) * width + state

@@ -11,24 +11,23 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceGuardError
+from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from .graphs import (
     AGraph,
     _census_ends,
+    _census_table,
     canonical_key,
-    cover_census,
-    cover_graph,
     graph_to_json,
     is_cover,
     path_terminus,
     quotients_with_vertices,
-    rewrite_loop,
     rewrite_loop_cyclic,
     spanning_data,
     trace_path,
 )
 # Unused here; perfbench/tracer.py patches these names on this module.
-from .graphs import collapse_vertices, fold_with_map, set_partitions_with_blocks  # noqa: F401
+from .graphs import collapse_vertices, fold_with_map, rewrite_loop  # noqa: F401
+from .graphs import cover_census, set_partitions_with_blocks  # noqa: F401
 from .words import (
     CyclicWord,
     Word,
@@ -161,6 +160,14 @@ def _scan_quotients(
     return res
 
 
+def _require_simple_elements(rank: int) -> None:
+    """F_1 and all its finite-index subgroups are infinite cyclic, with no
+    simple element, so d_simp and the d_fill interval it closes are
+    undefined below rank 2; d_prim is not."""
+    if rank < 2:
+        raise UnsupportedInputError(f"d_simp needs rank >= 2, got rank {rank}")
+
+
 def d_prim(
     w: CyclicWord,
     max_index: int | None = None,
@@ -180,6 +187,7 @@ def d_simp(
     max_partitions: int | None = None,
 ) -> tuple[int, Witness]:
     """Least index of a subgroup holding w as a simple element."""
+    _require_simple_elements(w.rank)
     res = _scan_quotients(w, False, max_index, max_partitions)
     if res.d_simp is None:
         raise ResourceGuardError("d_simp not reached within max_index")
@@ -193,6 +201,7 @@ def index_report(
 ) -> IndexReport:
     """One scan computing d_prim, d_simp, and the d_fill interval;
     max_partitions caps its search steps (edge choices tried)."""
+    _require_simple_elements(w.rank)
     res = _scan_quotients(w, True, max_index, max_partitions)
     if res.d_prim is None or res.d_simp is None or res.d_fill_lower is None:
         raise ResourceGuardError("index scan did not finish within caps")
@@ -226,6 +235,7 @@ def _class_values(
 def index_values(w: CyclicWord) -> tuple[int, int, int]:
     """(d_prim, d_simp, d_fill_lower) with caching per equivalence class
     under rotation, inversion and relabeling (all three are invariant)."""
+    _require_simple_elements(w.rank)
     return _class_values(w.rank, cyclic_class_key(w.letters, w.rank))
 
 
@@ -278,6 +288,7 @@ def f_table(
     """
     if n_max < 1:
         raise InvalidInputError("need n_max >= 1")
+    _require_simple_elements(rank)
     per_length: list[list[CyclicWord]] = [
         list(index_candidates_exact(n, rank)) for n in range(1, n_max + 1)
     ]
@@ -323,18 +334,32 @@ def f_table(
 
 def first_cover(w: Word | CyclicWord, d_max: int, pred: Callable[[Word], bool]) -> int | None:
     """Least degree d <= d_max of a based cover (subgroups of index d are
-    exactly the based degree-d covers) whose traced w-loop closes at the
-    base and rewrites to a dual word satisfying pred; None when no cover
-    within the cap qualifies.  Each degree's covers take the closing test
-    together; only those that close are traced, in census order."""
+    exactly the based degree-d covers) whose w-loop from the base closes
+    and reads a dual word satisfying pred; None when no cover within the
+    cap qualifies.  Each degree's covers take the closing test together.
+    Each cover that closes, in census order, walks w through its own rows
+    of _census_table, keeping the nonzero dual letters: a Word over the
+    degree (rank - 1) + 1 dual letters of Schreier's formula.  No graph is
+    built."""
     if len(w) == 0:
         raise InvalidInputError("census scans reject the trivial word")
+    rank = w.rank
     for d in range(1, d_max + 1):
-        census = cover_census(w.rank, d)
-        (ends,) = _census_ends(w.rank, (d,), w.letters)
-        for i in np.flatnonzero(ends == 0).tolist():
-            g = cover_graph(w.rank, census[i])
-            if pred(rewrite_loop(g, spanning_data(g), trace_path(g, g.base, w))):
+        (ends,) = _census_ends(rank, (d,), w.letters)
+        nxt, dual = _census_table(rank, d)
+        for lo in (np.flatnonzero(ends == 0) * d).tolist():
+            steps = (nxt[:, lo : lo + d] - lo).tolist()
+            duals = dual[:, lo : lo + d].tolist()
+            letters = []
+            v = 0
+            for x in w.letters:
+                u = duals[x + rank][v]
+                if u:
+                    letters.append(u)
+                v = steps[x + rank][v]
+            if v:
+                raise InvalidInputError("w does not close on a cover that passed the closing test")
+            if pred(Word(tuple(letters), d * (rank - 1) + 1)):
                 return d
     return None
 

@@ -237,6 +237,19 @@ def test_unsupported_input_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["index", "--word", "a", "--rank", "1"],
+    ["table", "--rank", "1", "--nmax", "3"],
+])
+def test_rank_1_has_no_simple_index_exit_2(capsys, argv):
+    # F_1 and its finite-index subgroups have no simple element: d_simp is
+    # undefined there, which is unsupported input, not a cap that tripped
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "unsupported input: d_simp needs rank >= 2, got rank 1"
+
+
+@pytest.mark.parametrize("argv", [
     ["index", "--word", "ab", "--rank", "2", "--timeout-seconds", "-1"],
     ["index", "--word", "ab", "--rank", "2", "--max-index", "0"],
     ["index", "--word", "ab", "--rank", "2", "--max-partitions", "-1"],

@@ -333,15 +333,18 @@ def test_cover_census_rank_3_degree_5_matches_hall():
 
 
 def test_census_table_is_read_only_and_shared():
-    table = _census_table(2, 3)
-    with pytest.raises(ValueError):
-        table[2, 0] = 1
-    with pytest.raises(ValueError):
-        table.ravel()[0] = 1
-    with pytest.raises(ValueError):
-        table.flags.writeable = True
-    assert _census_table(2, 3) is table
-    assert table.shape == (5, 3 * len(cover_census(2, 3)))
+    tables = _census_table(2, 3)
+    assert len(tables) == 2
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[2, 0] = 1
+        with pytest.raises(ValueError):
+            table.ravel()[0] = 1
+        with pytest.raises(ValueError):
+            table.flags.writeable = True
+        assert table.shape == (5, 3 * len(cover_census(2, 3)))
+    again = _census_table(2, 3)
+    assert again is tables and all(a is b for a, b in zip(again, tables))
 
 
 @pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
@@ -378,7 +381,24 @@ def test_census_table_matches_cover_graph_edges(rank, d_max):
             for o, t, gen in g.edges:
                 expected[rank + gen, c * d + o] = c * d + t
                 expected[rank - gen, c * d + t] = c * d + o
-        assert np.array_equal(_census_table(rank, d), expected), (rank, d)
+        assert np.array_equal(_census_table(rank, d)[0], expected), (rank, d)
+
+
+@pytest.mark.parametrize("rank,d_max", [(1, 4), (2, 6), (3, 4), (4, 2)])
+def test_census_dual_table_matches_spanning_data(rank, d_max):
+    # the dual letters of all covers come from one batched breadth-first
+    # search; spanning_data on each cover's graph is the oracle
+    for d in range(1, d_max + 1):
+        nxt, dual = _census_table(rank, d)
+        expected = np.zeros((2 * rank + 1, nxt.shape[1]), dtype=np.int64)
+        for c, g in enumerate(census_graphs(rank, d)):
+            complement = spanning_data(g).complement
+            assert len(complement) == d * (rank - 1) + 1  # Schreier
+            for i, e in enumerate(complement, 1):
+                o, t, gen = g.edges[e - 1]
+                expected[rank + gen, c * d + o] = i
+                expected[rank - gen, c * d + t] = -i
+        assert np.array_equal(dual, expected), (rank, d)
 
 
 # -- tracing -----------------------------------------------------------------

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primindex
-from primindex.errors import InvalidInputError, ResourceGuardError
+from primindex import index
+from primindex.errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from primindex.index import (
     _class_values,
     _scan_quotients,
@@ -25,6 +28,9 @@ from primindex.index import (
     index_values,
 )
 from primindex.graphs import (
+    AGraph,
+    _census_duals,
+    _census_ends,
     cover_census,
     cover_graph,
     path_terminus,
@@ -239,6 +245,66 @@ def test_d_simp_census_of_a_long_word_matches_minimization_scan():
     )
 
 
+def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
+    # the scans read the census's permutation and dual-letter tables; no
+    # AGraph (and so no spanning tree or edge path) is built per cover
+    w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3), with_stats=False).word)[1]
+    scans = (
+        lambda: d_simp_census(w, 5),
+        lambda: d_prim_census_oracle(w, 5),
+        lambda: d_simp_census(CW("abAB", 2), 4),
+        lambda: d_prim_census_oracle(CW("aabAB", 2), 4),
+        lambda: divisibility(W("abAB", 2), 4),
+        lambda: [
+            len(list(_census_duals(2, d, np.flatnonzero(ends == 0), w.letters)))
+            for d, ends in zip(range(1, 6), _census_ends(2, range(1, 6), w.letters))
+        ],
+    )
+    warm = [scan() for scan in scans]
+    assert sum(warm[-1]) > 0
+    built = []
+    post_init = AGraph.__post_init__
+
+    def counting(self):
+        built.append(self.num_vertices)
+        post_init(self)
+
+    monkeypatch.setattr(AGraph, "__post_init__", counting)
+    AGraph(2, 1, 0, ())  # the spy sees constructions
+    assert built == [1]
+    built.clear()
+    assert [scan() for scan in scans] == warm
+    assert built == []
+
+
+def test_first_cover_checks_that_each_walk_closes(monkeypatch):
+    # a closing test that lets an open cover through is caught by the walk
+    def all_close(rank, degrees, letters):
+        return [np.zeros(len(cover_census(rank, d)), dtype=np.intp) for d in degrees]
+
+    w = CW("aabbAB", 2)  # only the last degree-2 cover closes w
+    assert _census_ends(2, (2,), w.letters)[0].tolist() == [1, 1, 0]
+    assert d_simp_census(w, 2) == 2
+    monkeypatch.setattr(index, "_census_ends", all_close)
+    with pytest.raises(InvalidInputError, match="does not close"):
+        d_simp_census(w, 2)
+
+
+def test_rank_1_has_d_prim_but_no_d_simp():
+    # in F_1 = Z, a^n is primitive in nZ, of index n; no subgroup of F_1
+    # has a simple element, so d_simp and the d_fill interval are undefined
+    for n in range(1, 5):
+        w = CyclicWord((1,) * n, 1)
+        assert d_prim(w)[0] == n
+        assert d_prim_census_oracle(w, n) == n
+        assert d_simp_census(w, n) is None
+        for call in (d_simp, index_report, index_values):
+            with pytest.raises(UnsupportedInputError):
+                call(w)
+    with pytest.raises(UnsupportedInputError):
+        f_table(3, 1)
+
+
 def test_divisibility_rejects_trivial():
     with pytest.raises(InvalidInputError):
         divisibility(Word((), 2), 2)
@@ -305,19 +371,19 @@ def test_commutator_witness_dominates_divisibility():
             assert oracle is None  # no small cover holds gamma primitively
 
 
-def test_commutator_witness_dominates_divisibility_to_length_6():
+def test_commutator_witness_dominates_divisibility_to_length_10():
     # the appendix at scale: d_prim([w, w^a]) >= divisibility(w) on every
-    # rank-2 class to length 6, powers included; no quotient with fewer
+    # rank-2 class to length 10, powers included; no quotient with fewer
     # vertices than divisibility(w) holds the commutator primitively
     words = 0
-    for n in range(1, 7):
+    for n in range(1, 11):
         for rep in class_representatives(n, 2, skip_powers=False):
             dv = divisibility(rep.word(), 7)
             assert dv is not None, rep.text()
             gamma = cyclic_reduce(commutator_witness(rep.word()))[1]
             assert _scan_quotients(gamma, True, max_index=dv - 1).d_prim is None, rep.text()
             words += 1
-    assert words == 37
+    assert words == 779
 
 
 def test_resource_guard_trips():
@@ -417,3 +483,27 @@ def test_index_values_invariant_under_whitehead_automorphisms(rep_and_aut):
     assume(len(image) <= 10)
     assert index_values(image) == index_values(rep)
     assert d_simp_census(image, 4) == d_simp_census(rep, 4)
+
+
+def test_indexes_agree_on_images_under_products_of_whitehead_automorphisms():
+    # d_prim and d_simp are invariants of Aut(F_N); d_fill is only
+    # bracketed, so the two certified intervals must intersect
+    auts = enumerate_whitehead(2)
+    rng = random.Random(2014)
+    pairs = moved = 0
+    for n in range(2, 8):
+        for rep in class_representatives(n, 2, skip_powers=True):
+            a = index_report(rep)
+            for _ in range(4):
+                letters = rep.letters
+                for _ in range(rng.randint(1, 4)):
+                    letters = apply_letters(rng.choice(auts), letters)
+                image = cyclic_reduce(Word(letters, 2))[1]
+                if len(image) > 12:
+                    continue
+                b = index_report(image)
+                assert (b.d_prim, b.d_simp) == (a.d_prim, a.d_simp), (rep.text(), image.text())
+                assert max(a.d_fill_lower, b.d_fill_lower) <= min(a.d_fill_upper, b.d_fill_upper)
+                pairs += 1
+                moved += image.letters != rep.letters
+    assert pairs >= 200 and moved >= 150
