@@ -23,11 +23,23 @@ from primindex.randomwalk import (
 )
 
 
+def _at_least(low: int):
+    """argparse type for an integer of at least low; argparse exits 2 on
+    anything else."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rank", type=int, default=2)
-    ap.add_argument("--n", type=int, default=10_000)
-    ap.add_argument("--samples", type=int, default=5_000)
+    ap.add_argument("--n", type=_at_least(2), default=10_000)
+    ap.add_argument("--samples", type=_at_least(1), default=5_000)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
 

@@ -47,6 +47,21 @@ def _emit_json(manifest: dict, result) -> None:
     print(json.dumps({"manifest": manifest, "result": result}, indent=2, sort_keys=True))
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Refuse an --out path whose directory does not exist before any
+    computation runs."""
+    if out and not Path(out).parent.is_dir():
+        raise InvalidInputError(f"cannot write {out}: no directory {Path(out).parent}")
+
+
+def _write_out(out: str, payload: dict) -> None:
+    try:
+        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out}: {exc.strerror}") from None
+    print(f"wrote {out}", file=sys.stderr)
+
+
 def _parse_cyclic(text: str, rank: int) -> CyclicWord:
     w = Word.parse(text, rank)
     if w.is_trivial():
@@ -90,6 +105,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_table(args) -> int:
+    _check_out_dir(args.out)
     table = f_table(
         args.nmax, args.rank, max_partitions=args.max_partitions, jobs=args.jobs
     )
@@ -103,9 +119,7 @@ def cmd_table(args) -> int:
         },
     )
     if args.out:
-        payload = {"manifest": manifest, "result": table.to_json()}
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_out(args.out, {"manifest": manifest, "result": table.to_json()})
     if args.json:
         _emit_json(manifest, table.to_json())
     elif not args.out:
@@ -234,6 +248,7 @@ def cmd_walk(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_out_dir(args.out)
     cfg = WalkConfig(args.rank, args.n, args.seed)
     report = experiment_dsimp(cfg, trials=args.trials, d_cap=args.dcap)
     manifest = _manifest(
@@ -242,10 +257,8 @@ def cmd_experiment(args) -> int:
          "algorithm": RNG_ALGORITHM},
         seeds=[args.seed],
     )
-    payload = {"manifest": manifest, "result": report.to_json()}
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"wrote {args.out}", file=sys.stderr)
+        _write_out(args.out, {"manifest": manifest, "result": report.to_json()})
     _emit_json(manifest, report.to_json())
     return 0
 
@@ -264,7 +277,10 @@ def cmd_covers(args) -> int:
     )
     if args.dot:
         outdir = Path(args.dot)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write DOT files to {outdir}: {exc.strerror}") from None
         for i, g in enumerate(covers):
             (outdir / f"cover_{args.degree}_{i}.dot").write_text(
                 graph_to_dot(g, name=f"cover_{args.degree}_{i}")

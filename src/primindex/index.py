@@ -58,8 +58,12 @@ class IndexReport:
     d_prim: int
     d_simp: int
     d_fill_lower: int
-    d_fill_upper: int
     witnesses: dict[str, Witness]
+
+    @property
+    def d_fill_upper(self) -> int:
+        """Simplicity certifies non-filling, so d_fill <= d_simp."""
+        return self.d_simp
 
     def __post_init__(self):
         chain = (self.d_fill_lower, self.d_fill_upper, self.d_simp, self.d_prim, len(self.word))
@@ -77,87 +81,70 @@ class IndexReport:
         }
 
 
-@dataclass
-class _Quotient:
-    primitive: bool
-    simple_success: bool
-    fill_potential: bool
-
-
-def _quotient_predicates(q: AGraph, w: CyclicWord) -> _Quotient:
-    loop = trace_path(q, q.base, w)
-    if path_terminus(q, loop) != q.base:
-        raise InvalidInputError("w does not close at the base of the quotient")
-    cyc = rewrite_loop_cyclic(q, spanning_data(q), loop)
-    primitive = is_primitive(cyc)
-    if not is_cover(q):
-        return _Quotient(primitive, True, True)
-    simple_success = is_simple(cyc)
-    return _Quotient(primitive, simple_success, simple_success or not rauzy3_full(cyc))
-
-
-@dataclass
-class _Scan:
-    d_prim: int | None = None
-    d_simp: int | None = None
-    d_fill_lower: int | None = None
-    prim_witness: Witness | None = None
-    simp_witness: Witness | None = None
-    fill_witness: Witness | None = None
-    partitions_used: int = 0
+_INDEXES = ("prim", "simp", "fill")
 
 
 def _scan_quotients(
     w: CyclicWord,
-    need_prim: bool,
+    wanted: tuple[str, ...],
     max_index: int | None = None,
     max_partitions: int | None = None,
-) -> _Scan:
-    """Best-first scan of principal quotients by ascending vertex count.
+) -> dict[str, tuple[int, Witness]]:
+    """Best-first scan of principal quotients by ascending vertex count for
+    the indexes named in wanted (a subset of _INDEXES); returns
+    {name: (k, witness)} for those reached within max_index.
 
     At each k the quotients with exactly k vertices are grown directly by
     tracing w (quotients_with_vertices), so the first k with a success per
-    predicate realizes its minimum; among the k-vertex successes the witness
-    is the one with the least canonical key.  max_partitions caps the total
-    number of search steps (edge choices tried) over all k.
+    index realizes its minimum; among the k-vertex successes the witness
+    is the one with the least canonical key.  Each quotient is asked only
+    about the indexes still open, and the scan stops once none is.
+    max_partitions caps the total number of search steps (edge choices
+    tried) over all k.
     """
     if len(w) == 0:
         raise InvalidInputError("index operations reject the trivial word")
-    res = _Scan()
+    found: dict[str, tuple[int, Witness]] = {}
+    pending = list(wanted)
+    steps = 0
 
     def step() -> None:
-        res.partitions_used += 1
-        if max_partitions is not None and res.partitions_used > max_partitions:
+        nonlocal steps
+        steps += 1
+        if max_partitions is not None and steps > max_partitions:
             raise ResourceGuardError(
                 f"principal-quotient scan exceeded {max_partitions} search steps"
             )
 
     k_cap = len(w) if max_index is None else min(len(w), max_index)
     for k in range(1, k_cap + 1):
+        if not pending:
+            break
         best: dict[str, tuple] = {}
         for q in quotients_with_vertices(w, k, step):
-            facts = _quotient_predicates(q, w)
-            fill_cert = CERT_SIMPLE if facts.simple_success else CERT_UNDETERMINED
-            key = None
-            for name, hit, cert in (
-                ("prim", facts.primitive and res.d_prim is None, CERT_PRIMITIVE),
-                ("simp", facts.simple_success and res.d_simp is None, CERT_SIMPLE),
-                ("fill", facts.fill_potential and res.d_fill_lower is None, fill_cert),
-            ):
-                if hit:
-                    key = key or canonical_key(q)
+            loop = trace_path(q, q.base, w)
+            if path_terminus(q, loop) != q.base:
+                raise InvalidInputError("w does not close at the base of the quotient")
+            cyc = rewrite_loop_cyclic(q, spanning_data(q), loop)
+            hits = []
+            if "prim" in pending and is_primitive(cyc):
+                hits.append(("prim", CERT_PRIMITIVE))
+            if "simp" in pending or "fill" in pending:
+                # a quotient that is not a cover counts as simple; simple
+                # certifies non-filling
+                if not is_cover(q) or is_simple(cyc):
+                    hits += [(name, CERT_SIMPLE) for name in ("simp", "fill") if name in pending]
+                elif "fill" in pending and not rauzy3_full(cyc):
+                    hits.append(("fill", CERT_UNDETERMINED))
+            if hits:
+                key = canonical_key(q)
+                for name, cert in hits:
                     if name not in best or key < best[name][0]:
                         best[name] = (key, Witness(q, cert))
-        if "prim" in best:
-            res.d_prim, res.prim_witness = k, best["prim"][1]
-        if "simp" in best:
-            res.d_simp, res.simp_witness = k, best["simp"][1]
-        if "fill" in best:
-            res.d_fill_lower, res.fill_witness = k, best["fill"][1]
-        done_prim = res.d_prim is not None or not need_prim
-        if done_prim and res.d_simp is not None and res.d_fill_lower is not None:
-            break
-    return res
+        for name, (_, witness) in best.items():
+            found[name] = (k, witness)
+            pending.remove(name)
+    return found
 
 
 def _require_simple_elements(rank: int) -> None:
@@ -175,10 +162,10 @@ def d_prim(
 ) -> tuple[int, Witness]:
     """Least index of a subgroup holding w as a primitive element, with a
     witness quotient graph of that many vertices."""
-    res = _scan_quotients(w, True, max_index, max_partitions)
-    if res.d_prim is None:
+    found = _scan_quotients(w, ("prim",), max_index, max_partitions)
+    if "prim" not in found:
         raise ResourceGuardError("d_prim not reached within max_index")
-    return res.d_prim, res.prim_witness  # type: ignore[return-value]
+    return found["prim"]
 
 
 def d_simp(
@@ -188,10 +175,10 @@ def d_simp(
 ) -> tuple[int, Witness]:
     """Least index of a subgroup holding w as a simple element."""
     _require_simple_elements(w.rank)
-    res = _scan_quotients(w, False, max_index, max_partitions)
-    if res.d_simp is None:
+    found = _scan_quotients(w, ("simp",), max_index, max_partitions)
+    if "simp" not in found:
         raise ResourceGuardError("d_simp not reached within max_index")
-    return res.d_simp, res.simp_witness  # type: ignore[return-value]
+    return found["simp"]
 
 
 def index_report(
@@ -202,20 +189,16 @@ def index_report(
     """One scan computing d_prim, d_simp, and the d_fill interval;
     max_partitions caps its search steps (edge choices tried)."""
     _require_simple_elements(w.rank)
-    res = _scan_quotients(w, True, max_index, max_partitions)
-    if res.d_prim is None or res.d_simp is None or res.d_fill_lower is None:
+    found = _scan_quotients(w, _INDEXES, max_index, max_partitions)
+    if len(found) < len(_INDEXES):
         raise ResourceGuardError("index scan did not finish within caps")
+    (dp, wp), (ds, ws), (dl, wl) = (found[name] for name in _INDEXES)
     return IndexReport(
         word=w,
-        d_prim=res.d_prim,
-        d_simp=res.d_simp,
-        d_fill_lower=res.d_fill_lower,
-        d_fill_upper=res.d_simp,
-        witnesses={
-            "prim": res.prim_witness,  # type: ignore[dict-item]
-            "simp": res.simp_witness,  # type: ignore[dict-item]
-            "fill_lower": res.fill_witness,  # type: ignore[dict-item]
-        },
+        d_prim=dp,
+        d_simp=ds,
+        d_fill_lower=dl,
+        witnesses={"prim": wp, "simp": ws, "fill_lower": wl},
     )
 
 
@@ -228,8 +211,9 @@ def _class_values(
     """(d_prim, d_simp, d_fill_lower) of the class whose cyclic_class_key is
     key, its scan capped at max_partitions search steps; cache_info() gives
     the hit rate of index_values and f_table."""
-    res = _scan_quotients(CyclicWord(key, rank), True, max_partitions=max_partitions)
-    return res.d_prim, res.d_simp, res.d_fill_lower  # type: ignore[return-value]
+    found = _scan_quotients(CyclicWord(key, rank), _INDEXES, max_partitions=max_partitions)
+    dp, ds, dl = (found[name][0] for name in _INDEXES)
+    return dp, ds, dl
 
 
 def index_values(w: CyclicWord) -> tuple[int, int, int]:
@@ -247,9 +231,12 @@ class TableRow:
     f_prim: int
     f_simp: int
     f_fill_lower: int
-    f_fill_upper: int
     witness_prim: str
     witness_simp: str
+
+    @property
+    def f_fill_upper(self) -> int:
+        return self.f_simp
 
 
 @dataclass(frozen=True)
@@ -303,7 +290,7 @@ def f_table(
     else:
         values = list(map(_class_values, *args))
     rows: list[TableRow] = []
-    fp = fs = fl = fu = 0
+    fp = fs = fl = 0
     wp = ws = ""
     i = 0
     for n, reps in enumerate(per_length, start=1):
@@ -315,14 +302,12 @@ def f_table(
             if ds > fs:
                 fs, ws = ds, rep.text()
             fl = max(fl, dl)
-            fu = max(fu, ds)
         rows.append(
             TableRow(
                 n=n,
                 f_prim=fp,
                 f_simp=fs,
                 f_fill_lower=fl,
-                f_fill_upper=fu,
                 witness_prim=wp,
                 witness_simp=ws,
             )

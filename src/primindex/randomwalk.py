@@ -18,6 +18,7 @@ from .index import d_simp_census
 from .words import (
     Word,
     WordStats,
+    _letter,
     cyclic_reduce,
     is_proper_power,
     word_stats,
@@ -52,13 +53,6 @@ class WalkSample:
     stats: WordStats
 
 
-def _codes_to_letters(codes) -> tuple[int, ...]:
-    # code 2(g-1) is generator g, code 2(g-1)+1 its inverse
-    return tuple(
-        (c // 2 + 1) if c % 2 == 0 else -(c // 2 + 1) for c in map(int, codes)
-    )
-
-
 def sample_word(cfg: WalkConfig, with_stats: bool = True) -> WalkSample:
     """One uniform freely reduced word of the configured length.
 
@@ -75,7 +69,7 @@ def sample_word(cfg: WalkConfig, with_stats: bool = True) -> WalkSample:
         forbidden = codes[i - 1] ^ 1
         r = draws[i - 1]
         codes[i] = r + (r >= forbidden)
-    word = Word(_codes_to_letters(codes), cfg.rank)
+    word = Word(tuple(map(_letter, codes.tolist())), cfg.rank)
     stats = word_stats(word) if with_stats else WordStats(n, 0, {})
     return WalkSample(word=word, seed=cfg.seed, algorithm=RNG_ALGORITHM, stats=stats)
 

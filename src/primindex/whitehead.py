@@ -16,6 +16,7 @@ from .errors import InvalidInputError, ResourceGuardError
 from .words import (
     CyclicWord,
     Word,
+    _letter,
     _trusted,
     alphabet,
     count_reduced,
@@ -324,7 +325,7 @@ def _descent_step(cw: CyclicWord) -> WhiteheadAut | None:
             frontier = grown & rest & ~seen
             seen |= frontier
         if adj[x] & ~seen:
-            a = -(x // 2 + 1) if x & 1 else x // 2 + 1
+            a = _letter(x)
             tags = ["id"] * rank
             for h in range(1, rank + 1):
                 if h != abs(a):  # right if h is in A, left if h^-1 is, or both

@@ -130,7 +130,7 @@ def test_witness_word_degree_one():
     # certified filling inside the whole group
     assert rauzy3_full(z)
     # every k = 1 quotient is certified filling, so d_fill >= 2
-    assert _scan_quotients(z, False, max_index=1).d_fill_lower is None
+    assert "fill" not in _scan_quotients(z, ("fill",), max_index=1)
 
 
 def test_witness_word_degree_two():

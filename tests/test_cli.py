@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from primindex import cli
 from primindex.cli import main
 
 
@@ -234,6 +235,33 @@ def test_unsupported_input_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.splitlines()[0] == "unsupported input: need dual rank >= 2"
+
+
+@pytest.mark.parametrize("command", [
+    ["table", "--rank", "2", "--nmax", "3"],
+    ["experiment", "--rank", "2", "--n", "8", "--trials", "2"],
+])
+def test_out_path_without_directory_exit_2_before_computing(capsys, monkeypatch, tmp_path, command):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "f_table", never)
+    monkeypatch.setattr(cli, "experiment_dsimp", never)
+    out = tmp_path / "missing" / "t.json"
+    code, stdout, err = run_cli(capsys, command + ["--out", str(out)])
+    assert code == 2
+    assert stdout == ""
+    assert err.splitlines()[0] == f"invalid input: cannot write {out}: no directory {out.parent}"
+    assert "Traceback" not in err
+
+
+def test_dot_path_that_is_a_file_exit_2(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run_cli(capsys, ["covers", "--rank", "2", "--degree", "2", "--dot", str(taken)])
+    assert code == 2
+    assert err.splitlines()[0].startswith(f"invalid input: cannot write DOT files to {taken}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -381,7 +381,7 @@ def test_commutator_witness_dominates_divisibility_to_length_10():
             dv = divisibility(rep.word(), 7)
             assert dv is not None, rep.text()
             gamma = cyclic_reduce(commutator_witness(rep.word()))[1]
-            assert _scan_quotients(gamma, True, max_index=dv - 1).d_prim is None, rep.text()
+            assert "prim" not in _scan_quotients(gamma, ("prim",), max_index=dv - 1), rep.text()
             words += 1
     assert words == 779
 
@@ -391,23 +391,79 @@ def test_resource_guard_trips():
         index_report(CW("aabbaabAbb", 2), max_partitions=5)
 
 
+# search steps each entry point needs: (index_report and d_prim, d_simp)
+_STEPS_TO_FINISH = {
+    "aaaabaaaB": (56, 10),
+    "aabaabABB": (55, 55),
+    "aabbaabAbb": (13, 13),
+    "abAB": (12, 12),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_STEPS_TO_FINISH))
+def test_step_cap_trips_one_step_short(text):
+    w = CW(text, 2)
+    full, simp = _STEPS_TO_FINISH[text]
+    for fn, n in ((index_report, full), (d_prim, full), (d_simp, simp)):
+        with pytest.raises(ResourceGuardError):
+            fn(w, max_partitions=n - 1)
+        fn(w, max_partitions=n)
+
+
+def test_each_quotient_is_asked_only_what_is_still_open(monkeypatch):
+    # the indexes are minima over the same quotients with
+    # d_fill <= d_simp <= d_prim, so a scan stops asking about an index
+    # at the first k with a success for it, and never asks about one its
+    # caller did not name
+    level = [0]
+    calls: list[tuple[str, int]] = []
+    grow = index.quotients_with_vertices
+
+    def at_level(w, k, step):
+        level[0] = k
+        return grow(w, k, step)
+
+    monkeypatch.setattr(index, "quotients_with_vertices", at_level)
+    for name in ("is_primitive", "is_simple", "is_cover", "rauzy3_full"):
+        def spy(arg, name=name, fn=getattr(index, name)):
+            calls.append((name, level[0]))
+            return fn(arg)
+
+        monkeypatch.setattr(index, name, spy)
+    for text in ("aaaabaaaB", "aabaabABB", "aabbaabAbb", "abAB", "aabbabAB"):
+        w = CW(text, 2)
+        calls.clear()
+        d_prim(w)
+        assert {name for name, _ in calls} == {"is_primitive"}, text
+        calls.clear()
+        d_simp(w)
+        assert "is_primitive" not in {name for name, _ in calls}, text
+        calls.clear()
+        rep = index_report(w)
+        assert all(k <= rep.d_simp for name, k in calls if name == "is_simple"), text
+        assert all(k <= rep.d_fill_lower for name, k in calls if name == "rauzy3_full"), text
+        assert any(name == "is_simple" for name, _ in calls), text
+
+
 _INVARIANTS_UNDER_O = """
 from primindex.errors import InvalidInputError
 from primindex.graphs import AGraph
-from primindex.index import IndexReport, _quotient_predicates
+from primindex import index
+from primindex.index import IndexReport
 from primindex.words import CyclicWord
 
 if __debug__:
     raise SystemExit("assert statements are still live")
 w = CyclicWord.parse("ab", 2)
 try:
-    IndexReport(w, d_prim=1, d_simp=2, d_fill_lower=1, d_fill_upper=1, witnesses={})
+    IndexReport(w, d_prim=1, d_simp=2, d_fill_lower=1, witnesses={})
     raise SystemExit("out-of-order IndexReport accepted")
 except InvalidInputError:
     pass
 swap = AGraph(2, 2, 0, ((0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)))
+index.quotients_with_vertices = lambda w, k, step: iter([swap])
 try:
-    _quotient_predicates(swap, CyclicWord.parse("a", 2))
+    index._scan_quotients(CyclicWord.parse("a", 2), ("prim",))
     raise SystemExit("open trace accepted as a quotient loop")
 except InvalidInputError:
     pass

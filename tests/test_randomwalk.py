@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import primindex
 from primindex.errors import InvalidInputError
 from primindex.randomwalk import (
     WalkConfig,
@@ -115,3 +121,31 @@ def test_walk_config_validation():
         WalkConfig(1, 5, 0)
     with pytest.raises(InvalidInputError):
         WalkConfig(2, 0, 0)
+
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "walk_subword_statistics.py"
+
+
+def _run_script(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(primindex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, str(_SCRIPT), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_walk_statistics_script_smoke():
+    done = _run_script("--n", "300", "--samples", "50")
+    assert done.returncode == 0, done.stderr
+    assert any(line.startswith("worst deviation: ") for line in done.stdout.splitlines())
+
+
+@pytest.mark.parametrize("argv", [("--n", "1"), ("--samples", "0")])
+def test_walk_statistics_script_rejects_tiny_scales(argv):
+    done = _run_script(*argv)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "expected an integer >=" in done.stderr
