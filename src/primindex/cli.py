@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 import time
@@ -48,10 +49,17 @@ def _emit_json(manifest: dict, result) -> None:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Refuse an --out path whose directory does not exist before any
-    computation runs."""
-    if out and not Path(out).parent.is_dir():
-        raise InvalidInputError(f"cannot write {out}: no directory {Path(out).parent}")
+    """Refuse an --out path with no directory, that is a directory, or that
+    may not be written, before any computation runs; nothing is created."""
+    if not out:
+        return
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise InvalidInputError(f"cannot write {out}: no directory {path.parent}")
+    if path.is_dir():
+        raise InvalidInputError(f"cannot write {out}: is a directory")
+    if not os.access(path if path.exists() else path.parent, os.W_OK):
+        raise InvalidInputError(f"cannot write {out}: permission denied")
 
 
 def _write_out(out: str, payload: dict) -> None:

@@ -413,7 +413,7 @@ def cover_census(rank: int, degree: int) -> tuple[tuple[int, ...], ...]:
     filled; each table is relabeled to the lex-least tuple among its
     relabelings fixing the base, found by branch and bound rather than by
     trying all (degree-1)! of them, and the tuples are sorted, with no
-    dedup.  The numbering is generally not canonical_form's; witness words
+    dedup.  The numbering is generally not canonical_key's; witness words
     and `covers --json` depend on it.
     """
     if rank < 1 or degree < 1:
@@ -609,19 +609,17 @@ def _census_duals(
 
 # -- canonical forms -----------------------------------------------------------
 
-def canonical_form(g: AGraph) -> AGraph:
-    """Relabel vertices in the order spanning_data's breadth-first search
-    from the base finds them. Folded connected graphs only."""
-    label = [0] * g.num_vertices
-    for i, v in enumerate(spanning_data(g).order):
-        label[v] = i
-    edges = tuple(sorted((label[o], label[t], gen) for o, t, gen in g.edges))
-    return AGraph(g.rank, g.num_vertices, 0, edges)
+def _relabeled_key(rank: int, order: Sequence[int], edges) -> tuple:
+    """(rank, vertices, edges), each vertex renamed by its position in
+    order and the edges sorted: canonical_key's, and the quotient scan's."""
+    label = {v: i for i, v in enumerate(order)}
+    return rank, len(order), tuple(sorted([(label[o], label[t], gen) for o, t, gen in edges]))
 
 
 def canonical_key(g: AGraph) -> tuple:
-    c = canonical_form(g)
-    return (c.rank, c.num_vertices, c.edges)
+    """Key of g relabeled in the order spanning_data's breadth-first search
+    from the base finds the vertices. Folded connected graphs only."""
+    return _relabeled_key(g.rank, spanning_data(g).order, g.edges)
 
 
 # -- circle graphs and principal quotients -------------------------------------
@@ -678,16 +676,45 @@ def collapse_vertices(
     return AGraph(g.rank, len(blocks), vmap[g.base], edges), tuple(vmap)
 
 
+def _read_quotient(w: CyclicWord, out: dict, size: int) -> tuple:
+    """The folded graph with next-vertex table out[(vertex, letter)] on
+    vertices 0..size-1 as the quotient scan reads it, one pass each: (sorted
+    edges, vertices in spanning_data's order, w's dual word as
+    rewrite_loop_cyclic gives it, is a cover); w must be a loop at 0."""
+    edges = tuple(sorted([(v, t, x) for (v, x), t in out.items() if x > 0]))
+    order, tree = [0], set()  # tree: (origin, gen) of the spanning tree's edges
+    for v in order:  # the loop reads what it appends: a breadth-first search
+        for x in alphabet(w.rank):
+            if (t := out.get((v, x), 0)) not in order:
+                order.append(t)
+                tree.add((v, x) if x > 0 else (t, -x))
+    dual: dict[tuple[int, int], int] = {}  # (vertex, letter) -> signed dual letter
+    for o, t, x in edges:
+        if (o, x) not in tree:
+            y = len(dual) // 2 + 1
+            dual[o, x], dual[t, -x] = y, -y
+    ys, v = [], 0
+    for x in w.letters:
+        if (v, x) in dual:
+            ys.append(dual[v, x])
+        v = out.get((v, x), -1)  # -1 from the first missing edge on
+    if v:
+        raise InvalidInputError("w does not close at vertex 0 of the quotient")
+    cyc = cyclic_reduce(free_reduce(ys, len(dual) // 2))[1]
+    return edges, tuple(order), cyc, len(out) == 2 * w.rank * size
+
+
 def quotients_with_vertices(
     w: CyclicWord, k: int, on_step: Callable[[], None] | None = None
-) -> Iterator[AGraph]:
+) -> Iterator[tuple]:
     """The folded quotients of the circle graph of w with exactly k
     vertices, each once: trace w from vertex 0, following an edge already
     present (the graph stays folded), else branching over each vertex free
     for the inverse letter plus a new vertex while fewer than k exist; the
     last letter closes at 0.  Vertices are numbered in first-visit order
     along w and edges sorted, as fold_with_map numbers a collapse of
-    circle_graph(w).  on_step is called once per edge choice tried.
+    circle_graph(w).  Each is yielded as _read_quotient reads it off the
+    grower's table, with no graph built.  on_step is called per edge tried.
     """
     letters, n = w.letters, len(w)
     if n == 0:
@@ -703,11 +730,7 @@ def quotients_with_vertices(
             return _DEAD
         return v, letters[i], (0,) if i == n - 1 else range(size + (size < k)), (v, i)
 
-    def finish(out: dict, size: int) -> AGraph:
-        edges = sorted((v, t, x) for (v, x), t in out.items() if x > 0)
-        return AGraph(w.rank, size, 0, tuple(edges))
-
-    return _grow(hole, (0, 0), finish, on_step)
+    return _grow(hole, (0, 0), lambda out, size: _read_quotient(w, out, size), on_step)
 
 
 # -- spanning data and rewriting ------------------------------------------------

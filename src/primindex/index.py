@@ -12,22 +12,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
-from .graphs import (
-    AGraph,
-    _census_ends,
-    _census_table,
-    canonical_key,
-    graph_to_json,
-    is_cover,
-    path_terminus,
-    quotients_with_vertices,
-    rewrite_loop_cyclic,
-    spanning_data,
-    trace_path,
-)
+from .graphs import AGraph, _census_ends, _census_table, _relabeled_key, graph_to_json
+from .graphs import quotients_with_vertices
 # Unused here; perfbench/tracer.py patches these names on this module.
 from .graphs import collapse_vertices, fold_with_map, rewrite_loop  # noqa: F401
 from .graphs import cover_census, set_partitions_with_blocks  # noqa: F401
+from .graphs import canonical_key, is_cover, rewrite_loop_cyclic  # noqa: F401
+from .graphs import spanning_data, trace_path  # noqa: F401
 from .words import (
     CyclicWord,
     Word,
@@ -35,7 +26,7 @@ from .words import (
     cyclic_class_key,
     index_candidates_exact,
 )
-from .whitehead import is_primitive, is_simple, rauzy3_full
+from .whitehead import _uses_every_generator, descend, is_primitive, is_simple, rauzy3_full
 
 CERT_PRIMITIVE = "primitive-in-subgroup"
 CERT_SIMPLE = "simple-in-subgroup"
@@ -97,10 +88,12 @@ def _scan_quotients(
     At each k the quotients with exactly k vertices are grown directly by
     tracing w (quotients_with_vertices), so the first k with a success per
     index realizes its minimum; among the k-vertex successes the witness
-    is the one with the least canonical key.  Each quotient is asked only
-    about the indexes still open, and the scan stops once none is.
-    max_partitions caps the total number of search steps (edge choices
-    tried) over all k.
+    is the one with the least canonical key, and only it becomes a graph.
+    Each quotient is asked only about the indexes still open, and the scan
+    stops once none is.  A cover with simplicity or filling open descends
+    once; only a simple one can be primitive (dual rank >= 2), and it is
+    asked of its descended word, an automorphic image.  max_partitions
+    caps the total number of search steps (edge choices tried) over all k.
     """
     if len(w) == 0:
         raise InvalidInputError("index operations reject the trivial word")
@@ -108,41 +101,40 @@ def _scan_quotients(
     pending = list(wanted)
     steps = 0
 
-    def step() -> None:
+    def step() -> None:  # passed to the grower only under a cap
         nonlocal steps
         steps += 1
-        if max_partitions is not None and steps > max_partitions:
+        if steps > max_partitions:  # type: ignore[operator]
             raise ResourceGuardError(
                 f"principal-quotient scan exceeded {max_partitions} search steps"
             )
+
+    on_step = None if max_partitions is None else step
 
     k_cap = len(w) if max_index is None else min(len(w), max_index)
     for k in range(1, k_cap + 1):
         if not pending:
             break
         best: dict[str, tuple] = {}
-        for q in quotients_with_vertices(w, k, step):
-            loop = trace_path(q, q.base, w)
-            if path_terminus(q, loop) != q.base:
-                raise InvalidInputError("w does not close at the base of the quotient")
-            cyc = rewrite_loop_cyclic(q, spanning_data(q), loop)
-            hits = []
-            if "prim" in pending and is_primitive(cyc):
+        for edges, order, dual, cover in quotients_with_vertices(w, k, on_step):
+            # a quotient that is not a cover counts as simple; simple
+            # certifies non-filling
+            word, simple = dual, True
+            if cover and ("simp" in pending or "fill" in pending):
+                word = descend(dual)
+                simple = not _uses_every_generator(word)
+            hits = [(name, CERT_SIMPLE) for name in ("simp", "fill") if simple and name in pending]
+            if "prim" in pending and simple and is_primitive(word):
                 hits.append(("prim", CERT_PRIMITIVE))
-            if "simp" in pending or "fill" in pending:
-                # a quotient that is not a cover counts as simple; simple
-                # certifies non-filling
-                if not is_cover(q) or is_simple(cyc):
-                    hits += [(name, CERT_SIMPLE) for name in ("simp", "fill") if name in pending]
-                elif "fill" in pending and not rauzy3_full(cyc):
-                    hits.append(("fill", CERT_UNDETERMINED))
+            if not simple and "fill" in pending and not rauzy3_full(dual):
+                hits.append(("fill", CERT_UNDETERMINED))
             if hits:
-                key = canonical_key(q)
+                key = _relabeled_key(w.rank, order, edges)
                 for name, cert in hits:
                     if name not in best or key < best[name][0]:
-                        best[name] = (key, Witness(q, cert))
-        for name, (_, witness) in best.items():
-            found[name] = (k, witness)
+                        best[name] = (key, edges, cert)
+        for name, (_, edges, cert) in best.items():
+            found[name] = (k, Witness(AGraph(w.rank, k, 0, edges), cert))
             pending.remove(name)
     return found
 

@@ -338,12 +338,13 @@ def _uses_every_generator(cw: CyclicWord) -> bool:
     return len(set(map(abs, cw.letters))) == cw.rank
 
 
-def _descend(cw: CyclicWord) -> CyclicWord:
+def descend(cw: CyclicWord) -> CyclicWord:
     """Stallings' descent: apply _descent_step until cw omits a generator
     or its Whitehead graph is connected with no cut vertex.  A cyclically
     reduced word of rank >= 2 that uses every generator and stops there
     lies in no proper free factor (Whitehead 1936, Stallings 1999), so the
-    descent reaches a missing generator iff cw is simple."""
+    descent reaches a missing generator iff cw is simple; the word it
+    reaches is an automorphic image of cw, so it is primitive iff cw is."""
     while _uses_every_generator(cw) and (t := _descent_step(cw)) is not None:
         image = cyclic_reduce(_trusted(Word, apply_letters(t, cw.letters), cw.rank))[1]
         if len(image) >= len(cw):
@@ -375,17 +376,17 @@ def is_primitive(w: Word | CyclicWord) -> bool:
         cw = _in_used_generators(cw)
         if cw.rank == 1:
             return len(cw) == 1
-        cw = _descend(cw)
+        cw = descend(cw)
         if _uses_every_generator(cw):
             return False
 
 
 def is_simple(w: Word | CyclicWord) -> bool:
-    """Is w inside a proper free factor?  True iff its descent reaches a
-    word that omits a generator."""
+    """Is w inside a proper free factor?  True iff the descent of its
+    cyclic reduction reaches a word that omits a generator."""
     if not w.letters:
         raise InvalidInputError("the trivial word is not simple")
-    return not _uses_every_generator(_descend(cyclic_reduce(w)[1]))
+    return not _uses_every_generator(descend(cyclic_reduce(w)[1]))
 
 
 def has_cut_vertex(w: CyclicWord) -> bool:

@@ -350,18 +350,20 @@ def class_representatives(
     in display codes, so the prefixes of keys are grown letter by letter
     by the prenecklace rule of Fredricksen-Kessler-Maiorana (a code may not
     fall below the code one period back; Ruskey, Savage and Wang 1992),
-    starting at a and skipping free cancellations.  Only the necklaces
-    (Lyndon words when skip_powers) that are cyclically reduced reach
-    cyclic_class_key.
+    starting at a and skipping free cancellations.  A key's forced
+    relabeling is the identity, so its generators first appear positive and
+    in order: after `used` generators only codes below 2 used + 1 are tried.
+    Only the necklaces (Lyndon words when skip_powers) that are cyclically
+    reduced reach cyclic_class_key.
     """
     if n < 1 or rank < 1:
         raise InvalidInputError("need n >= 1 and rank >= 1")
     top = 2 * rank
     a = [0] * n
-    # (position t, period p of the prenecklace a[:t], least code to try at t)
-    stack = [(1, 1, 0)]
+    # (position t, period p of the prenecklace a[:t], least code at t, generators in a[:t])
+    stack = [(1, 1, 0, 1)]
     while stack:
-        t, p, c = stack.pop()
+        t, p, c, used = stack.pop()
         if t == n:
             necklace = p == n if skip_powers else n % p == 0
             if necklace and a[0] != a[-1] ^ 1:
@@ -372,10 +374,10 @@ def class_representatives(
         c = max(c, a[t - p])
         if c == a[t - 1] ^ 1:  # free cancellation
             c += 1
-        if c < top:
+        if c < min(top, 2 * used + 1):
             a[t] = c
-            stack.append((t, p, c + 1))
-            stack.append((t + 1, p if c == a[t - p] else t + 1, 0))
+            stack.append((t, p, c + 1, used))
+            stack.append((t + 1, p if c == a[t - p] else t + 1, 0, max(used, c // 2 + 1)))
 
 
 def index_candidates_exact(n: int, rank: int) -> Iterator[CyclicWord]:

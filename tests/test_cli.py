@@ -255,6 +255,18 @@ def test_out_path_without_directory_exit_2_before_computing(capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def test_out_path_that_is_a_directory_exit_2_before_computing(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "f_table", lambda *args, **kwargs: calls.append(args))
+    code, stdout, err = run_cli(capsys, ["table", "--rank", "2", "--nmax", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert calls == []
+    assert stdout == ""
+    assert err.splitlines()[0] == f"invalid input: cannot write {tmp_path}: is a directory"
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dot_path_that_is_a_file_exit_2(capsys, tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -15,9 +15,9 @@ from primindex.graphs import (
     _census_ends,
     _census_table,
     _grow,
+    _relabeled_key,
     alpha_path,
     beta_path,
-    canonical_form,
     canonical_key,
     circle_graph,
     collapse_vertices,
@@ -51,6 +51,7 @@ from primindex.words import (
     CyclicWord,
     Word,
     alphabet,
+    class_representatives,
     cyclic_class_key,
     cyclic_reduce,
     enumerate_cyclically_reduced,
@@ -146,8 +147,18 @@ def census_by_plain_min(rank, degree):
     return tuple(tuple(t for _, _, t in key) for key in keys)
 
 
+def canonical_form(g):
+    """g relabeled as its canonical_key orders the vertices."""
+    return AGraph(g.rank, g.num_vertices, 0, canonical_key(g)[2])
+
+
 def census_graphs(rank, degree):
     return [cover_graph(rank, perms) for perms in cover_census(rank, degree)]
+
+
+def quotient_graphs(w, k, on_step=None):
+    """The graphs of quotients_with_vertices(w, k), in its order."""
+    return [AGraph(w.rank, k, 0, edges) for edges, *_ in quotients_with_vertices(w, k, on_step)]
 
 
 def quotients_by_retracing(w, k, on_step):
@@ -568,7 +579,7 @@ def test_trace_errors_match_oracle_on_principal_quotients():
     for text, rank in (("aaabaBAbAB", 2), ("aabbcAbC", 3)):
         w = CW(text, rank)
         for k in range(1, len(w) + 1):
-            for q in quotients_with_vertices(w, k):
+            for q in quotient_graphs(w, k):
                 for u in _seeded_words(rank, rng, 4, 12) + [w.word()]:
                     for start in range(-1, q.num_vertices + 1):
                         try:
@@ -695,7 +706,7 @@ def test_principal_quotients_outputs_are_quotients():
 
 def _assert_generator_matches_oracle(w, ks):
     for k in ks:
-        grown = list(quotients_with_vertices(w, k))
+        grown = quotient_graphs(w, k)
         assert len(grown) == len(set(grown)), (w.text(), k)
         assert set(grown) == quotients_by_partitions(w, k), (w.text(), k)
 
@@ -749,10 +760,24 @@ def test_quotient_generator_matches_retracing_oracle_on_class_reps():
                 continue
             for k in range(1, n + 1):
                 steps, oracle_steps = [], []
-                grown = list(quotients_with_vertices(w, k, lambda: steps.append(1)))
+                grown = quotient_graphs(w, k, lambda: steps.append(1))
                 expected = list(quotients_by_retracing(w, k, lambda: oracle_steps.append(1)))
                 assert grown == expected, (w.text(), k)
                 assert len(steps) == len(oracle_steps), (w.text(), k)
+
+
+@pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 6)])
+def test_quotient_records_match_their_graphs(rank, n_max):
+    # each record hands over what the scan used to compute from its graph:
+    # the dual word of w's loop, the canonical key and the cover flag
+    for n in range(1, n_max + 1):
+        for w in class_representatives(n, rank, skip_powers=False):
+            for k in range(1, n + 1):
+                for edges, order, dual, cover in quotients_with_vertices(w, k):
+                    q = AGraph(rank, k, 0, edges)
+                    assert dual == rewrite_loop_cyclic(q, spanning_data(q), trace_path(q, 0, w))
+                    assert _relabeled_key(rank, order, edges) == canonical_key(q), (w.text(), k)
+                    assert cover == is_cover(q)
 
 
 def test_quotient_generator_rejects_empty_word_eagerly():

@@ -424,7 +424,7 @@ def test_each_quotient_is_asked_only_what_is_still_open(monkeypatch):
         return grow(w, k, step)
 
     monkeypatch.setattr(index, "quotients_with_vertices", at_level)
-    for name in ("is_primitive", "is_simple", "is_cover", "rauzy3_full"):
+    for name in ("is_primitive", "descend", "rauzy3_full"):
         def spy(arg, name=name, fn=getattr(index, name)):
             calls.append((name, level[0]))
             return fn(arg)
@@ -440,15 +440,15 @@ def test_each_quotient_is_asked_only_what_is_still_open(monkeypatch):
         assert "is_primitive" not in {name for name, _ in calls}, text
         calls.clear()
         rep = index_report(w)
-        assert all(k <= rep.d_simp for name, k in calls if name == "is_simple"), text
+        assert all(k <= rep.d_simp for name, k in calls if name == "descend"), text
+        assert all(k <= rep.d_prim for name, k in calls if name == "is_primitive"), text
         assert all(k <= rep.d_fill_lower for name, k in calls if name == "rauzy3_full"), text
-        assert any(name == "is_simple" for name, _ in calls), text
+        assert any(name == "descend" for name, _ in calls), text
 
 
 _INVARIANTS_UNDER_O = """
 from primindex.errors import InvalidInputError
-from primindex.graphs import AGraph
-from primindex import index
+from primindex.graphs import _read_quotient
 from primindex.index import IndexReport
 from primindex.words import CyclicWord
 
@@ -460,10 +460,10 @@ try:
     raise SystemExit("out-of-order IndexReport accepted")
 except InvalidInputError:
     pass
-swap = AGraph(2, 2, 0, ((0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2)))
-index.quotients_with_vertices = lambda w, k, step: iter([swap])
+# the next-vertex table of the two-vertex cover whose a-edges swap the vertices
+swap = {(0, 1): 1, (1, -1): 0, (1, 1): 0, (0, -1): 1, (0, 2): 0, (0, -2): 0, (1, 2): 1, (1, -2): 1}
 try:
-    index._scan_quotients(CyclicWord.parse("a", 2), ("prim",))
+    _read_quotient(CyclicWord.parse("a", 2), swap, 2)
     raise SystemExit("open trace accepted as a quotient loop")
 except InvalidInputError:
     pass
