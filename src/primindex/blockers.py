@@ -8,6 +8,7 @@ certified filling by the level-3 subword test).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +28,7 @@ from .graphs import (
     cover_census,
     cover_graph,
     is_cover,
+    out_map,
     path_contains,
     spanning_data,
     subgroup_count,
@@ -75,36 +77,60 @@ class BlockerReport:
         }
 
 
+def _vertex_map(moves: np.ndarray, letters: tuple[int, ...]) -> np.ndarray:
+    """Where the trace of the letters ends, from each vertex; moves[x][v]
+    is the terminus of the x-edge out of v.  The per-letter maps are
+    composed pairwise, level by level."""
+    d = moves.shape[1]
+    maps = moves[np.fromiter(letters, np.intp, len(letters))]
+    while len(maps) > 1:
+        half = len(maps) // 2
+        rows = np.arange(0, half * d, d)[:, None]  # row offsets into the flat odd maps
+        paired = maps[1 : 2 * half : 2].ravel()[maps[0 : 2 * half : 2] + rows]
+        maps = np.concatenate((paired, maps[2 * half :]))
+    return maps[0] if len(maps) else np.arange(d)
+
+
 def _pattern_covering_word(
     g: AGraph, sd: SpanningData, pattern: EdgePath
-) -> tuple[Word, tuple[int, ...]]:
-    """Word whose trace from every vertex (ascending id) runs through the
-    pattern loop: per vertex, steer into the pattern with a reduced
-    connector and append the pattern's label."""
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letters whose trace from every vertex (ascending id) runs through the
+    pattern loop, and the length of each vertex's piece: per vertex, steer
+    into the pattern with a reduced connector and append the pattern's label.
+
+    Every piece ends with the pattern's tail (its letters after the first),
+    so ends[v], where the trace of the pieces so far from v stops, follows
+    from the tail's vertex map and each new connector's; the trace's last
+    edge is the one labeled with the pattern's last letter into that end."""
     first_edge = pattern.edges[0]
     label: dict[int, int] = {}  # signed edge -> signed letter
-    for j, (_, _, gen) in enumerate(g.edges, 1):
+    # row x for letter x; the inverse letters' rows wrap around from the end
+    moves = np.empty((2 * g.rank + 1, g.num_vertices), dtype=np.intp)
+    for j, (o, t, gen) in enumerate(g.edges, 1):
         label[j], label[-j] = gen, -gen
+        moves[gen, o], moves[-gen, t] = t, o
     pattern_letters = tuple(map(label.__getitem__, pattern.edges))
+    tail = pattern_letters[1:]
+    tail_map = _vertex_map(moves, tail)
+    om = out_map(g)
+    into_base = tree_path(g, sd, 0, g.base)
+    if into_base:
+        head = into_base + connector_path(g, into_base[-1], first_edge).edges[1:]
+    else:
+        head = pattern.edges[:1]
+    ends = np.arange(g.num_vertices)
     pieces: list[tuple[int, ...]] = []
-    sofar: list[int] = []
     for i in range(g.num_vertices):
-        if i == 0:
-            into_base = tree_path(g, sd, 0, g.base)
-            if into_base:
-                q = connector_path(g, into_base[-1], first_edge)
-                edges = into_base + q.edges[1:] + pattern.edges[1:]
-            else:
-                edges = pattern.edges
-            piece = tuple(map(label.__getitem__, edges))
-        else:
-            traced = trace_path(g, i, tuple(sofar))
-            q = connector_path(g, traced.edges[-1], first_edge)
-            piece = tuple(map(label.__getitem__, q.edges[1:])) + pattern_letters[1:]
-        pieces.append(piece)
-        sofar.extend(piece)
-    word = Word(tuple(sofar), g.rank)
-    return word, tuple(len(p) for p in pieces)
+        if i:
+            last_edge = -om[int(ends[i]), -pattern_letters[-1]]
+            head = connector_path(g, last_edge, first_edge).edges[1:]
+        piece = tuple(map(label.__getitem__, head))
+        for x in piece:
+            ends = moves[x, ends]
+        ends = tail_map[ends]
+        pieces.append(piece + tail)
+    letters = tuple(itertools.chain.from_iterable(pieces))
+    return letters, tuple(map(len, pieces))
 
 
 def _blocker(
@@ -118,7 +144,8 @@ def _blocker(
         raise InvalidInputError(f"{caller} expects a connected cover")
     sd = spanning_data(g)
     pattern = pattern_fn(g, sd)
-    word, piece_lengths = _pattern_covering_word(g, sd, pattern)
+    letters, piece_lengths = _pattern_covering_word(g, sd, pattern)
+    word = Word(letters, g.rank)
     containment = tuple(
         path_contains(trace_path(g, x, word), pattern) for x in range(g.num_vertices)
     )
@@ -141,9 +168,10 @@ def forcing_word(g: AGraph) -> BlockerReport:
 
 def _forcing_letters(g: AGraph) -> tuple[int, ...]:
     """forcing_word(g).word.letters without the per-vertex containment
-    pass; the witness audit certifies the concatenation instead."""
+    pass and without a Word: the witness audit certifies the concatenation
+    instead, and its CyclicWord checks the letters of every block."""
     sd = spanning_data(g)
-    return _pattern_covering_word(g, sd, beta_path(g, sd))[0].letters
+    return _pattern_covering_word(g, sd, beta_path(g, sd))[0]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -263,7 +264,8 @@ def path_terminus(g: AGraph, p: EdgePath) -> int:
 
 
 def path_is_reduced(p: EdgePath) -> bool:
-    return all(a != -b for a, b in zip(p.edges, p.edges[1:]))
+    """No edge is followed by its inverse: no two neighbours sum to 0."""
+    return 0 not in map(operator.add, p.edges, p.edges[1:])
 
 
 def _edge_token_string(edges: Sequence[int]) -> str:
@@ -811,25 +813,30 @@ def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
 
 def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
     """The reduced base loop realizing a dual-basis word: complement edges
-    joined by tree paths."""
+    joined by tree paths.
+
+    The loop is cut into segments, one per pair (previous dual letter,
+    dual letter): the tree path from the previous complement edge's
+    terminus to this one's origin, then this edge.  The pair (0, y) starts
+    at the base and the pair (y, 0) only returns to it.  Each distinct
+    segment is built once and the segments are chained."""
     if len(u) == 0:
         raise InvalidInputError("need a nonempty dual word")
     if u.rank != sd.dual_rank:
         raise InvalidInputError("dual word rank does not match the complement")
-    edges: list[int] = []
-    joins: dict[tuple[int, int], tuple[int, ...]] = {}  # tree paths already built
-    v = g.base
-    for y in u.letters:
-        e = sd.complement[abs(y) - 1] * (1 if y > 0 else -1)
-        key = (v, g.origin(e))
-        join = joins.get(key)
-        if join is None:
-            join = joins[key] = tree_path(g, sd, *key)
-        edges.extend(join)
-        edges.append(e)
-        v = g.terminus(e)
-    edges.extend(tree_path(g, sd, v, g.base))
-    p = EdgePath(g.base, tuple(edges))
+    # dual letter -> (origin, terminus, its edge); 0 stays at the base
+    hops = {0: (g.base, g.base, ())}
+    for i, e in enumerate(sd.complement, 1):
+        o, t, _ = g.edges[e - 1]
+        hops[i], hops[-i] = (o, t, (e,)), (t, o, (-e,))
+    pairs = list(zip((0,) + u.letters, u.letters + (0,)))
+    segments = {
+        (x, y): tree_path(g, sd, hops[x][1], hops[y][0]) + hops[y][2]
+        for x, y in dict.fromkeys(pairs)
+    }
+    p = EdgePath(
+        g.base, tuple(itertools.chain.from_iterable(map(segments.__getitem__, pairs)))
+    )
     if not path_is_reduced(p):
         raise InvalidInputError("delta_path built a path that is not reduced")
     return p
@@ -852,9 +859,11 @@ def alpha_path(g: AGraph, sd: SpanningData) -> EdgePath:
     return delta_path(g, sd, _alpha_word(r))
 
 
+@lru_cache(maxsize=16)
 def universal_three_word(r: int) -> Word:
     """A freely reduced word over rank r containing every freely reduced
-    length-3 word as a factor; length <= 4L-1 for L = 2r(2r-1)^2."""
+    length-3 word as a factor; length <= 4L-1 for L = 2r(2r-1)^2.  Cached
+    by r: every cover of one dual rank shares the word."""
     if r < 2:
         raise UnsupportedInputError("need dual rank >= 2")
     triples = list(_reduced_tuples(3, r))

@@ -62,14 +62,12 @@ def sample_word(cfg: WalkConfig, with_stats: bool = True) -> WalkSample:
     rng = np.random.default_rng(cfg.seed)
     two_n = 2 * cfg.rank
     n = cfg.length
-    codes = np.empty(n, dtype=np.int64)
-    codes[0] = rng.integers(0, two_n)
-    draws = rng.integers(0, two_n - 1, size=n - 1) if n > 1 else []
-    for i in range(1, n):
-        forbidden = codes[i - 1] ^ 1
-        r = draws[i - 1]
-        codes[i] = r + (r >= forbidden)
-    word = Word(tuple(map(_letter, codes.tolist())), cfg.rank)
+    code = int(rng.integers(0, two_n))
+    codes = [code]
+    for r in rng.integers(0, two_n - 1, size=n - 1).tolist():  # Python ints
+        code = r + (r >= (code ^ 1))
+        codes.append(code)
+    word = Word(tuple(map(_letter, codes)), cfg.rank)
     stats = word_stats(word) if with_stats else WordStats(n, 0, {})
     return WalkSample(word=word, seed=cfg.seed, algorithm=RNG_ALGORITHM, stats=stats)
 

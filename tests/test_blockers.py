@@ -3,19 +3,27 @@ import time
 import pytest
 
 from primindex.blockers import (
+    _pattern_covering_word,
     blocking_word,
     forcing_word,
     witness_word,
 )
-from primindex.errors import ResourceGuardError
+from primindex.errors import InvalidInputError, ResourceGuardError
 from primindex.graphs import (
+    AGraph,
+    EdgePath,
+    _alpha_word,
     alpha_path,
+    beta_path,
+    connector_path,
     cover_census,
     cover_graph,
     path_contains,
+    path_is_reduced,
     rewrite_loop_cyclic,
     spanning_data,
     trace_path,
+    tree_path,
     universal_three_word,
 )
 from primindex.index import _scan_quotients
@@ -155,3 +163,84 @@ def test_witness_word_cap_is_checked_before_the_census_is_built():
     with pytest.raises(ResourceGuardError, match="exceeds cover cap 3995"):
         witness_word(6, 2, max_covers=3995)
     assert time.perf_counter() - start < 1.0
+
+
+# -- the blocks against per-letter oracles ---------------------------------------
+
+def _delta_path_oracle(g, sd, u):
+    """delta_path one dual letter at a time: each complement edge is joined
+    to the path so far by the tree path from where the path stands."""
+    edges = []
+    v = g.base
+    for y in u.letters:
+        e = sd.complement[abs(y) - 1] * (1 if y > 0 else -1)
+        edges.extend(tree_path(g, sd, v, g.origin(e)))
+        edges.append(e)
+        v = g.terminus(e)
+    edges.extend(tree_path(g, sd, v, g.base))
+    p = EdgePath(g.base, tuple(edges))
+    if not path_is_reduced(p):
+        raise InvalidInputError("delta_path built a path that is not reduced")
+    return p
+
+
+def _covering_word_oracle(g, sd, pattern):
+    """_pattern_covering_word by re-tracing the whole word so far from each
+    vertex to find the edge its connector starts from."""
+    first_edge = pattern.edges[0]
+    pattern_letters = tuple(map(g.label, pattern.edges))
+    pieces = []
+    sofar = []
+    for i in range(g.num_vertices):
+        if i == 0:
+            into_base = tree_path(g, sd, 0, g.base)
+            if into_base:
+                q = connector_path(g, into_base[-1], first_edge)
+                edges = into_base + q.edges[1:] + pattern.edges[1:]
+            else:
+                edges = pattern.edges
+            piece = tuple(map(g.label, edges))
+        else:
+            traced = trace_path(g, i, tuple(sofar))
+            q = connector_path(g, traced.edges[-1], first_edge)
+            piece = tuple(map(g.label, q.edges[1:])) + pattern_letters[1:]
+        pieces.append(piece)
+        sofar.extend(piece)
+    return tuple(sofar), tuple(len(p) for p in pieces)
+
+
+def _rotated(g):
+    """g with vertex v renamed v + 1 mod d, so the base is vertex 1."""
+    d = g.num_vertices
+    edges = tuple(((o + 1) % d, (t + 1) % d, x) for o, t, x in g.edges)
+    return AGraph(g.rank, d, (g.base + 1) % d, edges)
+
+
+def _oracle_covers():
+    """Every cover of rank 2 to degree 4 and of rank 3 to degree 3; those
+    of rank 2 and degree >= 2, and of rank 3 and degree 2, also with the
+    base moved off vertex 0, the only case with a tree path into it."""
+    for rank, top, rotate in ((2, 4, range(2, 5)), (3, 3, (2,))):
+        for d in range(1, top + 1):
+            for g in census_graphs(rank, d):
+                yield g
+                if d in rotate:
+                    yield _rotated(g)
+
+
+@pytest.mark.parametrize("pattern_fn, dual_word", [
+    (alpha_path, _alpha_word),
+    (beta_path, universal_three_word),
+])
+def test_blocks_match_per_letter_oracles(pattern_fn, dual_word):
+    covers = moved = 0
+    for g in _oracle_covers():
+        sd = spanning_data(g)
+        pattern = pattern_fn(g, sd)
+        assert pattern == _delta_path_oracle(g, sd, dual_word(sd.dual_rank))
+        got = _pattern_covering_word(g, sd, pattern)
+        assert got == _covering_word_oracle(g, sd, pattern)
+        assert sum(got[1]) == len(got[0])
+        covers += 1
+        moved += g.base != 0
+    assert (covers, moved) == (88 + 105 + 87 + 7, 87 + 7)

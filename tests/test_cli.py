@@ -175,13 +175,26 @@ def test_witness_command(capsys):
 WITNESS_3_2_SHA256 = "96ca9d5204e0bfb88fc5fbb851cba4d5508daa96917003b2b569c8e4d32c1630"
 
 
-def test_witness_degree_3_rank_2_result_is_pinned(capsys):
-    # z_3 over rank 2 and its audit of 17 covers, byte for byte
-    code, out, _ = run_cli(capsys, ["witness", "--degree", "3", "--rank", "2", "--json"])
+WITNESS_2_3_SHA256 = "180cb6680dcbefaf05448a939a4ba214064ced7ec1bd39a8a3da2094a369edf0"
+
+
+def _witness_sha256(capsys, degree: int, rank: int) -> str:
+    argv = ["witness", "--degree", str(degree), "--rank", str(rank), "--json"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     result = json.loads(out)["result"]
     text = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_3_2_SHA256
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_witness_degree_3_rank_2_result_is_pinned(capsys):
+    # z_3 over rank 2 and its audit of 17 covers, byte for byte
+    assert _witness_sha256(capsys, 3, 2) == WITNESS_3_2_SHA256
+
+
+def test_witness_degree_2_rank_3_result_is_pinned(capsys):
+    # z_2 over rank 3 and its audit of 8 covers, byte for byte
+    assert _witness_sha256(capsys, 2, 3) == WITNESS_2_3_SHA256
 
 
 @pytest.mark.parametrize("argv, sha256", [

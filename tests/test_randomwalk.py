@@ -16,7 +16,7 @@ from primindex.randomwalk import (
     subword_spectrum,
     trial_seed,
 )
-from primindex.words import cyclic_reduce
+from primindex.words import _letter, cyclic_reduce
 
 
 def test_sample_is_reduced_and_exact_length():
@@ -33,6 +33,30 @@ def test_seed_determinism_byte_exact():
     b = sample_word(cfg)
     assert a.word.text() == b.word.text()
     assert sample_word(WalkConfig(2, 2000, 8)).word.text() != a.word.text()
+
+
+def _numpy_scalar_codes(cfg):
+    """The letter codes as sample_word drew them one numpy scalar at a
+    time, kept as an oracle for the loop over Python ints."""
+    rng = np.random.default_rng(cfg.seed)
+    two_n = 2 * cfg.rank
+    n = cfg.length
+    codes = np.empty(n, dtype=np.int64)
+    codes[0] = rng.integers(0, two_n)
+    draws = rng.integers(0, two_n - 1, size=n - 1) if n > 1 else []
+    for i in range(1, n):
+        forbidden = codes[i - 1] ^ 1
+        r = draws[i - 1]
+        codes[i] = r + (r >= forbidden)
+    return tuple(map(_letter, codes.tolist()))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("length", [1, 2, 24, 1000])
+def test_sample_word_matches_numpy_scalar_loop(rank, length):
+    for seed in range(20):
+        cfg = WalkConfig(rank, length, seed)
+        assert sample_word(cfg, with_stats=False).word.letters == _numpy_scalar_codes(cfg)
 
 
 def test_first_letter_distribution_chi_square():
