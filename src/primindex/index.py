@@ -26,7 +26,8 @@ from .words import (
     cyclic_class_key,
     index_candidates_exact,
 )
-from .whitehead import _uses_every_generator, descend, is_primitive, is_simple, rauzy3_full
+from .whitehead import _has_lone_generator, _uses_every_generator, descend
+from .whitehead import is_primitive, is_simple, rauzy3_full
 
 CERT_PRIMITIVE = "primitive-in-subgroup"
 CERT_SIMPLE = "simple-in-subgroup"
@@ -91,9 +92,11 @@ def _scan_quotients(
     is the one with the least canonical key, and only it becomes a graph.
     Each quotient is asked only about the indexes still open, and the scan
     stops once none is.  A cover with simplicity or filling open descends
-    once; only a simple one can be primitive (dual rank >= 2), and it is
-    asked of its descended word, an automorphic image.  max_partitions
-    caps the total number of search steps (edge choices tried) over all k.
+    once, unless a generator occurs once in its dual word, which is then
+    primitive and so simple; only a simple one can be primitive (dual rank
+    >= 2), and it is asked of its descended word, an automorphic image.
+    max_partitions caps the total number of search steps (edge choices
+    tried) over all k.
     """
     if len(w) == 0:
         raise InvalidInputError("index operations reject the trivial word")
@@ -120,9 +123,12 @@ def _scan_quotients(
             # a quotient that is not a cover counts as simple; simple
             # certifies non-filling
             word, simple = dual, True
-            if cover and ("simp" in pending or "fill" in pending):
+            # the dual rank of a cover is >= 2 in rank >= 2, so a lone
+            # generator's primitive dual word is simple
+            open_simp = "simp" in pending or "fill" in pending
+            if cover and open_simp and not _has_lone_generator(dual.letters):
                 word = descend(dual)
-                simple = not _uses_every_generator(word)
+                simple = not _uses_every_generator(word.letters, word.rank)
             hits = [(name, CERT_SIMPLE) for name in ("simp", "fill") if simple and name in pending]
             if "prim" in pending and simple and is_primitive(word):
                 hits.append(("prim", CERT_PRIMITIVE))

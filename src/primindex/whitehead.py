@@ -17,11 +17,13 @@ from .words import (
     CyclicWord,
     Word,
     _letter,
+    _peel_length,
     _trusted,
     alphabet,
     count_reduced,
     cyclic_reduce,
     free_reduce,
+    letters_to_text,
     reduce_letters,
 )
 
@@ -83,20 +85,10 @@ class WhiteheadAut:
         a = self.multiplier
         if abs(x) == abs(a):  # type: ignore[arg-type]
             return (x,)
-        tag = self.tags[abs(x) - 1]  # type: ignore[index]
-        if tag == "id":
-            return (x,)
-        if x > 0:
-            if tag == "right":
-                return (x, a)  # type: ignore[return-value]
-            if tag == "left":
-                return (-a, x)  # type: ignore[return-value]
-            return (-a, x, a)  # type: ignore[return-value]
-        if tag == "right":
-            return (-a, x)  # type: ignore[return-value]
-        if tag == "left":
-            return (x, a)  # type: ignore[return-value]
-        return (-a, x, a)  # type: ignore[return-value]
+        # bit 0 of a tag's index puts the generator |x| in A, bit 1 its inverse
+        tag = TAGS.index(self.tags[abs(x) - 1])  # type: ignore[index]
+        bits = tag if x > 0 else _INVERSE_TAG[tag]
+        return _second_kind_image(x, a, bits)  # type: ignore[arg-type]
 
     def to_json(self) -> dict:
         if self.kind == "first":
@@ -106,6 +98,23 @@ class WhiteheadAut:
             "multiplier": self.multiplier,
             "actions": list(self.tags),  # type: ignore[arg-type]
         }
+
+
+_INVERSE_TAG = (0, 2, 1, 3)  # the A-bits of x^-1 from those of x: swap bits 0 and 1
+
+
+def _second_kind_image(y: int, a: int, bits: int) -> tuple[int, ...]:
+    """The image of a letter y other than a^+-1 under the second-kind
+    automorphism (A, a), where bit 0 of bits says y is in A and bit 1 that
+    y^-1 is: y -> (a^-1 if y^-1 in A) y (a if y in A).  Tags id, right,
+    left and conj give the bits 0, 1, 2 and 3 for a generator y."""
+    if bits == 0:
+        return (y,)
+    if bits == 1:
+        return (y, a)
+    if bits == 2:
+        return (-a, y)
+    return (-a, y, a)
 
 
 def identity_aut(rank: int) -> WhiteheadAut:
@@ -126,8 +135,9 @@ def apply(t: WhiteheadAut, w: Word) -> Word:
 
 def _second_kind(rank: int) -> Iterator[WhiteheadAut]:
     for a in alphabet(rank):
+        pairs = [h for h in range(1, rank + 1) if h != abs(a)]
         for i in range(1, 4 ** (rank - 1)):  # entry 0 is the identity
-            yield _second_kind_at(rank, a, i)
+            yield _second_kind_at(rank, a, i, pairs)
 
 
 def _first_kind_generators(rank: int) -> Iterator[WhiteheadAut]:
@@ -185,50 +195,54 @@ def _junction_ends(cw: CyclicWord) -> dict[int, int]:
 
 
 def _cuts(
-    ends: dict[int, int], g: int, rank: int
+    ends: dict[int, int], g: int, pairs: Sequence[int]
 ) -> Iterator[tuple[int, list[int]]]:
     """For the multipliers a = g, g^-1: cut(A) for each tag assignment of
-    the other pairs, in enumeration order; entry 0 is the identity.
+    the generator pairs in pairs (other pairs tagged id), in enumeration
+    order; entry 0 is the identity.
 
     A holds a, x for each pair tagged right or conj and x^-1 for each pair
     tagged left or conj; the automorphism changes the cyclic length of w by
     cut(A) - deg(a) (Lyndon-Schupp, ch. I.4)."""
     part = [0]
-    for h in range(1, rank + 1):
-        if h != g:
-            e, f = ends[h], ends[-h]
-            adds = (0, e, f, e ^ f)  # tags id, right, left, conj
-            part = [p ^ s for p in part for s in adds]
+    for h in pairs:
+        e, f = ends[h], ends[-h]
+        adds = (0, e, f, e ^ f)  # tags id, right, left, conj
+        part = [p ^ s for p in part for s in adds]
     for a in (g, -g):
         ea = ends[a]
         yield a, [(ea ^ p).bit_count() for p in part]
 
 
-def _second_kind_at(rank: int, a: int, i: int) -> WhiteheadAut:
-    """Entry i of _cuts for multiplier a: base-4 digits of i are the TAGS
-    indices of the other pairs, the first pair most significant."""
+def _second_kind_at(rank: int, a: int, i: int, pairs: Sequence[int]) -> WhiteheadAut:
+    """Entry i of _cuts for multiplier a over pairs: the base-4 digits of
+    i are the TAGS indices of those pairs, the first pair most significant;
+    every other pair is tagged id."""
     tags = ["id"] * rank
-    for h in range(rank, 0, -1):
-        if h != abs(a):
-            i, k = divmod(i, 4)
-            tags[h - 1] = TAGS[k]
+    for h in reversed(pairs):
+        i, k = divmod(i, 4)
+        tags[h - 1] = TAGS[k]
     return WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
 
 
 def _first_reducing(cw: CyclicWord) -> WhiteheadAut | None:
     """The first second-kind automorphism in enumeration order that shortens
     cw cyclically, scored by its Whitehead-graph cut; None if cw is
-    Whitehead minimal."""
+    Whitehead minimal.
+
+    Only the pairs of generators in cw are expanded: an absent pair has no
+    junctions, so its tag never changes a cut, and the first shortening
+    entry of the full enumeration tags it id."""
     rank = cw.rank
     ends = _junction_ends(cw)
-    for g in range(1, rank + 1):
+    present = [g for g in range(1, rank + 1) if ends[g]]
+    for g in present:
         d = ends[g].bit_count()
-        if not d:
-            continue  # a cut is never negative
-        for a, cuts in _cuts(ends, g, rank):
+        pairs = [h for h in present if h != g]
+        for a, cuts in _cuts(ends, g, pairs):
             if min(cuts) < d:
                 i = next(i for i, c in enumerate(cuts) if c < d)
-                return _second_kind_at(rank, a, i)
+                return _second_kind_at(rank, a, i, pairs)
     return None
 
 
@@ -281,14 +295,14 @@ def _conjugate(w: Word, u: Sequence[int]) -> Word:
     return free_reduce([-x for x in reversed(u)] + list(w.letters) + list(u), w.rank)
 
 
-def _whitehead_masks(cw: CyclicWord) -> list[int]:
-    """Whitehead graph of cw as 2N adjacency bitmasks over the display
-    codes 2(|x| - 1) + (x < 0) of the letters (so code ^ 1 is the inverse):
-    the cyclic junction y z gives the edge {y, z^-1}, which is never a loop.
-    Each distinct junction is read once; edge multiplicities are dropped."""
-    ls = cw.letters
-    adj = [0] * (2 * cw.rank)
-    for y, z in set(zip(ls, ls[1:] + ls[:1])):
+def _whitehead_masks(letters: tuple[int, ...], rank: int) -> list[int]:
+    """Whitehead graph of the cyclic word as 2N adjacency bitmasks over the
+    display codes 2(|x| - 1) + (x < 0) of the letters (so code ^ 1 is the
+    inverse): the cyclic junction y z gives the edge {y, z^-1}, which is
+    never a loop.  Each distinct junction is read once; edge multiplicities
+    are dropped."""
+    adj = [0] * (2 * rank)
+    for y, z in set(zip(letters, letters[1:] + letters[:1])):
         u = 2 * y - 2 if y > 0 else -2 * y - 1
         v = 2 * z - 1 if z > 0 else -2 * z - 2  # the code of z^-1
         adj[u] |= 1 << v
@@ -296,22 +310,23 @@ def _whitehead_masks(cw: CyclicWord) -> list[int]:
     return adj
 
 
-def _descent_step(cw: CyclicWord) -> WhiteheadAut | None:
-    """A Whitehead automorphism that shortens cw, which uses every
-    generator, or None when its Whitehead graph G is connected with no cut
+def _descent_step(letters: tuple[int, ...], rank: int) -> tuple[int, int] | None:
+    """A Whitehead automorphism (A, x) that shortens the cyclic word, which
+    uses every generator, as the code of x and the bitmask of A over the
+    letter codes; None when its Whitehead graph G is connected with no cut
     vertex.
 
     For each vertex x in code order, let R be the component of x^-1 in
     G - x.  If x has a neighbour outside R, the automorphism (A, x) with
     A = V - R (so x in A, x^-1 not in A) has cut(A) = edges(x, R) < deg(x),
-    so it shortens cw cyclically.  If G is connected, such an x is exactly
-    a cut vertex (every other component of G - x touches x).  If G is
-    disconnected, any x whose component misses x^-1 qualifies, with cut 0;
-    one exists, since a component closed under inversion would hold every
-    letter of cw.  If G is connected with no cut vertex, R = V - x for
-    every x and no step exists (Whitehead's cut-vertex lemma)."""
-    rank = cw.rank
-    adj = _whitehead_masks(cw)
+    so it shortens the word cyclically.  If G is connected, such an x is
+    exactly a cut vertex (every other component of G - x touches x).  If G
+    is disconnected, any x whose component misses x^-1 qualifies, with cut
+    0; one exists, since a component closed under inversion would hold
+    every letter of the word.  If G is connected with no cut vertex,
+    R = V - x for every x and no step exists (Whitehead's cut-vertex
+    lemma)."""
+    adj = _whitehead_masks(letters, rank)
     full = (1 << 2 * rank) - 1
     for x in range(2 * rank):
         rest = full ^ (1 << x)
@@ -325,17 +340,54 @@ def _descent_step(cw: CyclicWord) -> WhiteheadAut | None:
             frontier = grown & rest & ~seen
             seen |= frontier
         if adj[x] & ~seen:
-            a = _letter(x)
-            tags = ["id"] * rank
-            for h in range(1, rank + 1):
-                if h != abs(a):  # right if h is in A, left if h^-1 is, or both
-                    tags[h - 1] = TAGS[~seen >> (2 * h - 2) & 3]
-            return WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
+            return x, full & ~seen
     return None
 
 
-def _uses_every_generator(cw: CyclicWord) -> bool:
-    return len(set(map(abs, cw.letters))) == cw.rank
+def _apply_step(letters: tuple[int, ...], rank: int, x: int, in_a: int) -> tuple[int, ...]:
+    """The cyclically reduced image of a cyclic word under the step (A, x)
+    of _descent_step, A given as the bitmask in_a over the letter codes:
+    each letter's image is read from a table over the 2N letters, then
+    the image is freely reduced on a stack and trimmed to its cyclic core."""
+    a = _letter(x)
+    images = {}
+    for c in range(2 * rank):
+        y = _letter(c)
+        bits = 0 if c >> 1 == x >> 1 else (in_a >> c & 1) | (in_a >> (c ^ 1) & 1) << 1
+        images[y] = _second_kind_image(y, a, bits)
+    image = reduce_letters(itertools.chain.from_iterable(map(images.__getitem__, letters)))
+    k = _peel_length(image)
+    return image[k : len(image) - k]
+
+
+def _uses_every_generator(letters: tuple[int, ...], rank: int) -> bool:
+    return len(set(map(abs, letters))) == rank
+
+
+def _has_lone_generator(letters: tuple[int, ...]) -> bool:
+    """Does some generator occur exactly once (as itself or its inverse)?
+    Then the word is primitive: if x occurs once in w = x u, then
+    {w} and the basis without x form a basis (Nielsen; Lyndon-Schupp,
+    ch. I.2)."""
+    gens = list(map(abs, letters))
+    return 1 in map(gens.count, set(gens))
+
+
+def _descend(letters: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """descend on the letters of a cyclically reduced word, with no
+    automorphism or word object per step."""
+    while _uses_every_generator(letters, rank):
+        step = _descent_step(letters, rank)
+        if step is None:
+            break
+        image = _apply_step(letters, rank, *step)
+        if len(image) >= len(letters):
+            raise RuntimeError(
+                f"descent step (A={step[1]:b}, x={_letter(step[0])}) does not shorten "
+                f"{letters_to_text(letters, rank)}"
+            )
+        letters = image
+    return letters
 
 
 def descend(cw: CyclicWord) -> CyclicWord:
@@ -345,48 +397,53 @@ def descend(cw: CyclicWord) -> CyclicWord:
     lies in no proper free factor (Whitehead 1936, Stallings 1999), so the
     descent reaches a missing generator iff cw is simple; the word it
     reaches is an automorphic image of cw, so it is primitive iff cw is."""
-    while _uses_every_generator(cw) and (t := _descent_step(cw)) is not None:
-        image = cyclic_reduce(_trusted(Word, apply_letters(t, cw.letters), cw.rank))[1]
-        if len(image) >= len(cw):
-            raise RuntimeError(f"descent step {t} does not shorten {cw.text()}")
-        cw = image
-    return cw
+    letters = _descend(cw.letters, cw.rank)
+    return cw if letters is cw.letters else _trusted(CyclicWord, letters, cw.rank)
 
 
-def _in_used_generators(cw: CyclicWord) -> CyclicWord:
-    """cw renamed into the free factor of the generators it uses, which
-    become the first ones in their order."""
-    used = sorted(set(map(abs, cw.letters)))
-    if len(used) == cw.rank:
-        return cw
+def _in_used_generators(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The letters renamed into the free factor of the generators they use,
+    which become the first ones in their order, and that factor's rank."""
+    used = sorted(set(map(abs, letters)))
+    if used[-1] == len(used):  # already the first generators
+        return letters, len(used)
     new = {g: i for i, g in enumerate(used, start=1)}
-    letters = tuple([new[x] if x > 0 else -new[-x] for x in cw.letters])
-    return _trusted(CyclicWord, letters, len(used))
+    return tuple([new[x] if x > 0 else -new[-x] for x in letters]), len(used)
 
 
 def is_primitive(w: Word | CyclicWord) -> bool:
     """Is w part of some free basis?  Primitivity in F_N is primitivity in
     the free factor of the generators w uses, so w is renamed into that
     factor and descends there, again after each descent that drops a
-    generator; w is primitive iff it ends as one letter in rank 1."""
+    generator.  A word in which some generator occurs once is primitive
+    (Nielsen's lemma; Lyndon-Schupp, ch. I.2), which is checked after
+    each renaming; in rank 1 that is the whole answer."""
     if not w.letters:
         raise InvalidInputError("the trivial word is not primitive")
-    cw = cyclic_reduce(w)[1]
+    letters = cyclic_reduce(w)[1].letters
     while True:
-        cw = _in_used_generators(cw)
-        if cw.rank == 1:
-            return len(cw) == 1
-        cw = descend(cw)
-        if _uses_every_generator(cw):
+        letters, rank = _in_used_generators(letters)
+        if _has_lone_generator(letters):
+            return True
+        if rank == 1:
+            return False
+        letters = _descend(letters, rank)
+        if _uses_every_generator(letters, rank):
             return False
 
 
 def is_simple(w: Word | CyclicWord) -> bool:
-    """Is w inside a proper free factor?  True iff the descent of its
-    cyclic reduction reaches a word that omits a generator."""
+    """Is w inside a proper free factor?  In rank >= 2 a word in which some
+    generator occurs once is primitive (Nielsen's lemma; Lyndon-Schupp,
+    ch. I.2), so simple; otherwise w is simple iff the descent of its
+    cyclic reduction reaches a word that omits a generator.  F_1 has no
+    simple element."""
     if not w.letters:
         raise InvalidInputError("the trivial word is not simple")
-    return not _uses_every_generator(descend(cyclic_reduce(w)[1]))
+    cw = cyclic_reduce(w)[1]
+    if w.rank >= 2 and _has_lone_generator(cw.letters):
+        return True
+    return not _uses_every_generator(_descend(cw.letters, w.rank), w.rank)
 
 
 def has_cut_vertex(w: CyclicWord) -> bool:
@@ -397,7 +454,8 @@ def has_cut_vertex(w: CyclicWord) -> bool:
     descent step exists."""
     if len(w) == 0:
         raise InvalidInputError("need a nonempty cyclic word")
-    return not _uses_every_generator(w) or _descent_step(w) is not None
+    ls = w.letters
+    return not _uses_every_generator(ls, w.rank) or _descent_step(ls, w.rank) is not None
 
 
 def _cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:

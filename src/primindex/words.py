@@ -103,7 +103,7 @@ def text_to_letters(text: str, rank: int) -> list[int]:
     return out
 
 
-def reduce_letters(raw: Sequence[int]) -> tuple[int, ...]:
+def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
     """Stack-based free reduction of a raw letter sequence."""
     stack: list[int] = []
     for x in raw:
@@ -214,10 +214,18 @@ def cyclic_reduce(w: Word | CyclicWord) -> tuple[Word, CyclicWord]:
     Returns (conjugator c, core).  The empty word yields two empties.
     """
     ls, n = w.letters, len(w.letters)
+    k = _peel_length(ls)
+    return _trusted(Word, ls[:k], w.rank), _trusted(CyclicWord, ls[k : n - k], w.rank)
+
+
+def _peel_length(ls: Sequence[int]) -> int:
+    """The length k of the conjugator c in ls = c · core · c^-1, for
+    freely reduced letters ls with core cyclically reduced."""
+    n = len(ls)
     k = 0
     while n - 2 * k >= 2 and ls[k] == -ls[n - 1 - k]:
         k += 1
-    return _trusted(Word, ls[:k], w.rank), _trusted(CyclicWord, ls[k : n - k], w.rank)
+    return k
 
 
 def iota_length(w: Word) -> int:

@@ -40,8 +40,10 @@ from primindex.graphs import (
 )
 from primindex.randomwalk import WalkConfig, sample_word
 from primindex.whitehead import (
+    WhiteheadAut,
     apply_letters,
     enumerate_whitehead,
+    has_cut_vertex,
     is_primitive,
     is_simple,
     minimize,
@@ -274,6 +276,34 @@ def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
     assert built == [1]
     built.clear()
     assert [scan() for scan in scans] == warm
+    assert built == []
+
+
+def test_predicates_build_no_whitehead_automorphism(monkeypatch):
+    # the descent applies each step through a letter table over the 2N
+    # letters; no WhiteheadAut is built on the predicate path
+    w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3), with_stats=False).word)[1]
+    words = [CW(t, r) for t, r in (("aabb", 2), ("abAB", 2), ("aabAbb", 2), ("abcABC", 3))]
+    words += [CW("aaabaBAbAB", 2), CW("aabbccabc", 3), w]
+    calls = (
+        lambda: [(is_primitive(u), is_simple(u), has_cut_vertex(u)) for u in words],
+        lambda: _scan_quotients(CW("aaabaBAbAB", 2), ("prim", "simp", "fill")),
+        lambda: _scan_quotients(CW("aabaabABB", 2), ("simp",)),
+        lambda: d_simp_census(w, 5),
+    )
+    warm = [call() for call in calls]
+    built = []
+    post_init = WhiteheadAut.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(WhiteheadAut, "__post_init__", counting)
+    WhiteheadAut(2, "first", perm=(1, 2))  # the spy sees constructions
+    assert built == ["first"]
+    built.clear()
+    assert [call() for call in calls] == warm
     assert built == []
 
 

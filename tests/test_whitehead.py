@@ -1,6 +1,11 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +16,11 @@ from primindex.errors import InvalidInputError
 from primindex.whitehead import (
     TAGS,
     WhiteheadAut,
+    _apply_step,
     _cuts,
     _cyclic_triples,
     _descent_step,
+    _has_lone_generator,
     _junction_ends,
     _second_kind_at,
     apply,
@@ -32,6 +39,7 @@ from primindex.whitehead import (
 from primindex.words import (
     CyclicWord,
     Word,
+    _letter,
     alphabet,
     cyclic_reduce,
     enumerate_cyclically_reduced,
@@ -151,9 +159,10 @@ def cut_scores(cw):
     ends = _junction_ends(cw)
     for g in range(1, cw.rank + 1):
         d = ends[g].bit_count()
-        for a, cuts in _cuts(ends, g, cw.rank):
+        pairs = [h for h in range(1, cw.rank + 1) if h != g]
+        for a, cuts in _cuts(ends, g, pairs):
             for i, c in enumerate(cuts[1:], start=1):
-                yield _second_kind_at(cw.rank, a, i), c - d
+                yield _second_kind_at(cw.rank, a, i, pairs), c - d
 
 
 def second_kind_by_product(rank):
@@ -202,6 +211,62 @@ def test_minimize_matches_application_oracle_on_random_words(rank, count):
     for _ in range(count):
         cw = random_cyclic_word(rank, 20, rng)
         assert minimize(cw) == minimize_by_application(cw), cw.text()
+
+
+def omitting_word(rank, rng):
+    """A random cyclic word of length 1 to 12 over a random proper subset
+    of the generators, the others absent."""
+    used = rng.sample(range(1, rank + 1), rng.randrange(1, rank))
+    letters = [x for g in used for x in (g, -g)]
+    while True:
+        raw = [rng.choice(letters) for _ in range(rng.randrange(1, 13))]
+        cw = cyclic_reduce(free_reduce(raw, rank))[1]
+        if len(cw):
+            return cw
+
+
+@pytest.mark.parametrize("rank, count", [(3, 40), (4, 12), (5, 4), (6, 2)])
+def test_minimize_matches_application_oracle_on_words_omitting_generators(rank, count):
+    # only the pairs of generators present are expanded; the first reducing
+    # automorphism of the full enumeration tags every absent pair id
+    rng = random.Random(100 + rank)
+    for _ in range(count):
+        cw = omitting_word(rank, rng)
+        assert minimize(cw) == minimize_by_application(cw), cw.text()
+
+
+_MINIMIZE_RANK_27 = """
+import time
+from primindex.whitehead import minimize, replay_trace
+from primindex.words import Word
+
+w = Word((1, 2), 27)
+start = time.perf_counter()
+m, trace = minimize(w)
+assert time.perf_counter() - start < 1, "minimize(ab) at rank 27 took 1 s or more"
+assert len(m) == 1 and len(trace) == 1
+assert all(tag == "id" for h, tag in enumerate(trace[0].tags, start=1) if h > 2)
+assert replay_trace(w, trace).letters == m.letters
+"""
+
+
+def test_minimize_of_a_word_omitting_most_generators_is_fast():
+    # expanding the tag choices of the 25 absent pairs as well needs 4^25
+    # cuts per multiplier; the child runs under a 1 GB address-space limit
+    # so that such a regression fails here instead of exhausting memory
+    src = str(Path(whitehead.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", _MINIMIZE_RANK_27],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_minimize_examples():
@@ -321,6 +386,13 @@ def test_simple_examples():
     assert not is_simple(W("aabb", 2))
 
 
+def test_rank_1_letter_is_primitive_but_not_simple():
+    # F_1 has no simple element, though a occurs once in a
+    assert _has_lone_generator((1,))
+    assert is_primitive(W("a", 1)) and not is_simple(W("a", 1))
+    assert not is_primitive(W("aa", 1)) and not is_simple(W("aa", 1))
+
+
 def minimal_form_facts(w):
     """Test-local oracle for the predicates, read from minimize's minimal
     form: (one letter, omits a generator)."""
@@ -333,6 +405,20 @@ def test_predicates_match_minimization_oracle_exhaustively(rank, max_len):
     for n in range(1, max_len + 1):
         for cw in enumerate_cyclically_reduced(n, rank):
             assert (is_primitive(cw), is_simple(cw)) == minimal_form_facts(cw), cw.text()
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 8), (3, 6)])
+def test_lone_generator_certifies_primitivity_exhaustively(rank, max_len):
+    # Nielsen's lemma: a word in which some generator occurs once is primitive
+    certified = 0
+    for n in range(1, max_len + 1):
+        for cw in enumerate_cyclically_reduced(n, rank):
+            gens = [abs(x) for x in cw.letters]
+            assert _has_lone_generator(cw.letters) == (1 in map(gens.count, gens)), cw.text()
+            if _has_lone_generator(cw.letters):
+                assert minimal_form_facts(cw) == (True, rank > 1), cw.text()
+                certified += 1
+    assert certified > 100
 
 
 def seeded_oracle_words(rank, rng):
@@ -386,13 +472,59 @@ def whitehead_graph_oracle(cw):
     return connected(vertices), len(vertices) > 2 and cut
 
 
+def step_aut(step, rank):
+    """The Whitehead automorphism (A, x) of a descent step (code of x,
+    bitmask of A over the letter codes), tagged by TAGS' rule."""
+    x, in_a = step
+    a = _letter(x)
+    tags = ["id"] * rank
+    for h in range(1, rank + 1):
+        if h != abs(a):  # right if h is in A, left if h^-1 is, conj if both
+            tags[h - 1] = TAGS[in_a >> (2 * h - 2) & 3]
+    return WhiteheadAut(rank, "second", multiplier=a, tags=tuple(tags))
+
+
 def check_descent_step(cw):
-    t = _descent_step(cw)
+    step = _descent_step(cw.letters, cw.rank)
     connected, cut = whitehead_graph_oracle(cw)
-    assert (t is None) == (connected and not cut), cw.text()
-    if t is not None:
+    assert (step is None) == (connected and not cut), cw.text()
+    if step is not None:
+        t = step_aut(step, cw.rank)
         image = cyclic_reduce(Word(apply_letters(t, cw.letters), cw.rank))[1]
         assert len(image) < len(cw), (cw.text(), t)
+
+
+def check_step_image(cw):
+    """The descent's letter-table image equals the cyclic reduction of the
+    image under the automorphism built from the step."""
+    step = _descent_step(cw.letters, cw.rank)
+    if step is not None:
+        t = step_aut(step, cw.rank)
+        expected = cyclic_reduce(Word(apply_letters(t, cw.letters), cw.rank))[1]
+        assert _apply_step(cw.letters, cw.rank, *step) == expected.letters, (cw.text(), t)
+    return step is not None
+
+
+@pytest.mark.parametrize("rank, max_len", [(2, 7), (3, 5)])
+def test_descent_step_images_match_the_automorphism_exhaustively(rank, max_len):
+    steps = 0
+    for n in range(1, max_len + 1):
+        for cw in enumerate_cyclically_reduced(n, rank):
+            if len({abs(x) for x in cw.letters}) == rank:
+                steps += check_step_image(cw)
+    assert steps > 100
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_descent_step_images_match_the_automorphism(rank, data):
+    cw = data.draw(cyclic_words_of_rank(rank, 40))
+    auts = st.sampled_from(enumerate_whitehead(rank))
+    moved = replay_oracle(cw.word(), data.draw(st.lists(auts, max_size=4)))
+    for w in (cw, cyclic_reduce(moved)[1]):
+        if len({abs(x) for x in w.letters}) == rank:
+            check_step_image(w)
 
 
 @pytest.mark.parametrize("rank, max_len", [(1, 4), (2, 7), (3, 5)])
@@ -416,8 +548,13 @@ def test_descent_steps_shorten_and_exist_iff_cut_vertex(rank, data):
 
 
 def test_descent_raises_when_a_step_does_not_shorten(monkeypatch):
-    # conjugation keeps the cyclic length, so it must not pass for a step
-    monkeypatch.setattr(whitehead, "_descent_step", lambda cw: conjugation_by(1, cw.rank))
+    # (A, a) with A every letter but a^-1 is conjugation by a, which keeps
+    # the cyclic length, so it must not pass for a step
+    def conjugation_step(letters, rank):
+        return 0, ((1 << 2 * rank) - 1) & ~0b10
+
+    assert step_aut(conjugation_step((), 2), 2) == conjugation_by(1, 2)
+    monkeypatch.setattr(whitehead, "_descent_step", conjugation_step)
     with pytest.raises(RuntimeError, match="does not shorten"):
         is_simple(W("aabb", 2))
 
