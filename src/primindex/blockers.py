@@ -21,7 +21,6 @@ from .graphs import (
     EdgePath,
     SpanningData,
     _census_duals,
-    _census_ends,
     alpha_path,
     beta_path,
     connector_path,
@@ -240,22 +239,25 @@ def witness_word(
             f"census of degree <= {d} exceeds cover cap {max_covers}"
         )
     census = [perms for deg in range(1, d + 1) for perms in cover_census(rank, deg)]
-    blocks = [_forcing_letters(cover_graph(rank, perms)) for perms in census]
-    letters: list[int] = list(blocks[0])
-    for block in blocks[1:]:
-        letters.extend(_separator(letters[-1], block[0], rank))
+    letters: list[int] = []
+    for perms in census:
+        block = _forcing_letters(cover_graph(rank, perms))
+        letters.extend(_separator(letters[-1], block[0], rank) if letters else ())
         letters.extend(block)
     letters.extend(_separator(letters[-1], letters[0], rank))
     z = CyclicWord(tuple(letters), rank)
+    del letters  # the audit reads z alone, and the list is as large as its tuple
 
     entries = []
     degrees = range(1, d + 1)
-    for deg, ends in zip(degrees, _census_ends(rank, degrees, z.letters)):
+    all_ends, duals = _census_duals(rank, degrees, z.letters)
+    for deg, ends in zip(degrees, all_ends):
         closing = np.flatnonzero(ends == 0).tolist()
         dual_rank = deg * (rank - 1) + 1  # Schreier's index formula
+        # zip draws on closing first, so each degree takes only its own words
         certs = {
             i: CERT_RAUZY if rauzy3_array(u, dual_rank) else CERT_UNDETERMINED
-            for i, u in zip(closing, _census_duals(rank, deg, closing, z.letters))
+            for i, u in zip(closing, duals)
         }
         entries.extend(AuditEntry(deg, i, i in certs, certs.get(i)) for i in range(len(ends)))
     audit = WitnessAudit(d, rank, len(census), tuple(entries))

@@ -466,7 +466,7 @@ def subgroup_count(rank: int, degree: int) -> int:
 
 # -- batch walks over the census ----------------------------------------------
 
-_WALK_CHUNK = 8  # closing covers whose dual words are filled in together
+_WALK_CHUNK = 4  # closing covers whose dual words are read together
 
 
 @lru_cache(maxsize=None)
@@ -528,85 +528,85 @@ def _census_table(rank: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return nxt.view(), dual.view()
 
 
-def _census_ends(
-    rank: int, degrees: Sequence[int], letters: Sequence[int]
-) -> list[np.ndarray]:
+def _census_walk(
+    rank: int, degrees: Sequence[int], letters: Sequence[int], stops: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray], tuple[np.ndarray, ...]]:
     """Per listed degree, the vertex where each cover's path from the base
-    reading letters ends (0: the word closes).  The covers of all listed
-    degrees walk together, one gather per letter over their states."""
-    tables = [_census_table(rank, d)[0] for d in degrees]
-    offsets = list(itertools.accumulate((t.shape[1] for t in tables), initial=0))
-    nxt = tables[0] if len(tables) == 1 else np.concatenate(
-        [t + o for t, o in zip(tables, offsets)], axis=1
-    )
-    starts = np.concatenate(
-        [np.arange(o, o + t.shape[1], d) for t, o, d in zip(tables, offsets, degrees)]
-    )
-    rows = list(nxt)
-    state = starts
-    for x in letters:
-        state = rows[x + rank][state]
-    ends = state - starts
-    bounds = list(itertools.accumulate((t.shape[1] // d for t, d in zip(tables, degrees)), initial=0))
-    return [ends[a:b] for a, b in zip(bounds, bounds[1:])]
+    reading letters ends (0: the word closes); every cover's state after
+    letters[:k] for each k in the ascending stops, all below len(letters);
+    and the (nxt, dual, base state) tables of _census_table side by side,
+    each shifted by the widths before it.  One gather per letter."""
+    tables = [_census_table(rank, d) for d in degrees]
+    offsets = list(itertools.accumulate((t.shape[1] for t, _ in tables), initial=0))
+    if len(tables) > 1:
+        nxt = np.hstack([t + o for (t, _), o in zip(tables, offsets)])
+        tables = [(nxt, np.hstack([u for _, u in tables]))]
+    ((nxt, dual),) = tables
+    bases = np.concatenate([np.arange(a, b, d) for a, b, d in zip(offsets, offsets[1:], degrees)])
+    state = bases
+    rows, it, done, states = list(nxt), iter(letters), 0, []
+    for stop in (*stops, len(letters)):
+        for x in itertools.islice(it, stop - done):
+            state = rows[x + rank][state]
+        states.append(state)
+        done = stop
+    ends = states.pop() - bases
+    covers = ((b - a) // d for a, b, d in zip(offsets, offsets[1:], degrees))
+    bounds = list(itertools.accumulate(covers, initial=0))
+    return [ends[a:b] for a, b in zip(bounds, bounds[1:])], states, (nxt, dual, bases)
+
+
+def _census_ends(rank: int, degrees: Sequence[int], letters: Sequence[int]) -> list[np.ndarray]:
+    """_census_walk's ends alone: the closing test, with no stops."""
+    return _census_walk(rank, degrees, letters, ())[0]
 
 
 def _census_duals(
-    rank: int, degree: int, covers: Sequence[int], letters: Sequence[int]
-) -> Iterator[np.ndarray]:
-    """For each listed cover of cover_census(rank, degree), in order, whose
-    path from the base reading letters closes: the cyclically reduced dual
-    word of that loop (rewrite_loop_cyclic's letters) as a signed array,
+    rank: int, degrees: Sequence[int], letters: Sequence[int]
+) -> tuple[list[np.ndarray], Iterator[np.ndarray]]:
+    """_census_ends(rank, degrees, letters), and for each cover that
+    closes, degree by degree in census order, the cyclically reduced dual
+    word of its loop (rewrite_loop_cyclic's letters) as a signed array,
     read from _census_table's dual letters; no graph is built.
 
-    The word is cut into blocks of about sqrt(len) letters.  Per chunk of
-    covers, every block's vertex map takes one gather per letter position
-    for all blocks at once, the maps are composed once per block to give
-    each block's first vertex, and the vertices inside every block then
-    follow, each with one more gather through the signed dual-letter table
-    (0 on tree edges).  A reduced word traces a reduced path, whose dual
-    word is freely reduced; that is checked, not assumed."""
-    nxt, dual_table = _census_table(rank, degree)
+    The closing test's walk keeps every cover's state at the start of each
+    block of about sqrt(len) letters.  Per chunk of closing covers, each
+    position in a block then takes one gather through the dual-letter
+    table (0 on tree edges) and one through the permutation table, for all
+    blocks at once.  That the walk from the last block start ends at the
+    base, and that the dual word is freely reduced, are checked."""
     n = len(letters)
     block = math.isqrt(n - 1) + 1 if n else 1
     blocks = -(-n // block)
+    ends, firsts, (nxt, dual, bases) = _census_walk(rank, degrees, letters, range(0, n, block))
+    firsts = np.array(firsts, dtype=np.intp).reshape(blocks, len(bases))
+    closing = np.flatnonzero(np.concatenate(ends) == 0)
     # letter + rank, the last block padded with letter 0 (the identity row)
-    codes = np.full(blocks * block, rank, dtype=np.min_scalar_type(-2 * rank))
-    codes[:n] = np.fromiter(letters, dtype=codes.dtype, count=n)
-    codes[:n] += rank
-    codes = codes.reshape(blocks, block)
-    for lo in range(0, len(covers), _WALK_CHUNK):
-        chunk = np.asarray(covers[lo : lo + _WALK_CHUNK], dtype=np.intp)
-        m, width = len(chunk), len(chunk) * degree
-        # the chunk's own table, states renumbered k * degree + j
-        cols = (chunk[:, None] * degree + np.arange(degree)).ravel()
-        step = (nxt[:, cols] - (cols - np.arange(width))).ravel()
-        dual = dual_table[:, cols].ravel()
-        maps = np.tile(np.arange(width, dtype=np.intp), (blocks, 1))
-        for t in range(block):
-            maps = step.take(codes[:, t, None].astype(np.intp) * width + maps)
-        base = np.arange(0, width, degree, dtype=np.intp)
-        firsts = np.empty((m, blocks), dtype=np.intp)
-        state = base
-        for j in range(blocks):
-            firsts[:, j] = state
-            state = maps[j][state]
-        if not np.array_equal(state, base):
-            raise InvalidInputError("_census_duals expects covers that close the word")
-        words = np.empty((m, blocks, block), dtype=dual.dtype)
-        state = firsts
-        for t in range(block):
-            at = codes[:, t].astype(np.intp) * width + state
-            words[:, :, t] = dual.take(at)
-            state = step.take(at)
-        for row in words.reshape(m, -1):
-            u = row[row != 0]
-            if np.any(u[1:] == -u[:-1]):
-                raise InvalidInputError("dual word of a traced loop is not freely reduced")
-            half = len(u) // 2
-            cancel = u[:half] != -u[::-1][:half]
-            k = int(cancel.argmax()) if cancel.any() else half
-            yield u[k : len(u) - k]
+    codes = np.full((blocks, block), rank, dtype=np.min_scalar_type(-2 * rank))
+    codes.flat[:n] = np.fromiter(letters, dtype=codes.dtype, count=n) + rank
+    width, step, dual = nxt.shape[1], nxt.ravel(), dual.ravel()
+
+    def read() -> Iterator[np.ndarray]:
+        for lo in range(0, len(closing), _WALK_CHUNK):
+            chunk = closing[lo : lo + _WALK_CHUNK]
+            words = np.empty((len(chunk), blocks, block), dtype=dual.dtype)
+            state = firsts[:, chunk].T
+            for t in range(block):
+                at = codes[:, t].astype(np.intp) * width + state
+                words[:, :, t] = dual.take(at)
+                state = step.take(at)
+            if blocks and not np.array_equal(state[:, -1], bases[chunk]):
+                raise InvalidInputError("_census_duals expects covers that close the word")
+            for row in words.reshape(len(chunk), -1):
+                u = row[row != 0]
+                if np.any(u[1:] == -u[:-1]):
+                    raise InvalidInputError("dual word of a traced loop is not freely reduced")
+                half = len(u) // 2
+                cancel = u[:half] != -u[::-1][:half]
+                k = int(cancel.argmax()) if cancel.any() else half
+                yield u[k : len(u) - k]
+
+    return ends, read()
 
 
 # -- canonical forms -----------------------------------------------------------

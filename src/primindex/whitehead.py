@@ -270,7 +270,10 @@ def minimize(w: Word | CyclicWord) -> tuple[CyclicWord, list[WhiteheadAut]]:
     while (t := _first_reducing(cw)) is not None:
         trace.append(t)
         # the image of a checked word under an automorphism of its rank
-        cw = peel(_trusted(Word, apply_letters(t, cw.letters), rank))
+        image = peel(_trusted(Word, apply_letters(t, cw.letters), rank))
+        if len(image) >= len(cw):
+            raise RuntimeError(f"{t} picked to shorten {cw.text()} does not shorten it")
+        cw = image
     return cw, trace
 
 

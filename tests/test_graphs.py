@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primindex import graphs
 from primindex.errors import InvalidInputError, NoSuchPathError, UnsupportedInputError
 from primindex.graphs import (
     AGraph,
@@ -510,14 +511,16 @@ def test_trace_and_rewrite_match_per_letter_oracles_on_census(rank, d_max):
     assert closed > 0 and opened > 0
 
 
-WALK_LENGTHS = (1, 2, 3, 4, 7, 40, 333, 2000)
+# 16/17 and 324/325 letters fall on and just past the reader's block boundaries
+WALK_LENGTHS = (1, 2, 3, 4, 7, 16, 17, 40, 324, 325, 333, 2000)
 
 
 @pytest.mark.parametrize("rank, d_max", [(2, 5), (3, 4)])
 def test_census_walk_matches_per_cover_trace(rank, d_max):
     # the per-cover trace_path loop is the oracle for the batch walker: the
     # end vertex on every cover, walking each degree alone and all degrees
-    # together, and on the covers that close, the dual word and the rauzy3
+    # together, and the one-walk reader on all degrees together gives the
+    # same ends and, on the covers that close, the dual word and the rauzy3
     # certificate
     rng = random.Random(rank * 1000 + d_max)
     degrees = range(1, d_max + 1)
@@ -527,16 +530,18 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
         while len(w) < n:
             w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
         together = _census_ends(rank, degrees, w.letters)
-        for d, ends in zip(degrees, together):
+        read_ends, duals = _census_duals(rank, degrees, w.letters)
+        for d, ends, read in zip(degrees, together, read_ends):
             census = census_graphs(rank, d)
             paths = [trace_path(g, g.base, w) for g in census]
             expected = [path_terminus(g, p) for g, p in zip(census, paths)]
             assert ends.tolist() == expected, (n, d)
+            assert read.tolist() == expected, (n, d)
             assert _census_ends(rank, (d,), w.letters)[0].tolist() == expected, (n, d)
             closing = [i for i, v in enumerate(expected) if v == 0]
-            duals = list(_census_duals(rank, d, closing, w.letters))
-            assert len(duals) == len(closing)
-            for i, u in zip(closing, duals):
+            words = list(itertools.islice(duals, len(closing)))
+            assert len(words) == len(closing)
+            for i, u in zip(closing, words):
                 g = census[i]
                 cyc = rewrite_loop_cyclic(g, spanning_data(g), paths[i])
                 assert tuple(u.tolist()) == cyc.letters, (n, d, i)
@@ -544,19 +549,28 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
                     assert rauzy3_array(u, cyc.rank) == rauzy3_full(cyc)
                     certified += rauzy3_full(cyc)
             closed += len(closing)
+        assert next(duals, None) is None
     assert closed > 0 and certified > 0
 
 
-def test_census_walk_rejects_open_covers_and_unreduced_words():
+def test_census_walk_rejects_open_covers_and_unreduced_words(monkeypatch):
     w = W("abAAbab", 2)
-    ends = _census_ends(2, (2,), w.letters)[0]
-    opened = [i for i, v in enumerate(ends.tolist()) if v]
-    assert opened
-    with pytest.raises(InvalidInputError):
-        list(_census_duals(2, 2, opened[:1], w.letters))
+    assert _census_ends(2, (2,), w.letters)[0].any()
+    # a closing test that lets the open covers through is caught by the
+    # walk from the last block start
+    walk = graphs._census_walk
+
+    def all_close(rank, degrees, letters, stops):
+        ends, states, tables = walk(rank, degrees, letters, stops)
+        return [np.zeros_like(e) for e in ends], states, tables
+
+    monkeypatch.setattr(graphs, "_census_walk", all_close)
+    with pytest.raises(InvalidInputError, match="close the word"):
+        list(_census_duals(2, (2,), w.letters)[1])
+    monkeypatch.undo()
     # on the rose every edge is a dual letter, so aA gives a cancelling pair
-    with pytest.raises(InvalidInputError):
-        list(_census_duals(2, 1, [0], (1, -1, 2)))
+    with pytest.raises(InvalidInputError, match="not freely reduced"):
+        list(_census_duals(2, (1,), (1, -1, 2))[1])
 
 
 def test_rauzy3_array_matches_rauzy3_full_on_short_words():

@@ -257,13 +257,10 @@ def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
         lambda: d_simp_census(CW("abAB", 2), 4),
         lambda: d_prim_census_oracle(CW("aabAB", 2), 4),
         lambda: divisibility(W("abAB", 2), 4),
-        lambda: [
-            len(list(_census_duals(2, d, np.flatnonzero(ends == 0), w.letters)))
-            for d, ends in zip(range(1, 6), _census_ends(2, range(1, 6), w.letters))
-        ],
+        lambda: len(list(_census_duals(2, range(1, 6), w.letters)[1])),
     )
     warm = [scan() for scan in scans]
-    assert sum(warm[-1]) > 0
+    assert warm[-1] > 0
     built = []
     post_init = AGraph.__post_init__
 

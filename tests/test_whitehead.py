@@ -559,6 +559,23 @@ def test_descent_raises_when_a_step_does_not_shorten(monkeypatch):
         is_simple(W("aabb", 2))
 
 
+def test_minimize_raises_when_a_pick_does_not_shorten(monkeypatch):
+    # a scoring that picks an automorphism keeping the length must stop
+    # minimize at once; the fake gives up after a few picks, so a minimize
+    # without the check fails here instead of looping forever
+    picks = []
+
+    def keeps_length(cw):
+        picks.append(cw)
+        assert len(picks) < 5, "minimize kept applying a pick that does not shorten"
+        return identity_aut(cw.rank)
+
+    monkeypatch.setattr(whitehead, "_first_reducing", keeps_length)
+    with pytest.raises(RuntimeError, match="does not shorten"):
+        minimize(W("aabAb", 2))
+    assert len(picks) == 1
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
