@@ -9,6 +9,7 @@ certified filling by the level-3 subword test).
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,11 +35,11 @@ from .graphs import (
     trace_path,
     tree_path,
 )
-from .whitehead import rauzy3_array
+from .whitehead import rauzy3_array, rauzy3_linear
 # Unused here; perfbench/tracer.py patches these names on this module.
 from .graphs import rewrite_loop_cyclic  # noqa: F401
 from .whitehead import rauzy3_full  # noqa: F401
-from .words import CyclicWord, Word, alphabet
+from .words import CyclicWord, Word, _trusted, alphabet
 
 KIND_ALPHA = "alpha-blocking"
 KIND_BETA = "beta-forcing"
@@ -168,7 +169,7 @@ def forcing_word(g: AGraph) -> BlockerReport:
 def _forcing_letters(g: AGraph) -> tuple[int, ...]:
     """forcing_word(g).word.letters without the per-vertex containment
     pass and without a Word: the witness audit certifies the concatenation
-    instead, and its CyclicWord checks the letters of every block."""
+    instead, and witness_word checks the letters of every block."""
     sd = spanning_data(g)
     return _pattern_covering_word(g, sd, beta_path(g, sd))[0]
 
@@ -223,13 +224,57 @@ def _separator(last: int, first: int, rank: int) -> tuple[int, ...]:
     raise InvalidInputError("no separator letter exists")
 
 
+_CHECKED_AT_ONCE = 1 << 20  # letters of z checked at a time, so that no check copies all of z
+
+
+def _check_cyclic(z: np.ndarray, rank: int) -> None:
+    """CyclicWord's checks, made once on a signed-letter array: every
+    letter nonzero and within -rank..rank, no letter cancelling the next,
+    and the last not cancelling the first."""
+    for lo in range(0, len(z), _CHECKED_AT_ONCE):
+        part = z[lo : lo + _CHECKED_AT_ONCE + 1]  # and the next part's first letter
+        if part.min() < -rank or part.max() > rank or not part.all():
+            raise InvalidInputError(f"letters must be nonzero and within -{rank}..{rank}")
+        if np.any(part[1:] == -part[:-1]):
+            raise InvalidInputError("cyclic word is not freely reduced")
+    if len(z) >= 2 and z[0] == -z[-1]:
+        raise InvalidInputError("cyclic word is not cyclically reduced")
+
+
+def _closing_certificates(
+    rank: int, degrees: range, z: np.ndarray, spans: list, dual_ranks: list[int]
+) -> dict[int, str]:
+    """The certificate of each cover that closes z, by its number over the
+    degrees in turn: rauzy3_linear on the dual letters along the cover's
+    own block where they lie in the cyclically reduced dual word, else
+    rauzy3_array on the whole of that word."""
+    ends, read = _census_duals(rank, degrees, z)
+    closing = np.flatnonzero(np.concatenate(ends) == 0).tolist()
+    certs = {}
+    for c, seg in zip(closing, read(closing, [spans[c] for c in closing])):
+        if seg is not None and rauzy3_linear(seg, dual_ranks[c]):
+            certs[c] = CERT_RAUZY
+    rest = [c for c in closing if c not in certs]
+    for c, u in zip(rest, read(rest)):
+        certs[c] = CERT_RAUZY if rauzy3_array(u, dual_ranks[c]) else CERT_UNDETERMINED
+    return certs
+
+
 def witness_word(
     d: int, rank: int, max_covers: int | None = None
 ) -> tuple[CyclicWord, WitnessAudit]:
     """Concatenate the forcing words of every based cover of degree <= d
     into one cyclically reduced word, and audit that each census cover
     containing its loop carries a filling certificate; a complete audit
-    shows the word's non-filling index exceeds d."""
+    shows the word's non-filling index exceeds d.
+
+    The word is built as a signed-letter array, one block at a time.  A
+    cover that closes it is certified by the dual letters read along its
+    own block, when they lie in the cyclically reduced dual word and hold
+    every reduced triple: the block traces the universal 3-word's pattern
+    loop from the cover's state at the block's start.  Otherwise its whole
+    dual word is read and rauzy3 decides; the entries are the same either
+    way (_closing_certificates)."""
     if d < 1:
         raise InvalidInputError("degree must be >= 1")
     if max_covers is not None and (
@@ -238,27 +283,30 @@ def witness_word(
         raise ResourceGuardError(
             f"census of degree <= {d} exceeds cover cap {max_covers}"
         )
-    census = [perms for deg in range(1, d + 1) for perms in cover_census(rank, deg)]
-    letters: list[int] = []
-    for perms in census:
-        block = _forcing_letters(cover_graph(rank, perms))
-        letters.extend(_separator(letters[-1], block[0], rank) if letters else ())
-        letters.extend(block)
-    letters.extend(_separator(letters[-1], letters[0], rank))
-    z = CyclicWord(tuple(letters), rank)
-    del letters  # the audit reads z alone, and the list is as large as its tuple
-
-    entries = []
     degrees = range(1, d + 1)
-    all_ends, duals = _census_duals(rank, degrees, z.letters)
-    for deg, ends in zip(degrees, all_ends):
-        closing = np.flatnonzero(ends == 0).tolist()
-        dual_rank = deg * (rank - 1) + 1  # Schreier's index formula
-        # zip draws on closing first, so each degree takes only its own words
-        certs = {
-            i: CERT_RAUZY if rauzy3_array(u, dual_rank) else CERT_UNDETERMINED
-            for i, u in zip(closing, duals)
-        }
-        entries.extend(AuditEntry(deg, i, i in certs, certs.get(i)) for i in range(len(ends)))
-    audit = WitnessAudit(d, rank, len(census), tuple(entries))
-    return z, audit
+    census = [(deg, i, perms) for deg in degrees for i, perms in enumerate(cover_census(rank, deg))]
+    dtype = np.min_scalar_type(-rank - 1)  # holds every letter and its inverse
+    parts: list[np.ndarray] = []
+    spans = []  # where each cover's block lies in z, [start, stop)
+    size, last = 0, None
+    for _, _, perms in census:
+        block = np.array(_forcing_letters(cover_graph(rank, perms)), dtype=dtype)
+        if parts:
+            parts.append(np.array(_separator(last, int(block[0]), rank), dtype=dtype))
+            size += len(parts[-1])
+        parts.append(block)
+        spans.append((size, size + len(block)))
+        size, last = size + len(block), int(block[-1])
+    parts.append(np.array(_separator(last, int(parts[0][0]), rank), dtype=dtype))
+    z = np.concatenate(parts)
+    del parts  # the audit reads z alone
+    _check_cyclic(z, rank)
+
+    dual_ranks = [deg * (rank - 1) + 1 for deg, _, _ in census]  # Schreier's index formula
+    certs = _closing_certificates(rank, degrees, z, spans, dual_ranks)
+    entries = tuple(
+        AuditEntry(deg, i, c in certs, certs.get(c)) for c, (deg, i, _) in enumerate(census)
+    )
+    # unpacked straight into a tuple of its exact size, with no list of the letters
+    letters = struct.unpack(f"{len(z)}{z.dtype.char}", z)
+    return _trusted(CyclicWord, letters, rank), WitnessAudit(d, rank, len(census), entries)

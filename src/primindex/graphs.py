@@ -466,7 +466,8 @@ def subgroup_count(rank: int, degree: int) -> int:
 
 # -- batch walks over the census ----------------------------------------------
 
-_WALK_CHUNK = 4  # closing covers whose dual words are read together
+_WALK_CHUNK = 4  # closing covers whose whole dual words are read together
+_CODES = 1 << 16  # letters coded at a time when the walk keeps no grid; a multiple of every step
 
 
 @lru_cache(maxsize=None)
@@ -528,14 +529,56 @@ def _census_table(rank: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return nxt.view(), dual.view()
 
 
+def _step_length(letters: int, shape: tuple[int, int]) -> int:
+    """Letters per step of a walk of that many letters through a table of
+    the given shape (2 rank + 1 letter rows by the states): 4 or 2 when the
+    table of all words of that length, rows ** k by the states, has no more
+    cells than the word has letters; 1 otherwise.  Building and holding the
+    table then costs no more than one intp array of the word would."""
+    rows, width = shape
+    return next((k for k in (4, 2) if rows**k * width <= letters), 1)
+
+
+def _step_table(nxt: np.ndarray, k: int) -> np.ndarray:
+    """nxt composed with itself into one row per k-letter word, k a power
+    of 2: row (...(c_1 * R + c_2) * R ...) + c_k, R = len(nxt), leads each
+    state along the rows c_1, ..., c_k of nxt in turn."""
+    table = nxt
+    while k > 1:
+        ids = np.arange(len(table))[None, :, None]
+        # [a, b, s] = table[b, table[a, s]]: the row a, then the row b
+        table = table[ids, table[:, None, :]].reshape(-1, nxt.shape[1])
+        k //= 2
+    return table
+
+
+def _step_codes(letters: Sequence[int] | np.ndarray, rank: int, k: int) -> list[int]:
+    """The rows of _step_table(nxt, k) that walk the letters k at a time;
+    a short last step is padded with letter 0, whose row stays put."""
+    if k == 1 and not isinstance(letters, np.ndarray):
+        return [x + rank for x in letters]  # short words: no numpy call
+    codes = np.full(-(-len(letters) // k) * k, rank, dtype=np.intp)
+    codes[: len(letters)] += letters
+    codes = codes.reshape(-1, k)
+    row = codes[:, 0]
+    for j in range(1, k):
+        row = row * (2 * rank + 1) + codes[:, j]
+    return row.tolist()
+
+
 def _census_walk(
-    rank: int, degrees: Sequence[int], letters: Sequence[int], stops: Sequence[int]
-) -> tuple[list[np.ndarray], list[np.ndarray], tuple[np.ndarray, ...]]:
+    rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray, grid: int = 0
+) -> tuple[list[np.ndarray], np.ndarray, int, tuple[np.ndarray, ...]]:
     """Per listed degree, the vertex where each cover's path from the base
     reading letters ends (0: the word closes); every cover's state after
-    letters[:k] for each k in the ascending stops, all below len(letters);
-    and the (nxt, dual, base state) tables of _census_table side by side,
-    each shifted by the widths before it.  One gather per letter."""
+    letters[:k] for each multiple k of the grid below len(letters), one row
+    per stop (none when grid is 0); the grid, rounded up to a multiple of
+    the step; and the (nxt, dual, base state) tables of _census_table side
+    by side, each shifted by the widths before it.
+
+    The walk takes _step_length letters per step, one gather per step
+    through _step_table's rows; the step codes are built one grid block (or
+    _CODES letters) at a time."""
     tables = [_census_table(rank, d) for d in degrees]
     offsets = list(itertools.accumulate((t.shape[1] for t, _ in tables), initial=0))
     if len(tables) > 1:
@@ -543,70 +586,128 @@ def _census_walk(
         tables = [(nxt, np.hstack([u for _, u in tables]))]
     ((nxt, dual),) = tables
     bases = np.concatenate([np.arange(a, b, d) for a, b, d in zip(offsets, offsets[1:], degrees)])
+    n = len(letters)
+    k = _step_length(n, nxt.shape)
+    rows = list(_step_table(nxt, k) if k > 1 else nxt)
+    grid = -(-grid // k) * k
+    states = np.empty((-(-n // grid) if grid else 0, len(bases)), dtype=np.intp)
     state = bases
-    rows, it, done, states = list(nxt), iter(letters), 0, []
-    for stop in (*stops, len(letters)):
-        for x in itertools.islice(it, stop - done):
-            state = rows[x + rank][state]
-        states.append(state)
-        done = stop
-    ends = states.pop() - bases
+    for lo in range(0, n, grid or _CODES):
+        if grid:
+            states[lo // grid] = state
+        for code in _step_codes(letters[lo : lo + (grid or _CODES)], rank, k):
+            state = rows[code][state]
+    ends = state - bases
     covers = ((b - a) // d for a, b, d in zip(offsets, offsets[1:], degrees))
     bounds = list(itertools.accumulate(covers, initial=0))
-    return [ends[a:b] for a, b in zip(bounds, bounds[1:])], states, (nxt, dual, bases)
+    return [ends[a:b] for a, b in zip(bounds, bounds[1:])], states, grid, (nxt, dual, bases)
 
 
-def _census_ends(rank: int, degrees: Sequence[int], letters: Sequence[int]) -> list[np.ndarray]:
+def _census_ends(
+    rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
+) -> list[np.ndarray]:
     """_census_walk's ends alone: the closing test, with no stops."""
-    return _census_walk(rank, degrees, letters, ())[0]
+    return _census_walk(rank, degrees, letters)[0]
+
+
+def _reduced_letters(rows: np.ndarray) -> np.ndarray:
+    """The nonzero dual letters of consecutive read rows, checked to be
+    freely reduced."""
+    u = rows[rows != 0]
+    if np.any(u[1:] == -u[:-1]):
+        raise InvalidInputError("dual word of a traced loop is not freely reduced")
+    return u
+
+
+def _peel_count(head: np.ndarray, tail: np.ndarray) -> int:
+    """How many letters from the start of head cancel against the end of
+    tail (head[i] == -tail[-1 - i]), counting at most the shorter's length."""
+    m = min(len(head), len(tail))
+    cancel = head[:m] != -tail[::-1][:m]
+    return int(cancel.argmax()) if cancel.any() else m
 
 
 def _census_duals(
-    rank: int, degrees: Sequence[int], letters: Sequence[int]
-) -> tuple[list[np.ndarray], Iterator[np.ndarray]]:
-    """_census_ends(rank, degrees, letters), and for each cover that
-    closes, degree by degree in census order, the cyclically reduced dual
-    word of its loop (rewrite_loop_cyclic's letters) as a signed array,
-    read from _census_table's dual letters; no graph is built.
+    rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
+) -> tuple[list[np.ndarray], Callable[..., Iterator[np.ndarray | None]]]:
+    """_census_ends(rank, degrees, letters), and read(covers=None,
+    spans=None), the one reader of dual letters; covers are numbered over
+    the listed degrees in turn, census order within each, and default to
+    every cover that closes.  No graph is built.
 
-    The closing test's walk keeps every cover's state at the start of each
-    block of about sqrt(len) letters.  Per chunk of closing covers, each
-    position in a block then takes one gather through the dual-letter
-    table (0 on tree edges) and one through the permutation table, for all
-    blocks at once.  That the walk from the last block start ends at the
-    base, and that the dual word is freely reduced, are checked."""
+    - read(covers) yields, per cover, the cyclically reduced dual word of
+      its loop (rewrite_loop_cyclic's letters) as a signed array, read from
+      _census_table's dual letters.
+    - read(covers, spans) reads, per cover, only the grid blocks that meet
+      its span [start, stop) of letters, and the first and last grid
+      blocks, which give the peel length k: the length of the conjugator
+      that cancels between the two ends of the dual word.  It yields the
+      dual letters of the span's grid blocks when they are a subword of the
+      cyclically reduced dual word, that is when k is known and is 0, or
+      they avoid the first and last grid blocks; None otherwise, where
+      read(covers) gives the whole word.  A span that meets every grid
+      block gives the whole word.  The spans are meant to be disjoint, and
+      are read in one batch.
+
+    The closing test's walk keeps every cover's state at each multiple of
+    a grid of about sqrt(len) letters.  Each batch of (cover, grid block)
+    rows then takes one gather through the dual-letter table (0 on tree
+    edges) and one through the permutation table per position in a block.
+    Each row is checked to end at the walk's state at the next stop (at the
+    base after the last block), and each word or segment read to be freely
+    reduced."""
     n = len(letters)
-    block = math.isqrt(n - 1) + 1 if n else 1
-    blocks = -(-n // block)
-    ends, firsts, (nxt, dual, bases) = _census_walk(rank, degrees, letters, range(0, n, block))
-    firsts = np.array(firsts, dtype=np.intp).reshape(blocks, len(bases))
-    closing = np.flatnonzero(np.concatenate(ends) == 0)
+    ends, firsts, grid, (nxt, dual, bases) = _census_walk(
+        rank, degrees, letters, math.isqrt(n - 1) + 1 if n else 0
+    )
+    blocks = len(firsts)
     # letter + rank, the last block padded with letter 0 (the identity row)
-    codes = np.full((blocks, block), rank, dtype=np.min_scalar_type(-2 * rank))
-    codes.flat[:n] = np.fromiter(letters, dtype=codes.dtype, count=n) + rank
+    codes = np.full((blocks, grid), rank, dtype=np.min_scalar_type(-2 * rank))
+    codes.reshape(-1)[:n] += letters
+    closing = np.flatnonzero(np.concatenate(ends) == 0)
     width, step, dual = nxt.shape[1], nxt.ravel(), dual.ravel()
 
-    def read() -> Iterator[np.ndarray]:
-        for lo in range(0, len(closing), _WALK_CHUNK):
-            chunk = closing[lo : lo + _WALK_CHUNK]
-            words = np.empty((len(chunk), blocks, block), dtype=dual.dtype)
-            state = firsts[:, chunk].T
-            for t in range(block):
-                at = codes[:, t].astype(np.intp) * width + state
-                words[:, :, t] = dual.take(at)
-                state = step.take(at)
-            if blocks and not np.array_equal(state[:, -1], bases[chunk]):
-                raise InvalidInputError("_census_duals expects covers that close the word")
-            for row in words.reshape(len(chunk), -1):
-                u = row[row != 0]
-                if np.any(u[1:] == -u[:-1]):
-                    raise InvalidInputError("dual word of a traced loop is not freely reduced")
-                half = len(u) // 2
-                cancel = u[:half] != -u[::-1][:half]
-                k = int(cancel.argmax()) if cancel.any() else half
-                yield u[k : len(u) - k]
+    def read_rows(cover: np.ndarray, block: np.ndarray) -> np.ndarray:
+        out = np.empty((grid, len(cover)), dtype=dual.dtype)
+        state = firsts[block, cover]
+        for t in range(grid):
+            at = np.multiply(codes[block, t], width, dtype=np.intp)
+            at += state
+            dual.take(at, out=out[t])
+            state = step.take(at)
+        after = firsts[np.minimum(block + 1, blocks - 1), cover]
+        if not np.array_equal(state, np.where(block + 1 < blocks, after, bases[cover])):
+            raise InvalidInputError("_census_duals expects covers that close the word")
+        return out.T
 
-    return ends, read()
+    def piece(mine: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
+        # mine: the rows of grid block 0, of blocks lo .. hi - 1, and of the last
+        if (lo, hi) == (0, blocks):
+            u = _reduced_letters(mine)
+            half = len(u) // 2
+            k = _peel_count(u[:half], u[len(u) - half :])
+            return u[k : len(u) - k]
+        seg = _reduced_letters(mine[int(lo > 0) : len(mine) - int(hi < blocks)])
+        head, tail = _reduced_letters(mine[:1]), _reduced_letters(mine[-1:])
+        k = _peel_count(head, tail)
+        inside = k < min(len(head), len(tail)) and (k == 0 or (lo > 0 and hi < blocks))
+        return seg if inside else None
+
+    def read(covers=None, spans=None) -> Iterator[np.ndarray | None]:
+        covers = closing if covers is None else np.asarray(covers, dtype=np.intp)
+        if spans is None:
+            picks, chunk = [(0, blocks)] * len(covers), _WALK_CHUNK
+        else:  # disjoint spans: the grid blocks plus at most 3 rows per cover, read at once
+            picks, chunk = [(a // grid, -(-b // grid)) for a, b in spans], max(len(covers), 1)
+        for c in range(0, len(covers), chunk):
+            ids = [sorted({0, *range(lo, hi), blocks - 1}) if blocks else [] for lo, hi in picks[c : c + chunk]]
+            sizes = list(map(len, ids))
+            out = read_rows(np.repeat(covers[c : c + chunk], sizes), np.concatenate(ids, dtype=np.intp))
+            starts = itertools.accumulate(sizes, initial=0)
+            for (lo, hi), at, size in zip(picks[c : c + chunk], starts, sizes):
+                yield piece(out[at : at + size], lo, hi)
+
+    return ends, read
 
 
 # -- canonical forms -----------------------------------------------------------

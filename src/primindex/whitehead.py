@@ -482,26 +482,45 @@ def rauzy3_full(w: CyclicWord) -> bool:
     return len(_cyclic_triples(w)) == needed
 
 
+_MARKED_AT_ONCE = 1 << 16  # triple codes turned into mask indices at a time
+
+
+def rauzy3_linear(u: np.ndarray, rank: int) -> bool:
+    """Do the length-3 factors of u and of u^-1 exhaust all freely reduced
+    length-3 words?  u is a signed-letter array of the given rank, which
+    the caller has checked to be freely reduced; when u is a subword of a
+    cyclic word w, a True answer certifies w as rauzy3_full(w) would.
+
+    Each factor is coded in base 2 rank + 1 in the smallest integer type
+    that holds every code, and marked in one mask, whose count is compared
+    with the number of freely reduced length-3 words."""
+    if rank < 1:
+        raise InvalidInputError("rank must be >= 1")
+    if len(u) and (u.min() < -rank or u.max() > rank or not u.all()):
+        raise InvalidInputError(f"letters must be nonzero and within -{rank}..{rank}")
+    base = 2 * rank + 1
+    top = base**3 - 1
+    d = u.astype(np.min_scalar_type(-top - 1))
+    d += rank  # letter codes 0 .. 2 rank; the inverse letter's is 2 rank minus it
+    x, y, z = d[:-2], d[1:-1], d[2:]
+    seen = np.zeros(base**3, dtype=bool)
+    for first, last in ((x, z), (z, x)):
+        codes = (first * base + y) * base + last
+        if first is z:  # the inverse of x y z is Z Y X, coded top - code(z y x)
+            np.subtract(top, codes, out=codes)
+        for lo in range(0, len(codes), _MARKED_AT_ONCE):
+            seen[codes[lo : lo + _MARKED_AT_ONCE]] = True
+    return int(np.count_nonzero(seen)) == count_reduced(3, rank)
+
+
 def rauzy3_array(u: np.ndarray, rank: int) -> bool:
     """rauzy3_full on a cyclically reduced word of the given rank held as
     a signed-letter array, which the caller has checked to be cyclically
-    reduced: each length-3 cyclic factor of u and of u^-1 is coded in base
-    2 rank + 1 and marked in one mask, whose count is compared with the
-    number of freely reduced length-3 words."""
+    reduced: rauzy3_linear on u followed by its first two letters."""
     if len(u) == 0:
         raise InvalidInputError("need a nonempty cyclic word")
-    if rank < 1:
-        raise InvalidInputError("rank must be >= 1")
-    if len(u) < 3:
-        return False
-    base = 2 * rank + 1
-    d = np.concatenate([u, u[:2]]).astype(np.int32) + rank
-    x, y, z = d[:-2], d[1:-1], d[2:]
-    seen = np.zeros(base**3, dtype=bool)
-    seen[(x * base + y) * base + z] = True
-    top = 2 * rank  # the code of -letter is top - the code of letter
-    seen[((top - z) * base + top - y) * base + top - x] = True
-    return int(np.count_nonzero(seen)) == count_reduced(3, rank)
+    linear = rauzy3_linear(np.concatenate([u, u[:2]]), rank)
+    return len(u) >= 3 and linear
 
 
 def orbit_min_oracle(w: Word | CyclicWord, budget: int = 50000) -> CyclicWord:

@@ -1,8 +1,11 @@
 import time
 
+import numpy as np
 import pytest
 
+from primindex import blockers
 from primindex.blockers import (
+    AuditEntry,
     _pattern_covering_word,
     blocking_word,
     forcing_word,
@@ -20,13 +23,14 @@ from primindex.graphs import (
     cover_graph,
     path_contains,
     path_is_reduced,
+    path_terminus,
     rewrite_loop_cyclic,
     spanning_data,
     trace_path,
     tree_path,
     universal_three_word,
 )
-from primindex.index import _scan_quotients
+from primindex.index import CERT_RAUZY, CERT_UNDETERMINED, _scan_quotients
 from primindex.whitehead import rauzy3_full
 
 
@@ -164,6 +168,80 @@ def test_witness_word_cap_is_checked_before_the_census_is_built():
         witness_word(6, 2, max_covers=3995)
     assert time.perf_counter() - start < 1.0
 
+
+def _audit_oracle(z, d, rank):
+    """The audit by full reads, one cover at a time: trace z from the base
+    and, where the loop closes, rewrite it cyclically and ask rauzy3_full."""
+    entries = []
+    for deg in range(1, d + 1):
+        for i, g in enumerate(census_graphs(rank, deg)):
+            p = trace_path(g, g.base, z)
+            if path_terminus(g, p) != g.base:
+                entries.append(AuditEntry(deg, i, False, None))
+                continue
+            filling = rauzy3_full(rewrite_loop_cyclic(g, spanning_data(g), p))
+            entries.append(AuditEntry(deg, i, True, CERT_RAUZY if filling else CERT_UNDETERMINED))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("d, rank", [(2, 2), (3, 2), (2, 3)])
+def test_witness_audit_matches_the_full_read_oracle(d, rank):
+    z, audit = witness_word(d, rank)
+    assert audit.entries == _audit_oracle(z, d, rank)
+    assert audit.complete
+
+
+def _counting_whole_reads(monkeypatch):
+    whole = []
+    rauzy3_array = blockers.rauzy3_array
+
+    def counting(u, rank):
+        whole.append(len(u))
+        return rauzy3_array(u, rank)
+
+    monkeypatch.setattr(blockers, "rauzy3_array", counting)
+    return whole
+
+
+def test_witness_audit_falls_back_to_the_whole_dual_word(monkeypatch):
+    whole = _counting_whole_reads(monkeypatch)
+    z, audit = witness_word(3, 2)
+    assert whole == []  # every closing cover is certified by its own block
+    # a segment certificate that never certifies leaves each closing cover
+    # to the whole read, which gives the same entries
+    monkeypatch.setattr(blockers, "rauzy3_linear", lambda u, rank: False)
+    assert witness_word(3, 2) == (z, audit)
+    assert len(whole) == sum(e.contains for e in audit.entries) == 8
+
+
+def test_witness_audit_of_blocks_that_do_not_certify(monkeypatch):
+    # degree-2 blocks cut to 8 letters no longer trace the pattern loop:
+    # each degree-2 cover that closes z falls back to its whole dual word,
+    # which does not certify it either, and the audit is incomplete
+    whole = _counting_whole_reads(monkeypatch)
+    forcing_letters = blockers._forcing_letters
+
+    def cut(g):
+        block = forcing_letters(g)
+        return block[:8] if g.num_vertices == 2 else block
+
+    monkeypatch.setattr(blockers, "_forcing_letters", cut)
+    z, audit = witness_word(2, 2)
+    assert audit.entries == _audit_oracle(z, 2, 2)
+    assert len(whole) == 3 and not audit.complete
+
+def test_witness_word_checks_its_letters_on_the_array(monkeypatch):
+    # CyclicWord's checks, made once on z: a cancelling pair inside a block,
+    # a zero letter or one beyond the rank is refused before the audit
+    forcing_letters = blockers._forcing_letters
+    for extra, message in (((1, -1), "not freely reduced"), ((0,), "nonzero"), ((3,), "within")):
+        monkeypatch.setattr(blockers, "_forcing_letters", lambda g, e=extra: forcing_letters(g) + e)
+        with pytest.raises(InvalidInputError, match=message):
+            witness_word(2, 2)
+    for z, message in (([1, 2, -2, 1], "not freely reduced"), ([1, 2, -1], "not cyclically reduced")):
+        with pytest.raises(InvalidInputError, match=message):
+            blockers._check_cyclic(np.array(z, dtype=np.int8), 2)
+    blockers._check_cyclic(np.array([1, 2, 1, -2], dtype=np.int8), 2)
 
 # -- the blocks against per-letter oracles ---------------------------------------
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -58,7 +59,7 @@ from primindex.words import (
     enumerate_cyclically_reduced,
     free_reduce,
 )
-from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full
+from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full, rauzy3_linear
 
 CW = CyclicWord.parse
 W = Word.parse
@@ -530,7 +531,8 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
         while len(w) < n:
             w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
         together = _census_ends(rank, degrees, w.letters)
-        read_ends, duals = _census_duals(rank, degrees, w.letters)
+        read_ends, reader = _census_duals(rank, degrees, w.letters)
+        duals = reader()
         for d, ends, read in zip(degrees, together, read_ends):
             census = census_graphs(rank, d)
             paths = [trace_path(g, g.base, w) for g in census]
@@ -560,17 +562,146 @@ def test_census_walk_rejects_open_covers_and_unreduced_words(monkeypatch):
     # walk from the last block start
     walk = graphs._census_walk
 
-    def all_close(rank, degrees, letters, stops):
-        ends, states, tables = walk(rank, degrees, letters, stops)
-        return [np.zeros_like(e) for e in ends], states, tables
+    def all_close(*args):
+        ends, *rest = walk(*args)
+        return [np.zeros_like(e) for e in ends], *rest
 
     monkeypatch.setattr(graphs, "_census_walk", all_close)
     with pytest.raises(InvalidInputError, match="close the word"):
-        list(_census_duals(2, (2,), w.letters)[1])
+        list(_census_duals(2, (2,), w.letters)[1]())
     monkeypatch.undo()
     # on the rose every edge is a dual letter, so aA gives a cancelling pair
     with pytest.raises(InvalidInputError, match="not freely reduced"):
-        list(_census_duals(2, (1,), (1, -1, 2))[1])
+        list(_census_duals(2, (1,), (1, -1, 2))[1]())
+
+
+def _reduced_letters(rank, rng, n):
+    """n random letters, none cancelling the one before."""
+    out = [rng.choice(alphabet(rank))]
+    while len(out) < n:
+        x = rng.choice(alphabet(rank))
+        if x != -out[-1]:
+            out.append(x)
+    return tuple(out)
+
+
+# long enough for 4-letter steps; none is a multiple of the step
+@pytest.mark.parametrize(
+    "rank, d_max, lengths", [(2, 3, (28_751, 30_002)), (3, 2, (36_017, 37_003))]
+)
+def test_multi_letter_walk_matches_per_cover_trace(rank, d_max, lengths):
+    # the ends and the stop states of the walk in 4-letter steps, on a grid
+    # asked for off the step, against the vertices of per-cover trace_path
+    rng = random.Random(rank * 7 + d_max)
+    degrees = range(1, d_max + 1)
+    width = sum(_census_table(rank, d)[0].shape[1] for d in degrees)
+    for n in lengths:
+        assert graphs._step_length(n, (2 * rank + 1, width)) == 4
+        letters = _reduced_letters(rank, rng, n)
+        ends, states, grid, _ = graphs._census_walk(rank, degrees, letters, 1001)
+        assert grid == 1004 and states.shape == (-(-n // grid), states.shape[1])
+        ends = np.concatenate(ends).tolist()
+        assert ends == np.concatenate(_census_ends(rank, degrees, letters)).tolist()
+        states = (states - states[0]).T.tolist()  # per cover, the vertex at each stop
+        c = 0
+        for d in degrees:
+            for g in census_graphs(rank, d):
+                p = trace_path(g, g.base, letters)
+                vertices = [g.base] + [g.terminus(e) for e in p.edges]
+                assert ends[c] == vertices[-1], (n, d, c)
+                assert states[c] == vertices[:n:grid], (n, d, c)
+                c += 1
+
+
+def test_step_table_composes_the_letter_rows():
+    nxt, _ = _census_table(2, 3)
+    for k in (2, 4):
+        table = graphs._step_table(nxt, k)
+        assert table.shape == (5**k, nxt.shape[1])
+        for word in itertools.product(range(5), repeat=k):
+            row = np.arange(nxt.shape[1])
+            code = 0
+            for x in word:
+                row = nxt[x, row]
+                code = code * 5 + x
+            assert np.array_equal(table[code], row), word
+    # letter codes are letter + rank; a short last step is padded with
+    # letter 0, the identity row
+    assert graphs._step_codes(np.array([1, -2, 2], dtype=np.int8), 2, 2) == [3 * 5 + 0, 4 * 5 + 2]
+    assert graphs._step_codes((1, -2, 2), 2, 1) == [3, 0, 4]
+    assert graphs._step_length(24, (5, 1)) == 1 and graphs._step_length(25, (5, 1)) == 2
+
+
+def _dual_letters_along(g, sd, p):
+    """The dual letter of each edge of p, 0 on tree edges."""
+    index = {e: i + 1 for i, e in enumerate(sd.complement)}
+    return [index.get(abs(e), 0) * (1 if e > 0 else -1) for e in p.edges]
+
+
+def _peel_count(head, tail):
+    k = 0
+    while k < min(len(head), len(tail)) and head[k] == -tail[-1 - k]:
+        k += 1
+    return k
+
+
+def test_segment_reads_match_the_dual_word_oracle():
+    # words c m c^-1 whose dual words peel on some covers; per closing cover,
+    # spans that touch the first grid block, the last, both, or neither.  A
+    # segment comes back exactly when the peel length k is known from the
+    # first and last grid blocks and is 0, or the span avoids both; it is
+    # then the dual letters of the span's grid blocks, a subword of the
+    # cyclically reduced dual word
+    rank, degrees = 2, range(1, 4)
+    rng = random.Random(41)
+    seen = {"peeled, touching": 0, "peeled, inside": 0, "unpeeled, touching": 0, "unknown": 0}
+    census = [g for d in degrees for g in census_graphs(rank, d)]
+    for n, outer in ((400, 2), (400, 30), (1500, 1), (1500, 5), (2900, 60)):
+        c = _reduced_letters(rank, rng, outer)
+        w = free_reduce(c + _reduced_letters(rank, rng, n) + tuple(-x for x in reversed(c)), rank)
+        n = len(w)
+        grid = graphs._census_walk(rank, degrees, w.letters, math.isqrt(n - 1) + 1)[2]
+        blocks = -(-n // grid)
+        ends, read = _census_duals(rank, degrees, w.letters)
+        closing = np.flatnonzero(np.concatenate(ends) == 0).tolist()
+        spans = [(0, grid // 2), (n - grid // 2, n), (0, n), (grid, n - grid), (n // 3, n // 3 + 2 * grid)]
+        got = read([i for i in closing for _ in spans], spans * len(closing))
+        for i in closing:
+            g = census[i]
+            sd = spanning_data(g)
+            p = trace_path(g, g.base, w)
+            along = _dual_letters_along(g, sd, p)
+            cyc = rewrite_loop_cyclic(g, sd, p).letters
+            k = (sum(map(bool, along)) - len(cyc)) // 2
+            head = [x for x in along[:grid] if x]
+            tail = [x for x in along[(blocks - 1) * grid :] if x]
+            known = _peel_count(head, tail) < min(len(head), len(tail))
+            for a, b in spans:
+                seg = next(got)
+                lo, hi = a // grid, -(-b // grid)
+                if (lo, hi) == (0, blocks):
+                    assert tuple(seg.tolist()) == cyc
+                    continue
+                touching = lo == 0 or hi == blocks
+                if not known:
+                    seen["unknown"] += 1
+                    assert seg is None
+                elif k and touching:
+                    seen["peeled, touching"] += 1
+                    assert seg is None
+                else:
+                    seen["peeled, inside"] += bool(k)
+                    seen["unpeeled, touching"] += not k and touching
+                    expected = [x for x in along[lo * grid : hi * grid] if x]
+                    assert seg.tolist() == expected, (n, i, a, b)
+                    assert bytes(np.array(expected, np.int8)) in bytes(np.array(cyc, np.int8))
+        assert next(got, None) is None
+    assert all(seen.values()), seen
+    # a segment is checked to be freely reduced: aA sits inside grid block 4 of 9
+    w = (1, 2) * 20 + (1, -1) + (2, 1) * 20
+    _, read = _census_duals(2, (1,), w)
+    with pytest.raises(InvalidInputError, match="not freely reduced"):
+        list(read([0], [(38, 46)]))
 
 
 def test_rauzy3_array_matches_rauzy3_full_on_short_words():
@@ -585,6 +716,32 @@ def test_rauzy3_array_matches_rauzy3_full_on_short_words():
     for bad in ((np.array([], dtype=np.int8), 2), (np.array([1]), 0)):
         with pytest.raises(InvalidInputError):
             rauzy3_array(*bad)
+    # a zero letter, or a letter beyond the rank, is refused, not read
+    for bad in (([1, 0, 2, 1], 2), ([0], 2), ([1, 2, 1], 1), ([3, 1, 2], 2), ([-3, 1], 2)):
+        for test in (rauzy3_array, rauzy3_linear):
+            with pytest.raises(InvalidInputError, match="nonzero and within"):
+                test(np.array(bad[0], dtype=np.int8), bad[1])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 6])
+def test_rauzy3_linear_matches_the_set_of_triples(rank):
+    # the linear test on a freely reduced array against the set of its
+    # length-3 factors and theirs inverses; rauzy3_array is the linear test
+    # on the word followed by its first two letters
+    rng = random.Random(rank)
+    certified = 0
+    for n in (0, 1, 2, 3, 5, 20, 60, 300, 3000, 30000):
+        for _ in range(6):
+            u = free_reduce([rng.choice(alphabet(rank)) for _ in range(2 * n)], rank).letters[:n]
+            triples = set(zip(u, u[1:], u[2:]))
+            triples |= {(-z, -y, -x) for x, y, z in triples}
+            expected = len(triples) == 2 * rank * (2 * rank - 1) ** 2
+            assert rauzy3_linear(np.array(u, dtype=np.int8), rank) == expected, (n, u)
+            certified += expected
+            cw = cyclic_reduce(Word(u, rank))[1]
+            if len(cw):
+                assert rauzy3_array(np.array(cw.letters), rank) == rauzy3_full(cw)
+    assert certified > 0
 
 
 def test_trace_errors_match_oracle_on_principal_quotients():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import primindex
-from primindex import index
+from primindex import graphs, index
 from primindex.errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from primindex.index import (
     _class_values,
@@ -257,7 +257,7 @@ def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
         lambda: d_simp_census(CW("abAB", 2), 4),
         lambda: d_prim_census_oracle(CW("aabAB", 2), 4),
         lambda: divisibility(W("abAB", 2), 4),
-        lambda: len(list(_census_duals(2, range(1, 6), w.letters)[1])),
+        lambda: len(list(_census_duals(2, range(1, 6), w.letters)[1]())),
     )
     warm = [scan() for scan in scans]
     assert warm[-1] > 0
@@ -303,6 +303,31 @@ def test_predicates_build_no_whitehead_automorphism(monkeypatch):
     assert [call() for call in calls] == warm
     assert built == []
 
+
+def test_first_cover_on_length_24_words_builds_no_step_table(monkeypatch):
+    # the experiment's words take one letter per step on every degree to 4;
+    # a longer word takes the multi-letter tables
+    built = []
+    step_table = graphs._step_table
+
+    def spy(nxt, k):
+        built.append(k)
+        return step_table(nxt, k)
+
+    monkeypatch.setattr(graphs, "_step_table", spy)
+    words = []
+    for seed in range(200):
+        w = cyclic_reduce(sample_word(WalkConfig(2, 24, seed), with_stats=False).word)[1]
+        if len(w) == 24:
+            words.append(w)
+    assert len(words) >= 20
+    for w in words:
+        d_simp_census(w, 4)
+        d_prim_census_oracle(w, 4)
+        divisibility(w.word(), 4)
+    assert built == []
+    d_simp_census(CyclicWord(words[0].letters * 42, 2), 4)
+    assert 4 in built
 
 def test_first_cover_checks_that_each_walk_closes(monkeypatch):
     # a closing test that lets an open cover through is caught by the walk
