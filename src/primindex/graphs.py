@@ -468,6 +468,7 @@ def subgroup_count(rank: int, degree: int) -> int:
 
 _WALK_CHUNK = 4  # closing covers whose whole dual words are read together
 _CODES = 1 << 16  # letters coded at a time when the walk keeps no grid; a multiple of every step
+_CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census walks holds at a time
 
 
 @lru_cache(maxsize=None)
@@ -552,33 +553,79 @@ def _step_table(nxt: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def _step_codes(letters: Sequence[int] | np.ndarray, rank: int, k: int) -> list[int]:
-    """The rows of _step_table(nxt, k) that walk the letters k at a time;
-    a short last step is padded with letter 0, whose row stays put."""
-    if k == 1 and not isinstance(letters, np.ndarray):
-        return [x + rank for x in letters]  # short words: no numpy call
-    codes = np.full(-(-len(letters) // k) * k, rank, dtype=np.intp)
-    codes[: len(letters)] += letters
-    codes = codes.reshape(-1, k)
-    row = codes[:, 0]
+def _letter_codes(rows: Sequence[Sequence[int] | np.ndarray], rank: int, width: int) -> np.ndarray:
+    """Rows of letters as one (rows, width) array of letter codes, letter +
+    rank, each row padded with rank: letter 0, whose table row stays put."""
+    codes = np.full((len(rows), width), rank, dtype=np.min_scalar_type(-2 * rank))
+    for row, letters in zip(codes, rows):
+        row[: len(letters)] += letters
+    return codes
+
+
+def _step_codes(codes: np.ndarray, rank: int, k: int) -> np.ndarray:
+    """The rows of _step_table(nxt, k) that walk rows of letter codes k at a
+    time; the rows' length is a multiple of k."""
+    codes = codes.reshape(len(codes), -1, k)
+    row = codes[..., 0].astype(np.intp) if k > 1 else codes[..., 0]
     for j in range(1, k):
-        row = row * (2 * rank + 1) + codes[:, j]
-    return row.tolist()
+        row = row * (2 * rank + 1) + codes[..., j]
+    return row
+
+
+def _gather_walk(
+    table: np.ndarray,
+    codes: np.ndarray,
+    state: np.ndarray,
+    rows: np.ndarray | None = None,
+    dual: np.ndarray | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The one gather loop of the census walks: row i of state, one state or
+    a row of them, walks along row rows[i] of codes (row i when rows is
+    None), whose entries number table's rows, one gather per column.
+    Returns the states reached; given dual, a table shaped like table (so
+    one letter per step), also the dual letter of every step, (rows,
+    columns).  One row walked for its states alone indexes the table's row
+    at each step, which costs less than a flat gather when the states are
+    few."""
+    if rows is None and dual is None and len(codes) == 1:
+        for code in codes[0].tolist():
+            state = table[code][state]
+        return state
+    pick = slice(None) if rows is None else rows
+    width, step = table.shape[1], table.reshape(-1)
+    shape = (-1,) + (1,) * (state.ndim - 1)  # one code per row, for each of its states
+    if dual is not None:
+        letters, out = dual.reshape(-1), np.empty((codes.shape[1], len(state)), dtype=dual.dtype)
+    for t in range(codes.shape[1]):
+        at = np.multiply(codes[pick, t], width, dtype=np.intp).reshape(shape) + state
+        if dual is not None:
+            letters.take(at, out=out[t])
+        state = step.take(at)
+    return state if dual is None else (state, out.T)
 
 
 def _census_walk(
-    rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray, grid: int = 0
-) -> tuple[list[np.ndarray], np.ndarray, int, tuple[np.ndarray, ...]]:
-    """Per listed degree, the vertex where each cover's path from the base
-    reading letters ends (0: the word closes); every cover's state after
-    letters[:k] for each multiple k of the grid below len(letters), one row
-    per stop (none when grid is 0); the grid, rounded up to a multiple of
-    the step; and the (nxt, dual, base state) tables of _census_table side
-    by side, each shifted by the widths before it.
+    rank: int,
+    degrees: Sequence[int],
+    rows: Sequence[Sequence[int] | np.ndarray],
+    grid: int = 0,
+) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray, tuple[np.ndarray, ...]]:
+    """Rows of letters (words) walked from the base of every cover of the
+    listed degrees at once.  Returns:
 
-    The walk takes _step_length letters per step, one gather per step
-    through _step_table's rows; the step codes are built one grid block (or
-    _CODES letters) at a time."""
+    - per listed degree, the vertex where each row's path from each cover's
+      base ends, (rows, covers) (0: the row closes on that cover);
+    - every state after row[:k] for each multiple k of the grid below the
+      longest row, (stops, rows, states) (no stops when grid is 0);
+    - the grid, rounded up to a multiple of the step;
+    - the rows as _letter_codes, padded to a multiple of the grid (of the
+      step when grid is 0);
+    - the (nxt, dual, base state) tables of _census_table side by side, each
+      shifted by the widths before it.
+
+    The walk takes _step_length letters of the longest row per step, one
+    _gather_walk per grid block (or _CODES letters) through _step_table's
+    rows, whose step codes are built one block at a time."""
     tables = [_census_table(rank, d) for d in degrees]
     offsets = list(itertools.accumulate((t.shape[1] for t, _ in tables), initial=0))
     if len(tables) > 1:
@@ -586,28 +633,49 @@ def _census_walk(
         tables = [(nxt, np.hstack([u for _, u in tables]))]
     ((nxt, dual),) = tables
     bases = np.concatenate([np.arange(a, b, d) for a, b, d in zip(offsets, offsets[1:], degrees)])
-    n = len(letters)
+    n = max(map(len, rows), default=0)
     k = _step_length(n, nxt.shape)
-    rows = list(_step_table(nxt, k) if k > 1 else nxt)
+    table = _step_table(nxt, k) if k > 1 else nxt
     grid = -(-grid // k) * k
-    states = np.empty((-(-n // grid) if grid else 0, len(bases)), dtype=np.intp)
-    state = bases
-    for lo in range(0, n, grid or _CODES):
+    codes = _letter_codes(rows, rank, -(-n // (grid or k)) * (grid or k))
+    states = np.empty((codes.shape[1] // grid if grid else 0, len(rows), len(bases)), dtype=np.intp)
+    state = np.broadcast_to(bases, states.shape[1:])
+    for lo in range(0, codes.shape[1], grid or _CODES):
         if grid:
             states[lo // grid] = state
-        for code in _step_codes(letters[lo : lo + (grid or _CODES)], rank, k):
-            state = rows[code][state]
+        state = _gather_walk(table, _step_codes(codes[:, lo : lo + (grid or _CODES)], rank, k), state)
     ends = state - bases
     covers = ((b - a) // d for a, b, d in zip(offsets, offsets[1:], degrees))
     bounds = list(itertools.accumulate(covers, initial=0))
-    return [ends[a:b] for a, b in zip(bounds, bounds[1:])], states, grid, (nxt, dual, bases)
+    ends = [ends[:, a:b] for a, b in zip(bounds, bounds[1:])]
+    return ends, states, grid, codes, (nxt, dual, bases)
 
 
 def _census_ends(
-    rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
+    rank: int, degrees: Sequence[int], rows: Sequence[Sequence[int] | np.ndarray]
 ) -> list[np.ndarray]:
     """_census_walk's ends alone: the closing test, with no stops."""
-    return _census_walk(rank, degrees, letters)[0]
+    return _census_walk(rank, degrees, rows)[0]
+
+
+def _read_duals(
+    nxt: np.ndarray,
+    dual: np.ndarray,
+    codes: np.ndarray,
+    rows: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+) -> np.ndarray:
+    """The dual letters, (len(rows), columns), of walks from the states in
+    start along rows `rows` of letter codes, one letter per gather; each
+    walk is checked to end at its state in end."""
+    state, out = _gather_walk(nxt, codes, start, rows, dual)
+    if not np.array_equal(state, end):
+        raise InvalidInputError(
+            "a read walk does not end where the closing walk did: a cover that "
+            "does not close the word passed the closing test"
+        )
+    return out
 
 
 def _reduced_letters(rows: np.ndarray) -> np.ndarray:
@@ -630,10 +698,11 @@ def _peel_count(head: np.ndarray, tail: np.ndarray) -> int:
 def _census_duals(
     rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
 ) -> tuple[list[np.ndarray], Callable[..., Iterator[np.ndarray | None]]]:
-    """_census_ends(rank, degrees, letters), and read(covers=None,
-    spans=None), the one reader of dual letters; covers are numbered over
-    the listed degrees in turn, census order within each, and default to
-    every cover that closes.  No graph is built.
+    """The closing test of one word, _census_ends(rank, degrees, [letters])
+    with its one row taken, and read(covers=None, spans=None), the reader
+    of its dual letters; covers are numbered over the listed degrees in
+    turn, census order within each, and default to every cover that closes.
+    No graph is built.
 
     - read(covers) yields, per cover, the cyclically reduced dual word of
       its loop (rewrite_loop_cyclic's letters) as a signed array, read from
@@ -652,33 +721,24 @@ def _census_duals(
     The closing test's walk keeps every cover's state at each multiple of
     a grid of about sqrt(len) letters.  Each batch of (cover, grid block)
     rows then takes one gather through the dual-letter table (0 on tree
-    edges) and one through the permutation table per position in a block.
+    edges) and one through the permutation table per position in a block
+    (_read_duals).
     Each row is checked to end at the walk's state at the next stop (at the
     base after the last block), and each word or segment read to be freely
     reduced."""
     n = len(letters)
-    ends, firsts, grid, (nxt, dual, bases) = _census_walk(
-        rank, degrees, letters, math.isqrt(n - 1) + 1 if n else 0
+    ends, firsts, grid, codes, (nxt, dual, bases) = _census_walk(
+        rank, degrees, [letters], math.isqrt(n - 1) + 1 if n else 0
     )
+    ends, firsts = [e[0] for e in ends], firsts[:, 0]
     blocks = len(firsts)
-    # letter + rank, the last block padded with letter 0 (the identity row)
-    codes = np.full((blocks, grid), rank, dtype=np.min_scalar_type(-2 * rank))
-    codes.reshape(-1)[:n] += letters
+    codes = codes.reshape(blocks, grid)  # one row per grid block
     closing = np.flatnonzero(np.concatenate(ends) == 0)
-    width, step, dual = nxt.shape[1], nxt.ravel(), dual.ravel()
 
     def read_rows(cover: np.ndarray, block: np.ndarray) -> np.ndarray:
-        out = np.empty((grid, len(cover)), dtype=dual.dtype)
-        state = firsts[block, cover]
-        for t in range(grid):
-            at = np.multiply(codes[block, t], width, dtype=np.intp)
-            at += state
-            dual.take(at, out=out[t])
-            state = step.take(at)
         after = firsts[np.minimum(block + 1, blocks - 1), cover]
-        if not np.array_equal(state, np.where(block + 1 < blocks, after, bases[cover])):
-            raise InvalidInputError("_census_duals expects covers that close the word")
-        return out.T
+        end = np.where(block + 1 < blocks, after, bases[cover])
+        return _read_duals(nxt, dual, codes, block, firsts[block, cover], end)
 
     def piece(mine: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
         # mine: the rows of grid block 0, of blocks lo .. hi - 1, and of the last

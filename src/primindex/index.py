@@ -5,15 +5,16 @@ appendix's divisibility (the census closing test) and commutator witness.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
-from .graphs import AGraph, _census_ends, _census_table, _relabeled_key, graph_to_json
-from .graphs import quotients_with_vertices
+from .graphs import AGraph, _CELLS, _census_ends, _census_walk, _read_duals, _relabeled_key
+from .graphs import graph_to_json, quotients_with_vertices, subgroup_count
 # Unused here; perfbench/tracer.py patches these names on this module.
 from .graphs import collapse_vertices, fold_with_map, rewrite_loop  # noqa: F401
 from .graphs import cover_census, set_partitions_with_blocks  # noqa: F401
@@ -315,48 +316,71 @@ def f_table(
 
 # -- census scans ----------------------------------------------------------------
 
-def first_cover(w: Word | CyclicWord, d_max: int, pred: Callable[[Word], bool]) -> int | None:
-    """Least degree d <= d_max of a based cover (subgroups of index d are
-    exactly the based degree-d covers) whose w-loop from the base closes
-    and reads a dual word satisfying pred; None when no cover within the
-    cap qualifies.  Each degree's covers take the closing test together.
-    Each cover that closes, in census order, walks w through its own rows
-    of _census_table, keeping the nonzero dual letters: a Word over the
-    degree (rank - 1) + 1 dual letters of Schreier's formula.  No graph is
-    built."""
-    if len(w) == 0:
+def first_cover(
+    ws: Sequence[Word | CyclicWord], d_max: int, pred: Callable[[Word], bool]
+) -> list[int | None]:
+    """For each word w of ws, all of one rank: the least degree d <= d_max
+    of a based cover (subgroups of index d are exactly the based degree-d
+    covers) whose w-loop from the base closes and reads a dual word
+    satisfying pred; None when no cover within the cap qualifies.
+
+    Degree by degree, the words still open walk every cover of the degree
+    together (_census_walk, at most _CELLS states at a time).  The (word,
+    cover) pairs that close then read their dual letters together, one
+    gather per letter (_read_duals), _CELLS letters at a time: the nonzero
+    ones make a Word over the degree (rank - 1) + 1 dual letters of
+    Schreier's formula.  Each word asks pred about its closing covers in
+    census order and stops at its first yes, so pred sees, per word, what
+    a scan of that word alone would; a word with its answer leaves the
+    later degrees.  No graph is built."""
+    ws = list(ws)
+    if not ws:
+        return []
+    if any(len(w) == 0 for w in ws):
         raise InvalidInputError("census scans reject the trivial word")
-    rank = w.rank
+    rank = ws[0].rank
+    if any(w.rank != rank for w in ws):
+        raise InvalidInputError("a census scan takes words of one rank")
+    found: list[int | None] = [None] * len(ws)
+    longest = max(map(len, ws))
     for d in range(1, d_max + 1):
-        (ends,) = _census_ends(rank, (d,), w.letters)
-        nxt, dual = _census_table(rank, d)
-        for lo in (np.flatnonzero(ends == 0) * d).tolist():
-            steps = (nxt[:, lo : lo + d] - lo).tolist()
-            duals = dual[:, lo : lo + d].tolist()
-            letters = []
-            v = 0
-            for x in w.letters:
-                u = duals[x + rank][v]
-                if u:
-                    letters.append(u)
-                v = steps[x + rank][v]
-            if v:
-                raise InvalidInputError("w does not close on a cover that passed the closing test")
-            if pred(Word(tuple(letters), d * (rank - 1) + 1)):
-                return d
-    return None
+        todo = [i for i, v in enumerate(found) if v is None]
+        if not todo:
+            break
+        chunk = max(1, _CELLS // max(subgroup_count(rank, d), longest))
+        for lo in range(0, len(todo), chunk):
+            ids = todo[lo : lo + chunk]
+            (ends,), _, _, codes, (nxt, dual, bases) = _census_walk(
+                rank, (d,), [ws[i].letters for i in ids]
+            )
+            pending = [True] * len(ids)
+            pairs = np.argwhere(ends == 0)  # (row, cover): by word, then census order
+            per = max(1, _CELLS // codes.shape[1])
+            for at in range(0, len(pairs), per):
+                batch = pairs[at : at + per]
+                batch = batch[np.array(pending)[batch[:, 0]]]
+                rows, starts = batch[:, 0], bases[batch[:, 1]]
+                read = _read_duals(nxt, dual, codes, rows, starts, starts)
+                kept = read != 0
+                letters = read[kept].tolist()
+                stops = list(itertools.accumulate(kept.sum(axis=1).tolist(), initial=0))
+                for row, a, b in zip(rows.tolist(), stops, stops[1:]):
+                    if pending[row] and pred(Word(tuple(letters[a:b]), d * (rank - 1) + 1)):
+                        pending[row] = False
+                        found[ids[row]] = d
+    return found
 
 
 def d_prim_census_oracle(w: CyclicWord, d_max: int) -> int | None:
     """Independent oracle: least cover degree <= d_max whose traced w-loop
     closes and rewrites to a primitive dual word; None when none found."""
-    return first_cover(w, d_max, is_primitive)
+    return first_cover([w], d_max, is_primitive)[0]
 
 
 def d_simp_census(w: CyclicWord, d_max: int) -> int | None:
     """Exact d_simp capped at d_max: least cover degree whose traced w-loop
     closes and rewrites to a simple dual word."""
-    return first_cover(w, d_max, is_simple)
+    return first_cover([w], d_max, is_simple)[0]
 
 
 def divisibility(g: Word, d_max: int) -> int | None:
@@ -365,7 +389,7 @@ def divisibility(g: Word, d_max: int) -> int | None:
     if len(g) == 0:
         raise InvalidInputError("census scans reject the trivial word")
     for d in range(1, d_max + 1):
-        if _census_ends(g.rank, (d,), g.letters)[0].any():
+        if _census_ends(g.rank, (d,), [g.letters])[0].any():
             return d
     return None
 

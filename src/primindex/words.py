@@ -59,12 +59,16 @@ def _trusted(cls, letters: tuple[int, ...], rank: int):
     return w
 
 
+# _TEXT_BYTES[x] is the character of letter x, for 0 < |x| <= 26: negative
+# indices count from the end, where the capitals stand in reverse order
+_TEXT_BYTES = b"`" + bytes(range(_ASCII_A, _ASCII_A + 26)) + bytes(range(ord("Z"), 64, -1))
+
+
 def letters_to_text(letters: Sequence[int], rank: int) -> str:
+    """The text syntax of the letters.  Up to rank 26 each letter maps to
+    one byte, so the text costs about two bytes per letter to build."""
     if rank <= 26:
-        return "".join(
-            chr(_ASCII_A + abs(x) - 1) if x > 0 else chr(_ASCII_A + abs(x) - 1).upper()
-            for x in letters
-        )
+        return bytes(map(_TEXT_BYTES.__getitem__, letters)).decode("ascii")
     return "".join(f"x{x}" if x > 0 else f"X{-x}" for x in letters)
 
 

@@ -530,7 +530,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
         w = free_reduce([rng.choice(alphabet(rank)) for _ in range(n)], rank)
         while len(w) < n:
             w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
-        together = _census_ends(rank, degrees, w.letters)
+        together = [e[0] for e in _census_ends(rank, degrees, [w.letters])]
         read_ends, reader = _census_duals(rank, degrees, w.letters)
         duals = reader()
         for d, ends, read in zip(degrees, together, read_ends):
@@ -539,7 +539,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
             expected = [path_terminus(g, p) for g, p in zip(census, paths)]
             assert ends.tolist() == expected, (n, d)
             assert read.tolist() == expected, (n, d)
-            assert _census_ends(rank, (d,), w.letters)[0].tolist() == expected, (n, d)
+            assert _census_ends(rank, (d,), [w.letters])[0][0].tolist() == expected, (n, d)
             closing = [i for i, v in enumerate(expected) if v == 0]
             words = list(itertools.islice(duals, len(closing)))
             assert len(words) == len(closing)
@@ -557,7 +557,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
 
 def test_census_walk_rejects_open_covers_and_unreduced_words(monkeypatch):
     w = W("abAAbab", 2)
-    assert _census_ends(2, (2,), w.letters)[0].any()
+    assert _census_ends(2, (2,), [w.letters])[0].any()
     # a closing test that lets the open covers through is caught by the
     # walk from the last block start
     walk = graphs._census_walk
@@ -598,11 +598,12 @@ def test_multi_letter_walk_matches_per_cover_trace(rank, d_max, lengths):
     for n in lengths:
         assert graphs._step_length(n, (2 * rank + 1, width)) == 4
         letters = _reduced_letters(rank, rng, n)
-        ends, states, grid, _ = graphs._census_walk(rank, degrees, letters, 1001)
-        assert grid == 1004 and states.shape == (-(-n // grid), states.shape[1])
-        ends = np.concatenate(ends).tolist()
-        assert ends == np.concatenate(_census_ends(rank, degrees, letters)).tolist()
-        states = (states - states[0]).T.tolist()  # per cover, the vertex at each stop
+        ends, states, grid, codes, _ = graphs._census_walk(rank, degrees, [letters], 1001)
+        assert grid == 1004 and states.shape == (-(-n // grid), 1, states.shape[2])
+        assert codes.shape == (1, len(states) * grid)
+        ends = np.concatenate(ends, axis=1)[0].tolist()
+        assert ends == np.concatenate(_census_ends(rank, degrees, [letters]), axis=1)[0].tolist()
+        states = (states[:, 0] - states[0, 0]).T.tolist()  # per cover, the vertex at each stop
         c = 0
         for d in degrees:
             for g in census_graphs(rank, d):
@@ -625,10 +626,12 @@ def test_step_table_composes_the_letter_rows():
                 row = nxt[x, row]
                 code = code * 5 + x
             assert np.array_equal(table[code], row), word
-    # letter codes are letter + rank; a short last step is padded with
-    # letter 0, the identity row
-    assert graphs._step_codes(np.array([1, -2, 2], dtype=np.int8), 2, 2) == [3 * 5 + 0, 4 * 5 + 2]
-    assert graphs._step_codes((1, -2, 2), 2, 1) == [3, 0, 4]
+    # letter codes are letter + rank; a short row is padded with letter 0,
+    # the identity row, to a multiple of the step
+    codes = graphs._letter_codes([np.array([1, -2, 2], dtype=np.int8), (2,)], 2, 4)
+    assert codes.tolist() == [[3, 0, 4, 2], [4, 2, 2, 2]]
+    assert graphs._step_codes(codes, 2, 2).tolist() == [[3 * 5 + 0, 4 * 5 + 2], [4 * 5 + 2, 2 * 5 + 2]]
+    assert graphs._step_codes(codes, 2, 1).tolist() == codes.tolist()
     assert graphs._step_length(24, (5, 1)) == 1 and graphs._step_length(25, (5, 1)) == 2
 
 
@@ -660,7 +663,7 @@ def test_segment_reads_match_the_dual_word_oracle():
         c = _reduced_letters(rank, rng, outer)
         w = free_reduce(c + _reduced_letters(rank, rng, n) + tuple(-x for x in reversed(c)), rank)
         n = len(w)
-        grid = graphs._census_walk(rank, degrees, w.letters, math.isqrt(n - 1) + 1)[2]
+        grid = graphs._census_walk(rank, degrees, [w.letters], math.isqrt(n - 1) + 1)[2]
         blocks = -(-n // grid)
         ends, read = _census_duals(rank, degrees, w.letters)
         closing = np.flatnonzero(np.concatenate(ends) == 0).tolist()

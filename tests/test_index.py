@@ -51,6 +51,7 @@ from primindex.whitehead import (
 from primindex.words import (
     CyclicWord,
     Word,
+    alphabet,
     class_representatives,
     cyclic_reduce,
     enumerate_reduced,
@@ -329,15 +330,79 @@ def test_first_cover_on_length_24_words_builds_no_step_table(monkeypatch):
     d_simp_census(CyclicWord(words[0].letters * 42, 2), 4)
     assert 4 in built
 
+def _dual_words_by_trace(w, d, pred):
+    """The per-cover oracle at one degree: the dual words (rewrite_loop) of
+    the covers that close w, in census order, up to the first that pred
+    accepts, and whether one did."""
+    seen = []
+    for perms in cover_census(w.rank, d):
+        g = cover_graph(w.rank, perms)
+        p = trace_path(g, g.base, w)
+        if path_terminus(g, p) == g.base:
+            u = rewrite_loop(g, spanning_data(g), p)
+            seen.append(u.letters)
+            if pred(u):
+                return seen, True
+    return seen, False
+
+
+@pytest.mark.parametrize("rank, d_max", [(2, 4), (3, 3)])
+def test_first_cover_batch_matches_per_cover_trace(rank, d_max, monkeypatch):
+    # one batch of words of lengths 1 to 2,000, with duplicates: each word's
+    # answer is the per-cover trace oracle's, and pred is asked, per word
+    # and in census order, about the dual words the oracle rewrites, up to
+    # that word's first yes; the words still open at a degree come in batch
+    # order.  The longest words walk the low degrees in multi-letter steps
+    steps = []
+    step_length = graphs._step_length
+    monkeypatch.setattr(graphs, "_step_length", lambda *a: steps.append(step_length(*a)) or steps[-1])
+    rng = random.Random(rank * 100 + d_max)
+    ws = []
+    for n in (1, 2, 3, 5, 9, 24, 25, 100, 333, 2000):
+        letters = [rng.choice(alphabet(rank))]
+        while len(letters) < n:
+            x = rng.choice(alphabet(rank))
+            if x != -letters[-1] and (len(letters) < n - 1 or x != -letters[0]):
+                letters.append(x)
+        ws.append(CyclicWord(tuple(letters), rank))
+    ws += [ws[1], ws[5], ws[1], CW("ab" * 12 + "aB", rank)]
+    rng.shuffle(ws)
+    for pred in (is_simple, is_primitive):
+        expected = [first_cover_by_trace(w, d_max, _closes_and(pred)) for w in ws]
+        log, found = [], [None] * len(ws)
+        for d in range(1, d_max + 1):
+            for i, w in enumerate(ws):
+                if found[i] is None:
+                    seen, yes = _dual_words_by_trace(w, d, pred)
+                    log += seen
+                    found[i] = d if yes else None
+        assert found == expected
+        calls = []
+        assert index.first_cover(ws, d_max, lambda u: calls.append(u.letters) or pred(u)) == expected
+        assert calls == log
+        assert [index.first_cover([w], d_max, pred)[0] for w in ws] == expected
+    assert 1 in steps and max(steps) > 1
+
+
+def test_first_cover_checks_its_input():
+    assert index.first_cover([], 3, is_simple) == []
+    for bad in ([CW("ab", 2), CyclicWord((), 2)], [CW("ab", 2), CW("ab", 3)]):
+        with pytest.raises(InvalidInputError):
+            index.first_cover(bad, 3, is_simple)
+
+
 def test_first_cover_checks_that_each_walk_closes(monkeypatch):
-    # a closing test that lets an open cover through is caught by the walk
-    def all_close(rank, degrees, letters):
-        return [np.zeros(len(cover_census(rank, d)), dtype=np.intp) for d in degrees]
+    # a closing test that lets an open cover through is caught by the read
+    walk = graphs._census_walk
+
+    def all_close(*args):
+        ends, *rest = walk(*args)
+        return [np.zeros_like(e) for e in ends], *rest
 
     w = CW("aabbAB", 2)  # only the last degree-2 cover closes w
-    assert _census_ends(2, (2,), w.letters)[0].tolist() == [1, 1, 0]
+    assert _census_ends(2, (2,), [w.letters])[0].tolist() == [[1, 1, 0]]
     assert d_simp_census(w, 2) == 2
-    monkeypatch.setattr(index, "_census_ends", all_close)
+    monkeypatch.setattr(index, "_census_walk", all_close)
     with pytest.raises(InvalidInputError, match="does not close"):
         d_simp_census(w, 2)
 

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,40 @@ def test_text_high_rank_tokens():
     w = Word((3, -11), 30)
     assert w.text() == "x3X11"
     assert Word.parse("x3X11", 30).letters == (3, -11)
+
+
+def _text_by_join(letters, rank):
+    """letters_to_text as a join of one-character strings, its form before
+    the byte table."""
+    if rank <= 26:
+        return "".join(chr(96 + x) if x > 0 else chr(96 - x).upper() for x in letters)
+    return "".join(f"x{x}" if x > 0 else f"X{-x}" for x in letters)
+
+
+def test_letters_to_text_matches_the_join_of_characters():
+    rng = random.Random(22)
+    for rank in range(1, 28):
+        assert words.letters_to_text((), rank) == ""
+        for letters in [alphabet(rank)] + [
+            tuple(rng.choice(alphabet(rank)) for _ in range(n)) for n in (1, 2, 9, 80)
+        ]:
+            text = words.letters_to_text(letters, rank)
+            assert text == _text_by_join(letters, rank), (rank, letters)
+            assert Word.parse(text, rank).letters == free_reduce(letters, rank).letters
+
+
+def test_letters_to_text_takes_under_4_bytes_per_letter():
+    # the text of a long word is built as bytes, not as a list with one
+    # string pointer per letter
+    rng = random.Random(7)
+    letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(1_000_000))
+    tracemalloc.start()
+    try:
+        text = words.letters_to_text(letters, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == len(letters) and peak < 4 * len(letters), peak
 
 
 # -- cyclic_reduce ----------------------------------------------------------
