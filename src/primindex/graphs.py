@@ -564,16 +564,15 @@ def _letter_codes(rows: Sequence[Sequence[int] | np.ndarray], rank: int, width: 
 
 def _step_codes(codes: np.ndarray, rank: int, k: int) -> np.ndarray:
     """The rows of _step_table(nxt, k) that walk rows of letter codes k at a
-    time; the rows' length is a multiple of k."""
-    codes = codes.reshape(len(codes), -1, k)
-    row = codes[..., 0].astype(np.intp) if k > 1 else codes[..., 0]
-    for j in range(1, k):
-        row = row * (2 * rank + 1) + codes[..., j]
-    return row
+    time, each k codes read as one number in base 2 rank + 1; the rows'
+    length is a multiple of k."""
+    if k == 1:
+        return codes
+    return codes.reshape(len(codes), -1, k) @ (2 * rank + 1) ** np.arange(k - 1, -1, -1)
 
 
 def _gather_walk(
-    table: np.ndarray,
+    table: np.ndarray | list[np.ndarray],
     codes: np.ndarray,
     state: np.ndarray,
     rows: np.ndarray | None = None,
@@ -584,20 +583,24 @@ def _gather_walk(
     None), whose entries number table's rows, one gather per column.
     Returns the states reached; given dual, a table shaped like table (so
     one letter per step), also the dual letter of every step, (rows,
-    columns).  One row walked for its states alone indexes the table's row
-    at each step, which costs less than a flat gather when the states are
-    few."""
-    if rows is None and dual is None and len(codes) == 1:
-        for code in codes[0].tolist():
+    columns).  To walk one row of codes for its states alone, table may be
+    the list of its rows: each step then indexes a row, which costs less
+    than a flat gather when the states are few."""
+    if isinstance(table, list):
+        (line,) = codes
+        for code in line.tolist():
             state = table[code][state]
         return state
     pick = slice(None) if rows is None else rows
     width, step = table.shape[1], table.reshape(-1)
-    shape = (-1,) + (1,) * (state.ndim - 1)  # one code per row, for each of its states
     if dual is not None:
         letters, out = dual.reshape(-1), np.empty((codes.shape[1], len(state)), dtype=dual.dtype)
     for t in range(codes.shape[1]):
-        at = np.multiply(codes[pick, t], width, dtype=np.intp).reshape(shape) + state
+        at = np.multiply(codes[pick, t], width, dtype=np.intp)
+        if state.ndim > 1:  # one code per row, for each of its states
+            at = at[:, None] + state
+        else:
+            at += state
         if dual is not None:
             letters.take(at, out=out[t])
         state = step.take(at)
@@ -636,6 +639,8 @@ def _census_walk(
     n = max(map(len, rows), default=0)
     k = _step_length(n, nxt.shape)
     table = _step_table(nxt, k) if k > 1 else nxt
+    if len(rows) == 1:
+        table = list(table)  # _gather_walk's one-row steps
     grid = -(-grid // k) * k
     codes = _letter_codes(rows, rank, -(-n // (grid or k)) * (grid or k))
     states = np.empty((codes.shape[1] // grid if grid else 0, len(rows), len(bases)), dtype=np.intp)
