@@ -360,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument(
         "--max-partitions", type=_positive_int, default=None,
-        help="cap on quotient search steps (edge choices tried); exit 3 beyond it",
+        help="cap on each class's quotient search steps (edge choices tried); exit 3 "
+        "beyond it. The table's scans find degrees only and stop each level at its "
+        "first success, so a class can finish under a cap that `index` exceeds",
     )
     common(p)
     p.set_defaults(fn=cmd_table)

@@ -82,7 +82,9 @@ def _scan_quotients(
     wanted: tuple[str, ...],
     max_index: int | None = None,
     max_partitions: int | None = None,
-) -> dict[str, tuple[int, Witness]]:
+    *,
+    witnesses: bool = True,
+) -> dict[str, tuple[int, Witness | None]]:
     """Best-first scan of principal quotients by ascending vertex count for
     the indexes named in wanted (a subset of _INDEXES); returns
     {name: (k, witness)} for those reached within max_index.
@@ -96,12 +98,21 @@ def _scan_quotients(
     once, unless a generator occurs once in its dual word, which is then
     primitive and so simple; only a simple one can be primitive (dual rank
     >= 2), and it is asked of its descended word, an automorphic image.
+
+    With witnesses=False only the degrees are wanted: an index is closed at
+    its first k-vertex success, later quotients of the level are asked only
+    about the indexes still open, the level stops once none is, and every
+    witness is None.  The degrees are the same, since a level's answer is
+    whether some k-vertex quotient succeeds, not which one.
+
     max_partitions caps the total number of search steps (edge choices
-    tried) over all k.
+    tried) over all k.  The degrees-only scan stops its levels early, so it
+    takes no more steps than the full scan, and may finish under a cap the
+    full scan exceeds.
     """
     if len(w) == 0:
         raise InvalidInputError("index operations reject the trivial word")
-    found: dict[str, tuple[int, Witness]] = {}
+    found: dict[str, tuple[int, Witness | None]] = {}
     pending = list(wanted)
     steps = 0
 
@@ -119,29 +130,39 @@ def _scan_quotients(
     for k in range(1, k_cap + 1):
         if not pending:
             break
-        best: dict[str, tuple] = {}
+        best: dict[str, tuple | None] = {}
+        asked = list(pending)  # shrinks at each hit when witnesses is False
         for edges, order, dual, cover in quotients_with_vertices(w, k, on_step):
             # a quotient that is not a cover counts as simple; simple
             # certifies non-filling
             word, simple = dual, True
             # the dual rank of a cover is >= 2 in rank >= 2, so a lone
             # generator's primitive dual word is simple
-            open_simp = "simp" in pending or "fill" in pending
+            open_simp = "simp" in asked or "fill" in asked
             if cover and open_simp and not _has_lone_generator(dual.letters):
                 word = descend(dual)
                 simple = not _uses_every_generator(word.letters, word.rank)
-            hits = [(name, CERT_SIMPLE) for name in ("simp", "fill") if simple and name in pending]
-            if "prim" in pending and simple and is_primitive(word):
+            hits = [(name, CERT_SIMPLE) for name in ("simp", "fill") if simple and name in asked]
+            if "prim" in asked and simple and is_primitive(word):
                 hits.append(("prim", CERT_PRIMITIVE))
-            if not simple and "fill" in pending and not rauzy3_full(dual):
+            if not simple and "fill" in asked and not rauzy3_full(dual):
                 hits.append(("fill", CERT_UNDETERMINED))
-            if hits:
-                key = _relabeled_key(w.rank, order, edges)
-                for name, cert in hits:
-                    if name not in best or key < best[name][0]:
-                        best[name] = (key, edges, cert)
-        for name, (_, edges, cert) in best.items():
-            found[name] = (k, Witness(AGraph(w.rank, k, 0, edges), cert))
+            if not hits:
+                continue
+            if not witnesses:
+                for name, _ in hits:
+                    best[name] = None
+                    asked.remove(name)
+                if not asked:
+                    break
+                continue
+            key = _relabeled_key(w.rank, order, edges)
+            for name, cert in hits:
+                if name not in best or key < best[name][0]:
+                    best[name] = (key, edges, cert)
+        for name, hit in best.items():
+            witness = None if hit is None else Witness(AGraph(w.rank, k, 0, hit[1]), hit[2])
+            found[name] = (k, witness)
             pending.remove(name)
     return found
 
@@ -208,9 +229,12 @@ def _class_values(
     rank: int, key: tuple[int, ...], max_partitions: int | None = None
 ) -> tuple[int, int, int]:
     """(d_prim, d_simp, d_fill_lower) of the class whose cyclic_class_key is
-    key, its scan capped at max_partitions search steps; cache_info() gives
-    the hit rate of index_values and f_table."""
-    found = _scan_quotients(CyclicWord(key, rank), _INDEXES, max_partitions=max_partitions)
+    key, from a degrees-only scan (no witness is computed) capped at
+    max_partitions search steps; cache_info() gives the hit rate of
+    index_values and f_table."""
+    found = _scan_quotients(
+        CyclicWord(key, rank), _INDEXES, max_partitions=max_partitions, witnesses=False
+    )
     dp, ds, dl = (found[name][0] for name in _INDEXES)
     return dp, ds, dl
 

@@ -365,17 +365,22 @@ def class_representatives(
     starting at a and skipping free cancellations.  A key's forced
     relabeling is the identity, so its generators first appear positive and
     in order: after `used` generators only codes below 2 used + 1 are tried.
-    Only the necklaces (Lyndon words when skip_powers) that are cyclically
-    reduced reach cyclic_class_key.
+    A key opens with one of the longest runs of one letter, relabeled to a,
+    so no run in it is longer than its leading run of a: a prefix whose
+    last run outgrows the leading run is dropped (a prefix of a's only is
+    still growing its leading run).  Only the necklaces (Lyndon words when
+    skip_powers) that are cyclically reduced and pass the run rule reach
+    cyclic_class_key.
     """
     if n < 1 or rank < 1:
         raise InvalidInputError("need n >= 1 and rank >= 1")
     top = 2 * rank
     a = [0] * n
-    # (position t, period p of the prenecklace a[:t], least code at t, generators in a[:t])
-    stack = [(1, 1, 0, 1)]
+    # (position t, period p of the prenecklace a[:t], least code at t,
+    # generators in a[:t], length of its leading run, length of its last run)
+    stack = [(1, 1, 0, 1, 1, 1)]
     while stack:
-        t, p, c, used = stack.pop()
+        t, p, c, used, lead, run = stack.pop()
         if t == n:
             necklace = p == n if skip_powers else n % p == 0
             if necklace and a[0] != a[-1] ^ 1:
@@ -384,12 +389,18 @@ def class_representatives(
                     yield CyclicWord(ls, rank)
             continue
         c = max(c, a[t - p])
-        if c == a[t - 1] ^ 1:  # free cancellation
+        # skip a free cancellation, and a repeat that would make the last
+        # run outgrow the leading run once that has ended (lead < t)
+        while c == a[t - 1] ^ 1 or (c == a[t - 1] and run == lead < t):
             c += 1
         if c < min(top, 2 * used + 1):
             a[t] = c
-            stack.append((t, p, c + 1, used))
-            stack.append((t + 1, p if c == a[t - p] else t + 1, 0, max(used, c // 2 + 1)))
+            stack.append((t, p, c + 1, used, lead, run))
+            same = c == a[t - 1]
+            stack.append((
+                t + 1, p if c == a[t - p] else t + 1, 0, max(used, c // 2 + 1),
+                lead + (same and lead == t), run + 1 if same else 1,
+            ))
 
 
 def index_candidates_exact(n: int, rank: int) -> Iterator[CyclicWord]:

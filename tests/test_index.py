@@ -563,6 +563,95 @@ def test_each_quotient_is_asked_only_what_is_still_open(monkeypatch):
         assert any(name == "descend" for name, _ in calls), text
 
 
+_ROOT_FREE_REPS = [
+    rep
+    for rank, n_max in ((2, 8), (3, 5))
+    for n in range(1, n_max + 1)
+    for rep in index_candidates_exact(n, rank)
+]
+
+
+def _scan_steps(monkeypatch) -> list[int]:
+    """Route every quotient scan's grower through a recording on_step that
+    also calls the scan's own; the returned one-element list counts the
+    steps taken since it was zeroed."""
+    steps = [0]
+    grow = index.quotients_with_vertices
+
+    def at_level(w, k, step):
+        def record():
+            steps[0] += 1
+            if step is not None:
+                step()
+
+        return grow(w, k, record)
+
+    monkeypatch.setattr(index, "quotients_with_vertices", at_level)
+    return steps
+
+
+def test_degrees_only_scan_matches_the_witness_scan():
+    # the table reads only degrees, so its scan closes each index at the
+    # first k-vertex success; the degrees must be the full scan's
+    for rep in _ROOT_FREE_REPS:
+        found = _scan_quotients(rep, index._INDEXES, witnesses=False)
+        assert all(witness is None for _, witness in found.values()), rep.text()
+        report = index_report(rep)
+        expected = (report.d_prim, report.d_simp, report.d_fill_lower)
+        assert tuple(found[name][0] for name in index._INDEXES) == expected, rep.text()
+        assert _class_values.__wrapped__(rep.rank, rep.letters) == expected, rep.text()
+
+
+def test_class_values_computes_no_witness(monkeypatch):
+    keys, graphs_built = [], []
+    real_key = index._relabeled_key
+    monkeypatch.setattr(index, "_relabeled_key", lambda *a: keys.append(a) or real_key(*a))
+    real_init = AGraph.__post_init__
+
+    def counting(self):
+        graphs_built.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(AGraph, "__post_init__", counting)
+    for rep in _ROOT_FREE_REPS:
+        _class_values.__wrapped__(rep.rank, rep.letters)
+    assert keys == [] and graphs_built == []
+    index_report(CW("aaaabaaaB", 2))  # the spies see the witness scan's work
+    assert keys and len(graphs_built) == 3
+
+
+def test_degrees_only_scan_takes_no_more_steps(monkeypatch):
+    steps = _scan_steps(monkeypatch)
+    fewer = []
+    for rep in _ROOT_FREE_REPS:
+        counts = []
+        for witnesses in (True, False):
+            steps[0] = 0
+            _scan_quotients(rep, index._INDEXES, witnesses=witnesses)
+            counts.append(steps[0])
+        full, degrees_only = counts
+        assert 0 < degrees_only <= full, rep.text()
+        if degrees_only < full:
+            fewer.append(rep.text())
+    # abAB reaches d_simp = d_prim = 2 before its last 2-vertex quotient
+    assert "abAB" in fewer
+
+
+def test_step_cap_counts_the_scan_that_runs(monkeypatch):
+    # the table's cap counts the degrees-only scan's steps, so a cap
+    # between the two scans' counts passes the table and trips the report
+    w = CW("aabaabABB", 2)
+    steps = _scan_steps(monkeypatch)
+    _scan_quotients(w, index._INDEXES, witnesses=False)
+    cap = steps[0]
+    assert cap < _STEPS_TO_FINISH["aabaabABB"][0]
+    with pytest.raises(ResourceGuardError):
+        _class_values.__wrapped__(2, w.letters, cap - 1)
+    assert _class_values.__wrapped__(2, w.letters, cap) == (3, 3, 1)
+    with pytest.raises(ResourceGuardError):
+        index_report(w, max_partitions=cap)
+
+
 _INVARIANTS_UNDER_O = """
 from primindex.errors import InvalidInputError
 from primindex.graphs import _read_quotient
