@@ -8,7 +8,6 @@ certified filling by the level-3 subword test).
 """
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -21,6 +20,7 @@ from .graphs import (
     AGraph,
     EdgePath,
     SpanningData,
+    _beta_edges,
     _census_duals,
     alpha_path,
     beta_path,
@@ -77,12 +77,17 @@ class BlockerReport:
         }
 
 
-def _vertex_map(moves: np.ndarray, letters: tuple[int, ...]) -> np.ndarray:
+def _letter_dtype(rank: int) -> np.dtype:
+    """The smallest integer type that holds every letter and its inverse."""
+    return np.min_scalar_type(-rank - 1)
+
+
+def _vertex_map(moves: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """Where the trace of the letters ends, from each vertex; moves[x][v]
     is the terminus of the x-edge out of v.  The per-letter maps are
     composed pairwise, level by level."""
     d = moves.shape[1]
-    maps = moves[np.fromiter(letters, np.intp, len(letters))]
+    maps = moves[letters]
     while len(maps) > 1:
         half = len(maps) // 2
         rows = np.arange(0, half * d, d)[:, None]  # row offsets into the flat odd maps
@@ -91,25 +96,27 @@ def _vertex_map(moves: np.ndarray, letters: tuple[int, ...]) -> np.ndarray:
     return maps[0] if len(maps) else np.arange(d)
 
 
-def _pattern_covering_word(
-    g: AGraph, sd: SpanningData, pattern: EdgePath
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _covering_letters(
+    g: AGraph, sd: SpanningData, pattern: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
     """Letters whose trace from every vertex (ascending id) runs through the
-    pattern loop, and the length of each vertex's piece: per vertex, steer
-    into the pattern with a reduced connector and append the pattern's label.
+    pattern loop, given as an array of signed edges, and the length of each
+    vertex's piece: per vertex, steer into the pattern with a reduced
+    connector and append the pattern's label.  The letters come as an
+    array of _letter_dtype, read from a table of the signed edges' labels.
 
     Every piece ends with the pattern's tail (its letters after the first),
     so ends[v], where the trace of the pieces so far from v stops, follows
     from the tail's vertex map and each new connector's; the trace's last
     edge is the one labeled with the pattern's last letter into that end."""
-    first_edge = pattern.edges[0]
-    label: dict[int, int] = {}  # signed edge -> signed letter
-    # row x for letter x; the inverse letters' rows wrap around from the end
+    first_edge = int(pattern[0])
+    o, t, gen = np.array(g.edges, dtype=np.intp).T
+    # label[j] is the letter of signed edge j, and moves has row x for letter
+    # x; the inverse edges' entries and letters' rows wrap around from the end
+    label = np.concatenate(([0], gen, -gen[::-1]), dtype=_letter_dtype(g.rank))
     moves = np.empty((2 * g.rank + 1, g.num_vertices), dtype=np.intp)
-    for j, (o, t, gen) in enumerate(g.edges, 1):
-        label[j], label[-j] = gen, -gen
-        moves[gen, o], moves[-gen, t] = t, o
-    pattern_letters = tuple(map(label.__getitem__, pattern.edges))
+    moves[gen, o], moves[-gen, t] = t, o
+    pattern_letters = label[pattern]
     tail = pattern_letters[1:]
     tail_map = _vertex_map(moves, tail)
     om = out_map(g)
@@ -117,20 +124,27 @@ def _pattern_covering_word(
     if into_base:
         head = into_base + connector_path(g, into_base[-1], first_edge).edges[1:]
     else:
-        head = pattern.edges[:1]
+        head = (first_edge,)
+    back = -int(pattern_letters[-1])
     ends = np.arange(g.num_vertices)
-    pieces: list[tuple[int, ...]] = []
+    pieces: list[np.ndarray] = []
     for i in range(g.num_vertices):
         if i:
-            last_edge = -om[int(ends[i]), -pattern_letters[-1]]
-            head = connector_path(g, last_edge, first_edge).edges[1:]
-        piece = tuple(map(label.__getitem__, head))
-        for x in piece:
+            head = connector_path(g, -om[int(ends[i]), back], first_edge).edges[1:]
+        piece = label[np.array(head, dtype=np.intp)]
+        for x in piece.tolist():
             ends = moves[x, ends]
         ends = tail_map[ends]
-        pieces.append(piece + tail)
-    letters = tuple(itertools.chain.from_iterable(pieces))
-    return letters, tuple(map(len, pieces))
+        pieces += (piece, tail)
+    return np.concatenate(pieces), [len(piece) + len(tail) for piece in pieces[::2]]
+
+
+def _pattern_covering_word(
+    g: AGraph, sd: SpanningData, pattern: EdgePath
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """_covering_letters for a pattern path, as tuples."""
+    letters, lengths = _covering_letters(g, sd, np.array(pattern.edges, dtype=np.intp))
+    return tuple(letters.tolist()), tuple(lengths)
 
 
 def _blocker(
@@ -166,12 +180,13 @@ def forcing_word(g: AGraph) -> BlockerReport:
     return _blocker(g, "forcing_word", beta_path, KIND_BETA, bound)
 
 
-def _forcing_letters(g: AGraph) -> tuple[int, ...]:
-    """forcing_word(g).word.letters without the per-vertex containment
-    pass and without a Word: the witness audit certifies the concatenation
-    instead, and witness_word checks the letters of every block."""
+def _forcing_letters(g: AGraph) -> np.ndarray:
+    """forcing_word(g).word.letters as an array of _letter_dtype, without
+    the per-vertex containment pass and without a Word: the witness audit
+    certifies the concatenation instead, and witness_word checks the
+    letters of every block."""
     sd = spanning_data(g)
-    return _pattern_covering_word(g, sd, beta_path(g, sd))[0]
+    return _covering_letters(g, sd, _beta_edges(g, sd))[0]
 
 
 @dataclass(frozen=True)
@@ -285,12 +300,12 @@ def witness_word(
         )
     degrees = range(1, d + 1)
     census = [(deg, i, perms) for deg in degrees for i, perms in enumerate(cover_census(rank, deg))]
-    dtype = np.min_scalar_type(-rank - 1)  # holds every letter and its inverse
+    dtype = _letter_dtype(rank)
     parts: list[np.ndarray] = []
     spans = []  # where each cover's block lies in z, [start, stop)
     size, last = 0, None
     for _, _, perms in census:
-        block = np.array(_forcing_letters(cover_graph(rank, perms)), dtype=dtype)
+        block = _forcing_letters(cover_graph(rank, perms))
         if parts:
             parts.append(np.array(_separator(last, int(block[0]), rank), dtype=dtype))
             size += len(parts[-1])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -263,11 +262,6 @@ def path_terminus(g: AGraph, p: EdgePath) -> int:
     return g.terminus(p.edges[-1]) if p.edges else p.start
 
 
-def path_is_reduced(p: EdgePath) -> bool:
-    """No edge is followed by its inverse: no two neighbours sum to 0."""
-    return 0 not in map(operator.add, p.edges, p.edges[1:])
-
-
 def _edge_token_string(edges: Sequence[int]) -> str:
     return "," + ",".join(map(str, edges)) + "," if edges else ","
 
@@ -467,6 +461,7 @@ def subgroup_count(rank: int, degree: int) -> int:
 # -- batch walks over the census ----------------------------------------------
 
 _WALK_CHUNK = 4  # closing covers whose whole dual words are read together
+_LONGEST_STEP = 4  # letters per step of a census walk, at most
 _CODES = 1 << 16  # letters coded at a time when the walk keeps no grid; a multiple of every step
 _CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census walks holds at a time
 
@@ -537,7 +532,7 @@ def _step_length(letters: int, shape: tuple[int, int]) -> int:
     cells than the word has letters; 1 otherwise.  Building and holding the
     table then costs no more than one intp array of the word would."""
     rows, width = shape
-    return next((k for k in (4, 2) if rows**k * width <= letters), 1)
+    return next((k for k in (_LONGEST_STEP, 2) if rows**k * width <= letters), 1)
 
 
 def _step_table(nxt: np.ndarray, k: int) -> np.ndarray:
@@ -610,19 +605,23 @@ def _gather_walk(
 def _census_walk(
     rank: int,
     degrees: Sequence[int],
-    rows: Sequence[Sequence[int] | np.ndarray],
+    rows: Sequence[Sequence[int] | np.ndarray] | np.ndarray,
     grid: int = 0,
 ) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray, tuple[np.ndarray, ...]]:
     """Rows of letters (words) walked from the base of every cover of the
-    listed degrees at once.  Returns:
+    listed degrees at once.  The rows may also come as their _letter_codes,
+    a 2-D array padded to a multiple of _LONGEST_STEP, hence of every step,
+    with grid 0: first_cover codes its batch once and walks the open rows
+    at each degree.  Returns:
 
     - per listed degree, the vertex where each row's path from each cover's
       base ends, (rows, covers) (0: the row closes on that cover);
     - every state after row[:k] for each multiple k of the grid below the
-      longest row, (stops, rows, states) (no stops when grid is 0);
+      longest row, (stops, rows, states), in the narrowest unsigned type
+      that holds the side-by-side width (no stops when grid is 0);
     - the grid, rounded up to a multiple of the step;
     - the rows as _letter_codes, padded to a multiple of the grid (of the
-      step when grid is 0);
+      step when grid is 0), or the codes as given;
     - the (nxt, dual, base state) tables of _census_table side by side, each
       shifted by the widths before it.
 
@@ -636,14 +635,16 @@ def _census_walk(
         tables = [(nxt, np.hstack([u for _, u in tables]))]
     ((nxt, dual),) = tables
     bases = np.concatenate([np.arange(a, b, d) for a, b, d in zip(offsets, offsets[1:], degrees)])
-    n = max(map(len, rows), default=0)
+    coded = isinstance(rows, np.ndarray)
+    n = rows.shape[1] if coded else max(map(len, rows), default=0)
     k = _step_length(n, nxt.shape)
     table = _step_table(nxt, k) if k > 1 else nxt
     if len(rows) == 1:
         table = list(table)  # _gather_walk's one-row steps
     grid = -(-grid // k) * k
-    codes = _letter_codes(rows, rank, -(-n // (grid or k)) * (grid or k))
-    states = np.empty((codes.shape[1] // grid if grid else 0, len(rows), len(bases)), dtype=np.intp)
+    codes = rows if coded else _letter_codes(rows, rank, -(-n // (grid or k)) * (grid or k))
+    stops = codes.shape[1] // grid if grid else 0
+    states = np.empty((stops, len(rows), len(bases)), dtype=np.min_scalar_type(nxt.shape[1]))
     state = np.broadcast_to(bases, states.shape[1:])
     for lo in range(0, codes.shape[1], grid or _CODES):
         if grid:
@@ -977,35 +978,48 @@ def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
 
 # -- explicit path constructions -------------------------------------------------
 
-def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
-    """The reduced base loop realizing a dual-basis word: complement edges
-    joined by tree paths.
+def _delta_edges(g: AGraph, sd: SpanningData, u: np.ndarray) -> np.ndarray:
+    """The edges of delta_path's loop for a nonempty dual word given as an
+    array of signed letters, as an intp array.
 
     The loop is cut into segments, one per pair (previous dual letter,
     dual letter): the tree path from the previous complement edge's
     terminus to this one's origin, then this edge.  The pair (0, y) starts
-    at the base and the pair (y, 0) only returns to it.  Each distinct
-    segment is built once and the segments are chained."""
-    if len(u) == 0:
-        raise InvalidInputError("need a nonempty dual word")
-    if u.rank != sd.dual_rank:
-        raise InvalidInputError("dual word rank does not match the complement")
+    at the base and the pair (y, 0) only returns to it.  The pairs are
+    coded as integers, each distinct segment is built once, and one gather
+    lays the loop out."""
     # dual letter -> (origin, terminus, its edge); 0 stays at the base
     hops = {0: (g.base, g.base, ())}
     for i, e in enumerate(sd.complement, 1):
         o, t, _ = g.edges[e - 1]
         hops[i], hops[-i] = (o, t, (e,)), (t, o, (-e,))
-    pairs = list(zip((0,) + u.letters, u.letters + (0,)))
-    segments = {
-        (x, y): tree_path(g, sd, hops[x][1], hops[y][0]) + hops[y][2]
-        for x, y in dict.fromkeys(pairs)
-    }
-    p = EdgePath(
-        g.base, tuple(itertools.chain.from_iterable(map(segments.__getitem__, pairs)))
-    )
-    if not path_is_reduced(p):
+    r = sd.dual_rank
+    side = 2 * r + 1
+    shifted = np.concatenate(([0], u, [0]), dtype=np.intp) + r
+    pairs, at = np.unique(shifted[:-1] * side + shifted[1:], return_inverse=True)
+    segments = [
+        tree_path(g, sd, hops[x][1], hops[y][0]) + hops[y][2]
+        for x, y in ((p // side - r, p % side - r) for p in pairs.tolist())
+    ]
+    sizes = np.fromiter(map(len, segments), np.intp, len(segments))
+    flat = np.fromiter(itertools.chain.from_iterable(segments), np.intp, int(sizes.sum()))
+    lengths = sizes[at]
+    # position p of the loop in pair i's segment is flat[p + shift[i]]
+    shift = (np.cumsum(sizes) - sizes)[at] - (np.cumsum(lengths) - lengths)
+    e = flat[np.repeat(shift, lengths) + np.arange(int(lengths.sum()))]
+    if np.any(e[1:] + e[:-1] == 0):
         raise InvalidInputError("delta_path built a path that is not reduced")
-    return p
+    return e
+
+
+def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
+    """The reduced base loop realizing a dual-basis word: complement edges
+    joined by tree paths (_delta_edges)."""
+    if len(u) == 0:
+        raise InvalidInputError("need a nonempty dual word")
+    if u.rank != sd.dual_rank:
+        raise InvalidInputError("dual word rank does not match the complement")
+    return EdgePath(g.base, tuple(_delta_edges(g, sd, np.array(u.letters)).tolist()))
 
 
 def _alpha_word(r: int) -> Word:
@@ -1044,11 +1058,25 @@ def universal_three_word(r: int) -> Word:
     return Word(tuple(letters), r)
 
 
+@lru_cache(maxsize=16)
+def _universal_three_letters(r: int) -> np.ndarray:
+    """universal_three_word(r)'s letters as a read-only intp array, cached
+    like the word."""
+    u = np.array(universal_three_word(r).letters, dtype=np.intp)
+    u.flags.writeable = False
+    return u.view()  # a view of a read-only base cannot be made writeable again
+
+
+def _beta_edges(g: AGraph, sd: SpanningData) -> np.ndarray:
+    """beta_path's edges as an intp array."""
+    return _delta_edges(g, sd, _universal_three_letters(sd.dual_rank))
+
+
 def beta_path(g: AGraph, sd: SpanningData) -> EdgePath:
     """Loop realizing the universal length-3 word over the dual basis; any
     cyclically reduced circuit containing it rewrites to a word whose cyclic
     factors include every reduced 3-word, hence is filling."""
-    return delta_path(g, sd, universal_three_word(sd.dual_rank))
+    return EdgePath(g.base, tuple(_beta_edges(g, sd).tolist()))
 
 
 def cycle_rank(g: AGraph) -> int:

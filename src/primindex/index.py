@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
-from .graphs import AGraph, _CELLS, _census_ends, _census_walk, _read_duals, _relabeled_key
+from .graphs import AGraph, _CELLS, _LONGEST_STEP, _census_ends, _census_walk, _letter_codes
+from .graphs import _read_duals, _relabeled_key
 from .graphs import graph_to_json, quotients_with_vertices, subgroup_count
 # Unused here; perfbench/tracer.py patches these names on this module.
 from .graphs import collapse_vertices, fold_with_map, rewrite_loop  # noqa: F401
@@ -348,12 +349,13 @@ def first_cover(
     covers) whose w-loop from the base closes and reads a dual word
     satisfying pred; None when no cover within the cap qualifies.
 
-    Degree by degree, the words still open walk every cover of the degree
-    together (_census_walk, at most _CELLS states at a time).  The (word,
-    cover) pairs that close then read their dual letters together, one
-    gather per letter (_read_duals), _CELLS letters at a time: the nonzero
-    ones make a Word over the degree (rank - 1) + 1 dual letters of
-    Schreier's formula.  Each word asks pred about its closing covers in
+    The words are coded once (_letter_codes, padded to a multiple of every
+    step).  Degree by degree, the rows of the words still open walk every
+    cover of the degree together (_census_walk, at most _CELLS states at a
+    time).  The (word, cover) pairs that close then read their dual letters
+    together, one gather per letter (_read_duals), _CELLS letters at a
+    time: the nonzero ones make a Word over the degree (rank - 1) + 1 dual
+    letters of Schreier's formula.  Each word asks pred about its closing covers in
     census order and stops at its first yes, so pred sees, per word, what
     a scan of that word alone would; a word with its answer leaves the
     later degrees.  No graph is built."""
@@ -367,6 +369,7 @@ def first_cover(
         raise InvalidInputError("a census scan takes words of one rank")
     found: list[int | None] = [None] * len(ws)
     longest = max(map(len, ws))
+    coded = _letter_codes([w.letters for w in ws], rank, -(-longest // _LONGEST_STEP) * _LONGEST_STEP)
     for d in range(1, d_max + 1):
         todo = [i for i, v in enumerate(found) if v is None]
         if not todo:
@@ -374,9 +377,7 @@ def first_cover(
         chunk = max(1, _CELLS // max(subgroup_count(rank, d), longest))
         for lo in range(0, len(todo), chunk):
             ids = todo[lo : lo + chunk]
-            (ends,), _, _, codes, (nxt, dual, bases) = _census_walk(
-                rank, (d,), [ws[i].letters for i in ids]
-            )
+            (ends,), _, _, codes, (nxt, dual, bases) = _census_walk(rank, (d,), coded[ids])
             pending = [True] * len(ids)
             pairs = np.argwhere(ends == 0)  # (row, cover): by word, then census order
             per = max(1, _CELLS // codes.shape[1])

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from primindex import blockers
+from primindex import blockers, graphs
 from primindex.blockers import (
     AuditEntry,
     _pattern_covering_word,
@@ -22,7 +22,6 @@ from primindex.graphs import (
     cover_census,
     cover_graph,
     path_contains,
-    path_is_reduced,
     path_terminus,
     rewrite_loop_cyclic,
     spanning_data,
@@ -32,6 +31,11 @@ from primindex.graphs import (
 )
 from primindex.index import CERT_RAUZY, CERT_UNDETERMINED, _scan_quotients
 from primindex.whitehead import rauzy3_full
+
+
+def path_is_reduced(p):
+    """No edge is followed by its inverse: no two neighbours sum to 0."""
+    return all(a + b != 0 for a, b in zip(p.edges, p.edges[1:]))
 
 
 def census_graphs(rank, degree):
@@ -235,7 +239,10 @@ def test_witness_word_checks_its_letters_on_the_array(monkeypatch):
     # a zero letter or one beyond the rank is refused before the audit
     forcing_letters = blockers._forcing_letters
     for extra, message in (((1, -1), "not freely reduced"), ((0,), "nonzero"), ((3,), "within")):
-        monkeypatch.setattr(blockers, "_forcing_letters", lambda g, e=extra: forcing_letters(g) + e)
+        monkeypatch.setattr(
+            blockers, "_forcing_letters",
+            lambda g, e=extra: np.concatenate((forcing_letters(g), e), dtype=np.int8),
+        )
         with pytest.raises(InvalidInputError, match=message):
             witness_word(2, 2)
     for z, message in (([1, 2, -2, 1], "not freely reduced"), ([1, 2, -1], "not cyclically reduced")):
@@ -322,3 +329,35 @@ def test_blocks_match_per_letter_oracles(pattern_fn, dual_word):
         covers += 1
         moved += g.base != 0
     assert (covers, moved) == (88 + 105 + 87 + 7, 87 + 7)
+
+
+def test_forcing_letters_match_the_per_letter_oracle():
+    # the block witness_word appends is the oracle's word, already in the
+    # letter type of witness_word's z
+    covers = 0
+    for g in _oracle_covers():
+        sd = spanning_data(g)
+        block = blockers._forcing_letters(g)
+        assert block.dtype == blockers._letter_dtype(g.rank) == np.int8
+        assert tuple(block.tolist()) == _covering_word_oracle(g, sd, beta_path(g, sd))[0]
+        covers += 1
+    assert covers == 88 + 105 + 87 + 7
+
+
+def test_cached_universal_word_arrays_are_read_only():
+    for r in (2, 3, 4):
+        u = graphs._universal_three_letters(r)
+        assert u is graphs._universal_three_letters(r)
+        assert tuple(u.tolist()) == universal_three_word(r).letters
+        with pytest.raises(ValueError):
+            u[0] = -u[0]
+        with pytest.raises(ValueError):
+            u.flags.writeable = True
+
+
+def test_forcing_letters_are_a_new_array_per_call():
+    for g in census_graphs(2, 1) + census_graphs(2, 2) + census_graphs(3, 1):
+        block = blockers._forcing_letters(g)
+        kept = block.copy()
+        block[:] = 0
+        assert np.array_equal(blockers._forcing_letters(g), kept)

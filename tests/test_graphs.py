@@ -37,7 +37,6 @@ from primindex.graphs import (
     is_folded,
     out_map,
     path_contains,
-    path_is_reduced,
     path_terminus,
     quotients_with_vertices,
     rewrite_loop,
@@ -63,6 +62,11 @@ from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full, rauzy3_
 
 CW = CyclicWord.parse
 W = Word.parse
+
+
+def path_is_reduced(p):
+    """No edge is followed by its inverse: no two neighbours sum to 0."""
+    return all(a + b != 0 for a, b in zip(p.edges, p.edges[1:]))
 
 
 # -- oracles ------------------------------------------------------------------
@@ -614,6 +618,19 @@ def test_multi_letter_walk_matches_per_cover_trace(rank, d_max, lengths):
                 c += 1
 
 
+def test_census_walk_stops_in_the_narrowest_unsigned_type():
+    # the stop states fit the side-by-side width: uint8 to degree 2, uint16
+    # to degree 5 (2,635 states); each stop is where the walk of the letters
+    # before it ends
+    letters = _reduced_letters(2, random.Random(5), 3001)
+    for degrees, dtype in ((range(1, 3), np.uint8), (range(1, 6), np.uint16)):
+        _, states, grid, _, (nxt, _, bases) = graphs._census_walk(2, degrees, [letters], 60)
+        assert states.dtype == dtype and nxt.shape[1] - 1 <= np.iinfo(dtype).max
+        for s in (1, len(states) // 2, len(states) - 1):
+            ends = np.concatenate(_census_ends(2, degrees, [letters[: s * grid]]), axis=1)[0]
+            assert np.array_equal(states[s, 0], bases + ends)
+
+
 def test_step_table_composes_the_letter_rows():
     nxt, _ = _census_table(2, 3)
     for k in (2, 4):
@@ -1057,6 +1074,23 @@ def test_delta_length_bound():
         assert len(p) <= d * (len(u) + 1) - 1
         assert path_is_reduced(p)
         assert rewrite_loop(g, sd, p).letters == u.letters
+
+
+def test_delta_path_refuses_a_loop_that_is_not_reduced():
+    # a dual word that cancels lays out an edge next to its inverse; the
+    # array check on neighbouring edges catches it, from delta_path (given
+    # an unchecked Word) and from the array routine alike
+    from primindex.words import _trusted
+
+    g = two_vertex_cover()
+    sd = spanning_data(g)
+    r = sd.dual_rank
+    for letters in ((1, -1), (2, 3, -3, 1), (1, 2, -2)):
+        with pytest.raises(InvalidInputError, match="not reduced"):
+            delta_path(g, sd, _trusted(Word, letters, r))
+        with pytest.raises(InvalidInputError, match="not reduced"):
+            graphs._delta_edges(g, sd, np.array(letters))
+    assert path_is_reduced(delta_path(g, sd, Word((1, -2), r)))
 
 
 def test_beta_length_bound_on_covers():

@@ -391,6 +391,36 @@ def test_first_cover_checks_its_input():
             index.first_cover(bad, 3, is_simple)
 
 
+def test_first_cover_codes_its_batch_once(monkeypatch):
+    # the batch is coded once, padded to a multiple of the longest step,
+    # and each degree's walk takes the rows of the words still open
+    calls = []
+    letter_codes = graphs._letter_codes
+
+    def counting(rows, rank, width):
+        calls.append((len(rows), width))
+        return letter_codes(rows, rank, width)
+
+    monkeypatch.setattr(graphs, "_letter_codes", counting)
+    monkeypatch.setattr(index, "_letter_codes", counting)
+    ws = [CW(t, 2) for t in ("aabbAB", "abAB", "aaab", "abbbaB", "ab")]
+    walks = []
+    walk = graphs._census_walk
+
+    def recording(rank, degrees, rows, grid=0):
+        walks.append(rows.shape)
+        return walk(rank, degrees, rows, grid)
+
+    monkeypatch.setattr(index, "_census_walk", recording)
+    expected = [first_cover_by_trace(w, 4, _closes_and(is_simple)) for w in ws]
+    assert index.first_cover(ws, 4, is_simple) == expected
+    assert calls == [(5, 8)]
+    degrees = range(1, max(e or 4 for e in expected) + 1)
+    assert walks == [(sum(e is None or e >= d for e in expected), 8) for d in degrees]
+    assert index.first_cover(ws, 3, lambda u: False) == [None] * 5
+    assert calls == [(5, 8)] * 2
+
+
 def test_first_cover_checks_that_each_walk_closes(monkeypatch):
     # a closing test that lets an open cover through is caught by the read
     walk = graphs._census_walk
