@@ -285,6 +285,11 @@ def _grow(
     on_step: Callable[[], None] | None,
 ) -> Iterator:
     """Grow folded graphs from vertex 0 one edge at a time, depth first.
+    The quotient scan grows through here: its holes follow the word, and a
+    branch stops early where the word cannot close.  Covers do not
+    (_grow_covers): every cover of a degree has exactly degree * rank
+    edges, so all open tables advance in lockstep, one edge per level, on
+    arrays.
 
     hole(out, size, cursor) reads the edges out[(vertex, letter)] -> vertex
     and names the next hole (vertex, letter, targets, cursor), or None when
@@ -347,54 +352,165 @@ def complete_to_cover(g: AGraph) -> AGraph:
     return AGraph(g.rank, g.num_vertices, g.base, tuple(edges))
 
 
-def _least_relabeling(image: list[int], d: int) -> list[int]:
-    """The lex-least of the images perm_1[0..d-1] + perm_2[0..d-1] + ...
-    of a transitive permutation tuple, given flat as image[(gen - 1) * d +
-    j] = perm_gen[j], over its relabelings fixing 0, by branch and bound.
+def _grow_covers(rank: int, degree: int) -> Iterator[np.ndarray]:
+    """The coset table of every subgroup of index degree, each once, as
+    raw images perms[c, gen - 1, j] = perm_gen[j] in the narrowest signed
+    type that holds the degree, yielded in batches of about _CELLS // (16 *
+    degree) tables.
 
-    The positions are filled in order.  An image with no label yet takes
-    the next free label (any other label would make that position larger);
-    a position whose vertex has no label yet branches over the unlabeled
-    vertices; a branch is cut as soon as its prefix exceeds the best tuple
-    found so far."""
-    n = len(image)
-    best: list[int] = []
+    Sims' method (Computation with Finitely Presented Groups, 1994, ch. 5),
+    breadth first: a frontier row is a partial table, one column per
+    (vertex, letter) cell in alphabet order and -1 for empty.  Each level
+    fills the first empty cell of every row, branching over the targets
+    t <= size (t == size a new vertex while size < degree) whose inverse
+    cell is empty; a row whose first empty cell lies past its vertices has
+    closed at a smaller degree and dies.  A level fills one edge in every
+    row, so every cover is finished after exactly degree * rank levels: the
+    tables of _grow with a first-empty-cell hole.  The frontier advances in
+    blocks of rows, the deepest block first, so that only a few blocks per
+    level are held at a time."""
+    width = 2 * rank
+    letters = alphabet(rank)
+    vertex, column = np.divmod(np.arange(degree * width), width)  # of each cell
+    back = np.array([letters.index(-x) for x in letters])[column]  # the column of its inverse letter
+    reach = np.arange(degree) < np.minimum(np.arange(degree + 1) + 1, degree)[:, None]  # [size, target]
+    dtype = np.min_scalar_type(-degree)
+    block = max(1, _CELLS // (16 * degree * width))  # rows a level step takes
+    batch = max(1, _CELLS // (16 * degree))
+    done: list[np.ndarray] = []
+    held = 0  # finished tables in done
+    stack = [(0, np.full((1, degree * width), -1, dtype=dtype), np.ones(1, dtype=np.intp))]
+    while stack:
+        level, tab, size = stack.pop()
+        if level == degree * rank:
+            done.append(tab.reshape(-1, degree, rank, 2)[..., 0].transpose(0, 2, 1))
+            held += len(tab)
+            if held >= batch:
+                yield np.concatenate(done)
+                done, held = [], 0
+            continue
+        cell = np.argmax(tab < 0, axis=1)
+        live = cell < size * width
+        if not live.all():
+            tab, size, cell = tab[live], size[live], cell[live]
+        free = tab.reshape(len(tab), degree, width)[np.arange(len(tab)), :, back[cell]] < 0
+        free &= reach[size]
+        rows, t = np.nonzero(free)
+        tab, size, cell = tab[rows], size[rows], cell[rows]
+        new = np.arange(len(rows))
+        tab[new, cell] = t
+        tab[new, t * width + back[cell]] = vertex[cell]
+        size = np.maximum(size, t + 1)
+        stack.extend(
+            (level + 1, tab[at : at + block], size[at : at + block])
+            for at in range(0, len(tab), block)
+        )
+    if done:
+        yield np.concatenate(done)
 
-    def search(p: int, label: list[int], vertex: list[int], free: int,
-               prefix: list[int], tight: bool) -> None:
-        # label: old vertex -> new label (-1: none), vertex: its inverse;
-        # tight: prefix equals best[:p], else it is smaller (or best empty)
-        nonlocal best
-        while p < n:
-            j = p % d
-            u = vertex[j]
-            if u < 0:  # label j == free is unused: branch on who takes it
-                for u in range(d):
-                    if label[u] < 0:
-                        before = best
-                        lab, ver = label[:], vertex[:]
-                        lab[u], ver[j] = j, u
-                        search(p, lab, ver, free + 1, prefix[:], tight)
-                        # a new best shares this prefix, so siblings are tight
-                        tight = tight or best is not before
-                return
-            t = image[p - j + u]
-            lt = label[t]
-            if lt < 0:
-                lt = label[t] = free
-                vertex[free] = t
-                free += 1
-            if tight:
-                b = best[p]
-                if lt > b:
-                    return
-                tight = lt == b
-            prefix.append(lt)
-            p += 1
-        best = prefix
 
-    search(0, [0] + [-1] * (d - 1), [0] + [-1] * (d - 1), 1, [], False)
-    return best
+def _standard_form(p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Relabel each row of p1 (a perm_1 per row) into standard form: the
+    cycle of 0 is labeled 0, 1, ... along perm_1, then the other cycles
+    follow by ascending length (ties by least vertex), each labeled
+    consecutively along perm_1 from its least vertex.  Returns label[r, v]
+    (vertex -> label), its inverse vertex[r, i], and start[r, i], whether
+    label i begins a cycle, which is the cycle type.  degree gathers, then
+    one sort per row."""
+    n, d = p1.shape
+    flat, base = p1.ravel(), np.arange(0, n * d, d)[:, None]  # row r starts at r * d
+    power = np.empty((d + 1, n, d), dtype=p1.dtype)  # power[k] = perm_1^k
+    power[0] = np.arange(d)
+    for k in range(d):
+        np.take(flat, base + power[k], out=power[k + 1])
+    least = power[:d].min(axis=0)  # the least vertex of each cycle ...
+    back = power[:d].argmin(axis=0)  # ... is perm_1^back of the vertex
+    length = np.argmax(power[1:] == power[0], axis=0) + 1
+    cycle = np.where(least > 0, length, 0) * d + least  # 0's cycle first
+    key = (cycle * d + (length - back) % length).astype(np.min_scalar_type((d + 1) * d * d))
+    vertex = np.argsort(key, axis=1).astype(p1.dtype)
+    at = base + vertex
+    label = np.empty_like(vertex)
+    label.reshape(-1)[at] = power[0]
+    cycle = np.take(cycle, at)
+    start = np.ones((n, d), dtype=bool)
+    start[:, 1:] = cycle[:, 1:] != cycle[:, :-1]
+    return label, vertex, start
+
+
+@lru_cache(maxsize=128)
+def _centralizer(lengths: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The relabelings that keep a perm_1 in standard form, whose cycles
+    have these lengths (0's cycle, then the others ascending): each fixes
+    the cycle of 0, rotates every other cycle and permutes cycles of equal
+    length.  Rows c[j, label] = new label, and their inverses; read-only."""
+    rows = [list(range(lengths[0]))]
+    at = lengths[0]
+    for length, same in itertools.groupby(lengths[1:]):
+        m = len(list(same))
+        moves = [
+            [at + to[i] * length + (k + turn[i]) % length for i in range(m) for k in range(length)]
+            for to in itertools.permutations(range(m))
+            for turn in itertools.product(range(length), repeat=m)
+        ]
+        rows = [row + move for row in rows for move in moves]
+        at += m * length
+    c = np.array(rows, dtype=np.min_scalar_type(-at))  # perms' type
+    c_inv = np.argsort(c, axis=1).astype(c.dtype)
+    c.flags.writeable = c_inv.flags.writeable = False
+    return c, c_inv
+
+
+def _least_tuples(perms: np.ndarray) -> np.ndarray:
+    """Each table perms[r] (transitive) relabeled, 0 fixed, to its lex-least
+    perm_1 + perm_2 + ... .  That tuple has perm_1 in standard form, since
+    at the first position where two choices differ a shorter cycle wins; so
+    the choices left are the _centralizer of its cycle type, and the lex-min
+    over them is taken column by column of perm_2, perm_3, ... over every
+    (table, relabeling) candidate at once, each column keeping the
+    candidates that reach their table's least value.  Candidates are built
+    for whole tables, at most _CELLS // 8 cells at a time (or one table's,
+    if its centralizer is larger), so that the intp index arrays numpy makes
+    of them hold at most _CELLS words."""
+    n, rank, d = perms.shape
+    label, vertex, start = _standard_form(perms[:, 0])
+    # one centralizer per cycle type; kind[r] numbers the type of table r
+    types = np.packbits(start, axis=1)
+    order = np.lexsort(types.T[::-1])
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(types[order[1:]] != types[order[:-1]], axis=1)
+    kind = np.empty(n, dtype=np.intp)
+    kind[order] = np.cumsum(first) - 1
+    cuts = [[i for i, s in enumerate(row) if s] + [d] for row in start[order[first]].tolist()]
+    cs, c_invs = zip(*(_centralizer(tuple(b - a for a, b in itertools.pairwise(at))) for at in cuts))
+    sizes = np.array([len(c) for c in cs])
+    c, c_inv = np.concatenate(cs), np.concatenate(c_invs)  # type by type
+    offset = np.cumsum(sizes) - sizes  # of each type's first relabeling
+    stops = np.cumsum(sizes[kind]) * d  # candidate cells up to each table
+    out = np.empty_like(perms)
+    at = 0
+    while at < n:
+        end = max(at + 1, int(np.searchsorted(stops, (stops[at - 1] if at else 0) + _CELLS // 8, "right")))
+        tables = np.arange(end - at)
+        m = sizes[kind[at:end]]
+        mine = np.repeat(tables, m)  # candidate -> its table in this chunk
+        j = np.arange(len(mine)) - np.repeat(np.cumsum(m) - m - offset[kind[at:end]], m)
+        lab = c[j[:, None], label[at:end][mine]]  # candidate under relabeling c[j]
+        ver = vertex[at:end][mine[:, None], c_inv[j]]
+        table = perms[at:end]
+        alive = np.arange(len(mine))
+        for gen, i in itertools.product(range(1, rank), range(d)):
+            if len(alive) == len(tables):
+                break
+            own = mine[alive]
+            value = lab[alive, table[own, gen, ver[alive, i]]]
+            least = np.minimum.reduceat(value, np.searchsorted(own, tables))
+            alive = alive[value == least[own]]
+        tables = tables[:, None, None]
+        images = table[tables, np.arange(rank)[:, None], ver[alive, None, :]]
+        out[at:end] = lab[alive[tables], images]
+        at = end
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -403,35 +519,22 @@ def cover_census(rank: int, degree: int) -> tuple[tuple[int, ...], ...]:
     flat permutation tuples perm[(gen - 1) * degree + j] = perm_gen[j];
     cover_graph builds a cover's AGraph from its tuple.
 
-    Each subgroup of index degree is grown once by filling the first empty
-    (vertex, letter) entry (Sims, Computation with Finitely Presented
-    Groups, 1994, ch. 5), each search resuming at the entry its parent
-    filled; each table is relabeled to the lex-least tuple among its
-    relabelings fixing the base, found by branch and bound rather than by
-    trying all (degree-1)! of them, and the tuples are sorted, with no
-    dedup.  The numbering is generally not canonical_key's; witness words
-    and `covers --json` depend on it.
+    Each subgroup of index degree is grown once as a coset table
+    (_grow_covers, breadth first), relabeled to the lex-least tuple among
+    its relabelings fixing the base (_least_tuples, a batch of tables at a
+    time), and the tuples are sorted, with no dedup.  They are sorted as
+    tuples, not as one array, so that no array of the whole census is held
+    beside them.  The numbering is generally not canonical_key's; witness
+    words and `covers --json` depend on it.
     """
     if rank < 1 or degree < 1:
         raise InvalidInputError("rank and degree must be >= 1")
-    cells = list(itertools.product(range(degree), alphabet(rank)))
-    width = 2 * rank
-
-    def hole(out: dict, size: int, c: int) -> tuple | None:
-        end = size * width  # cells before c are filled in every ancestor
-        while c < end and cells[c] in out:
-            c += 1
-        if c == end:
-            return None if size == degree else _DEAD
-        v, x = cells[c]
-        return v, x, range(size + (size < degree)), c + 1
-
-    images = [(j, gen) for gen in range(1, rank + 1) for j in range(degree)]
-
-    def finish(out: dict, size: int) -> tuple[int, ...]:
-        return tuple(_least_relabeling(list(map(out.__getitem__, images)), degree))
-
-    return tuple(sorted(_grow(hole, 0, finish, None)))
+    width = rank * degree
+    census: list[tuple[int, ...]] = []
+    for perms in _grow_covers(rank, degree):
+        census.extend(zip(*[iter(_least_tuples(perms).ravel().tolist())] * width))
+    census.sort()
+    return tuple(census)
 
 
 def cover_graph(rank: int, perms: Sequence[int]) -> AGraph:
@@ -463,7 +566,7 @@ def subgroup_count(rank: int, degree: int) -> int:
 _WALK_CHUNK = 4  # closing covers whose whole dual words are read together
 _LONGEST_STEP = 4  # letters per step of a census walk, at most
 _CODES = 1 << 16  # letters coded at a time when the walk keeps no grid; a multiple of every step
-_CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census walks holds at a time
+_CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census walks holds at a time; bounds the census build's arrays too
 
 
 @lru_cache(maxsize=None)

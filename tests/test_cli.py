@@ -234,6 +234,24 @@ def test_covers_cap_exits_before_building_the_census(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_cover_caps_refuse_before_any_census_is_built(capsys, monkeypatch):
+    # a small census now builds within any timer's margin, so every
+    # cover_census call the two commands can make fails here instead
+    from primindex import blockers
+
+    def build(rank, degree):
+        pytest.fail(f"cover_census({rank}, {degree}) was called")
+
+    monkeypatch.setattr(cli, "cover_census", build)
+    monkeypatch.setattr(blockers, "cover_census", build)
+    for argv, message in [
+        (["covers", "--rank", "2", "--degree", "3", "--max-covers", "12"], "13 covers exceed"),
+        (["witness", "--degree", "3", "--rank", "2", "--max-covers", "16"], "exceeds cover cap 16"),
+    ]:
+        code, _, err = run_cli(capsys, argv)
+        assert code == 3 and message in err, err
+
+
 def test_covers_rank_0_exit_2(capsys):
     code, _, err = run_cli(capsys, ["covers", "--rank", "0", "--degree", "1"])
     assert code == 2

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,91 @@ def census_by_plain_min(rank, degree):
         for g in _grow(hole, None, lambda out, size: _finished(rank, out, size), None)
     )
     return tuple(tuple(t for _, _, t in key) for key in keys)
+
+
+def least_relabeling(image, d):
+    """Oracle for the census relabeling, one table at a time: the lex-least
+    of the images perm_1[0..d-1] + perm_2[0..d-1] + ... of a transitive
+    permutation tuple, given flat as image[(gen - 1) * d + j] = perm_gen[j],
+    over its relabelings fixing 0, by branch and bound.
+
+    The positions are filled in order.  An image with no label yet takes
+    the next free label (any other label would make that position larger);
+    a position whose vertex has no label yet branches over the unlabeled
+    vertices; a branch is cut as soon as its prefix exceeds the best tuple
+    found so far."""
+    n = len(image)
+    best = []
+
+    def search(p, label, vertex, free, prefix, tight):
+        # label: old vertex -> new label (-1: none), vertex: its inverse;
+        # tight: prefix equals best[:p], else it is smaller (or best empty)
+        nonlocal best
+        while p < n:
+            j = p % d
+            u = vertex[j]
+            if u < 0:  # label j == free is unused: branch on who takes it
+                for u in range(d):
+                    if label[u] < 0:
+                        before = best
+                        lab, ver = label[:], vertex[:]
+                        lab[u], ver[j] = j, u
+                        search(p, lab, ver, free + 1, prefix[:], tight)
+                        # a new best shares this prefix, so siblings are tight
+                        tight = tight or best is not before
+                return
+            t = image[p - j + u]
+            lt = label[t]
+            if lt < 0:
+                lt = label[t] = free
+                vertex[free] = t
+                free += 1
+            if tight:
+                b = best[p]
+                if lt > b:
+                    return
+                tight = lt == b
+            prefix.append(lt)
+            p += 1
+        best = prefix
+
+    search(0, [0] + [-1] * (d - 1), [0] + [-1] * (d - 1), 1, [], False)
+    return best
+
+
+def raw_tables_by_grow(rank, degree):
+    """Oracle for the array grower: every subgroup's coset table, grown
+    depth first by _grow with a first-empty-cell hole (the first empty
+    (vertex, letter) cell in (vertex, alphabet) order), as flat images
+    perm_1 + perm_2 + ... in the grower's numbering."""
+    cells = list(itertools.product(range(degree), alphabet(rank)))
+    images = [(j, gen) for gen in range(1, rank + 1) for j in range(degree)]
+
+    def hole(out, size, cursor):
+        for v, x in cells[: size * 2 * rank]:
+            if (v, x) not in out:
+                return v, x, range(size + (size < degree)), cursor
+        return None if size == degree else _DEAD
+
+    return list(_grow(hole, None, lambda out, size: tuple(map(out.__getitem__, images)), None))
+
+
+def is_transitive(image, rank, d):
+    """Whether the flat permutation tuple image moves 0 to every vertex."""
+    orbit, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for gen in range(rank):
+            t = image[gen * d + v]
+            if t not in orbit:
+                orbit.add(t)
+                frontier.append(t)
+    return len(orbit) == d
+
+
+def grown_tables(rank, degree):
+    """The array grower's raw tables, as one (tables, rank, degree) array."""
+    return np.concatenate(list(graphs._grow_covers(rank, degree)))
 
 
 def canonical_form(g):
@@ -377,6 +466,112 @@ def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
         assert tuples == lex_least_transitive_tuples(rank, d)
         relabeled += sum(canonical_form(g) != g for g in census_graphs(rank, d))
     assert relabeled > 0
+
+
+@pytest.mark.parametrize("rank,d_max", [(1, 5), (2, 6), (3, 4), (4, 3)])
+def test_array_grower_matches_grow_with_a_first_empty_cell_hole(rank, d_max):
+    # breadth first, every row one edge per level, against the depth-first
+    # grower: the same multiset of raw tables, Hall's count, all transitive
+    for d in range(1, d_max + 1):
+        tables = [tuple(t) for t in grown_tables(rank, d).reshape(-1, rank * d).tolist()]
+        assert sorted(tables) == sorted(raw_tables_by_grow(rank, d)), (rank, d)
+        assert len(tables) == subgroup_count(rank, d)
+        assert all(is_transitive(t, rank, d) for t in tables)
+
+
+@pytest.mark.parametrize("rank,d_max", [(2, 6), (3, 4), (4, 3)])
+def test_batch_relabeling_matches_branch_and_bound_on_every_raw_table(rank, d_max):
+    for d in range(1, d_max + 1):
+        perms = grown_tables(rank, d)
+        least = graphs._least_tuples(perms).reshape(len(perms), -1).tolist()
+        raw = perms.reshape(len(perms), -1).tolist()
+        assert least == [least_relabeling(image, d) for image in raw], (rank, d)
+
+
+def _random_transitive_tables(rng, rank, d, perm_1, count):
+    tables = []
+    while len(tables) < count:
+        first = list(perm_1) if perm_1 is not None else rng.sample(range(d), d)
+        image = first + [t for _ in range(rank - 1) for t in rng.sample(range(d), d)]
+        if is_transitive(image, rank, d):
+            tables.append(image)
+    return tables
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("d", [8, 9])
+def test_batch_relabeling_matches_branch_and_bound_on_random_tables(rank, d):
+    # past the census ranges; the identity perm_1 and a perm_1 fixing every
+    # vertex off the cycle of 0 have the largest centralizers: (d-1)! and (d-3)!
+    rng = random.Random(2500 + 10 * rank + d)
+    tables = _random_transitive_tables(rng, rank, d, None, 24)
+    tables += _random_transitive_tables(rng, rank, d, range(d), 2)
+    tables += _random_transitive_tables(rng, rank, d, [1, 2, 0, *range(3, d)], 2)
+    perms = np.array(tables, dtype=np.int8).reshape(-1, rank, d)
+    least = graphs._least_tuples(perms).reshape(len(tables), -1).tolist()
+    assert least == [least_relabeling(image, d) for image in tables]
+
+
+def test_centralizer_keeps_perm_1_in_standard_form():
+    # each cycle of length L off the cycle of 0 can be rotated L ways, and
+    # m cycles of one length permuted m! ways; the cycle of 0 stays fixed
+    for lengths in [(1,), (3,), (1, 1, 1, 1), (2, 1, 1, 3), (1, 2, 2), (2, 1, 2, 2, 3)]:
+        d = sum(lengths)
+        c, c_inv = graphs._centralizer(lengths)
+        size = 1
+        for length in set(lengths[1:]):
+            m = lengths[1:].count(length)
+            size *= length**m * math.factorial(m)
+        assert c.shape == (size, d) and len(set(map(tuple, c.tolist()))) == size
+        perm_1, at = [], 0
+        for length in lengths:
+            perm_1 += [at + (k + 1) % length for k in range(length)]
+            at += length
+        perm_1 = np.array(perm_1)
+        assert np.array_equal(c[:, perm_1], perm_1[c])  # c commutes with perm_1
+        assert np.array_equal(c[:, : lengths[0]], np.broadcast_to(np.arange(lengths[0]), (size, lengths[0])))
+        assert np.array_equal(np.take_along_axis(c, c_inv.astype(np.intp), axis=1), np.broadcast_to(np.arange(d), (size, d)))
+        with pytest.raises(ValueError):
+            c[0, 0] = 1
+    assert graphs._centralizer.cache_info().maxsize is not None
+
+
+def test_census_is_the_same_in_small_chunks(monkeypatch):
+    # a level step of one row, one table relabeled at a time, and
+    # candidates past the cap when one table's centralizer outgrows it
+    expected = {(rank, d): cover_census(rank, d) for rank, d in [(2, 5), (3, 4)]}
+    monkeypatch.setattr(graphs, "_CELLS", 1 << 6)
+    for (rank, d), census in expected.items():
+        assert cover_census.__wrapped__(rank, d) == census
+
+
+def test_census_tables_take_the_narrowest_type_that_holds_the_degree():
+    assert next(graphs._grow_covers(2, 3)).dtype == np.int8
+    assert next(graphs._grow_covers(1, 130)).dtype == np.int16
+    # rank 1 has one cover per degree, the standard cycle 0 -> 1 -> ... -> 0
+    (cycle,) = cover_census.__wrapped__(1, 130)
+    assert cycle == tuple(range(1, 130)) + (0,) and type(cycle[0]) is int
+
+
+_COLD_BUILD = """
+import sys
+from primindex.graphs import cover_census
+cover_census(2, 4), cover_census(3, 3)
+print(sorted(m for m in ("numpy.ma", "numpy.random") if m in sys.modules))
+"""
+
+
+def test_census_build_imports_neither_numpy_ma_nor_numpy_random():
+    # either import costs more than a cold build of the small censuses
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_BUILD], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
