@@ -139,14 +139,6 @@ def _covering_letters(
     return np.concatenate(pieces), [len(piece) + len(tail) for piece in pieces[::2]]
 
 
-def _pattern_covering_word(
-    g: AGraph, sd: SpanningData, pattern: EdgePath
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """_covering_letters for a pattern path, as tuples."""
-    letters, lengths = _covering_letters(g, sd, np.array(pattern.edges, dtype=np.intp))
-    return tuple(letters.tolist()), tuple(lengths)
-
-
 def _blocker(
     g: AGraph,
     caller: str,
@@ -158,12 +150,12 @@ def _blocker(
         raise InvalidInputError(f"{caller} expects a connected cover")
     sd = spanning_data(g)
     pattern = pattern_fn(g, sd)
-    letters, piece_lengths = _pattern_covering_word(g, sd, pattern)
-    word = Word(letters, g.rank)
+    letters, piece_lengths = _covering_letters(g, sd, np.array(pattern.edges, dtype=np.intp))
+    word = Word(tuple(letters.tolist()), g.rank)
     containment = tuple(
         path_contains(trace_path(g, x, word), pattern) for x in range(g.num_vertices)
     )
-    return BlockerReport(g, word, kind, bound, containment, piece_lengths)
+    return BlockerReport(g, word, kind, bound, containment, tuple(piece_lengths))
 
 
 def blocking_word(g: AGraph) -> BlockerReport:

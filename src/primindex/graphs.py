@@ -273,63 +273,6 @@ def path_contains(hay: EdgePath, needle: EdgePath) -> bool:
     return _edge_token_string(needle.edges) in _edge_token_string(hay.edges)
 
 
-# -- growing folded graphs ------------------------------------------------------
-
-_DEAD = (0, 0, (), None)  # a hole with no targets: the branch ends without a graph
-
-
-def _grow(
-    hole: Callable[[dict, int, object], tuple | None],
-    cursor: object,
-    finish: Callable[[dict, int], object],
-    on_step: Callable[[], None] | None,
-) -> Iterator:
-    """Grow folded graphs from vertex 0 one edge at a time, depth first.
-    The quotient scan grows through here: its holes follow the word, and a
-    branch stops early where the word cannot close.  Covers do not
-    (_grow_covers): every cover of a degree has exactly degree * rank
-    edges, so all open tables advance in lockstep, one edge per level, on
-    arrays.
-
-    hole(out, size, cursor) reads the edges out[(vertex, letter)] -> vertex
-    and names the next hole (vertex, letter, targets, cursor), or None when
-    the graph is finished, which yields finish(out, size); target size is a
-    new vertex.  The cursor a hole returns is handed to the holes below it,
-    so each search resumes where its parent's stopped (edges are only added
-    on the way down); the first hole gets the cursor given here.  Targets
-    already holding the inverse letter are skipped; on_step is called once
-    per target tried."""
-    out: dict[tuple[int, int], int] = {}
-    frames = []  # per open hole: vertex, letter, targets left, cursor, size
-    size = 1
-    h = hole(out, size, cursor)
-    while True:
-        if h is None:
-            yield finish(out, size)
-        else:
-            v, x, targets, cursor = h
-            frames.append((v, x, iter(targets), cursor, size))
-        while frames:  # place the next target of the deepest open hole
-            v, x, targets, cursor, size = frames[-1]
-            t = out.pop((v, x), None)  # the target placed here last time
-            if t is not None:
-                del out[t, -x]
-            for t in targets:
-                if (t, -x) not in out:
-                    break
-            else:
-                frames.pop()
-                continue
-            if on_step is not None:
-                on_step()
-            out[v, x], out[t, -x] = t, v
-            size += t == size
-            h = hole(out, size, cursor)
-            break
-        else:
-            return
-
-
 # -- covers -------------------------------------------------------------------
 
 def complete_to_cover(g: AGraph) -> AGraph:
@@ -366,9 +309,9 @@ def _grow_covers(rank: int, degree: int) -> Iterator[np.ndarray]:
     cell is empty; a row whose first empty cell lies past its vertices has
     closed at a smaller degree and dies.  A level fills one edge in every
     row, so every cover is finished after exactly degree * rank levels: the
-    tables of _grow with a first-empty-cell hole.  The frontier advances in
-    blocks of rows, the deepest block first, so that only a few blocks per
-    level are held at a time."""
+    tables a depth-first first-empty-cell search grows (the tests' oracle
+    grower).  The frontier advances in blocks of rows, the deepest block
+    first, so that only a few blocks per level are held at a time."""
     width = 2 * rank
     letters = alphabet(rank)
     vertex, column = np.divmod(np.arange(degree * width), width)  # of each cell
@@ -760,13 +703,6 @@ def _census_walk(
     return ends, states, grid, codes, (nxt, dual, bases)
 
 
-def _census_ends(
-    rank: int, degrees: Sequence[int], rows: Sequence[Sequence[int] | np.ndarray]
-) -> list[np.ndarray]:
-    """_census_walk's ends alone: the closing test, with no stops."""
-    return _census_walk(rank, degrees, rows)[0]
-
-
 def _read_duals(
     nxt: np.ndarray,
     dual: np.ndarray,
@@ -807,11 +743,11 @@ def _peel_count(head: np.ndarray, tail: np.ndarray) -> int:
 def _census_duals(
     rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
 ) -> tuple[list[np.ndarray], Callable[..., Iterator[np.ndarray | None]]]:
-    """The closing test of one word, _census_ends(rank, degrees, [letters])
-    with its one row taken, and read(covers=None, spans=None), the reader
-    of its dual letters; covers are numbered over the listed degrees in
-    turn, census order within each, and default to every cover that closes.
-    No graph is built.
+    """The closing test of one word, _census_walk(rank, degrees,
+    [letters])[0] with its one row taken, and read(covers=None,
+    spans=None), the reader of its dual letters; covers are numbered over
+    the listed degrees in turn, census order within each, and default to
+    every cover that closes.  No graph is built.
 
     - read(covers) yields, per cover, the cyclically reduced dual word of
       its loop (rewrite_loop_cyclic's letters) as a signed array, read from
@@ -986,23 +922,49 @@ def quotients_with_vertices(
     last letter closes at 0.  Vertices are numbered in first-visit order
     along w and edges sorted, as fold_with_map numbers a collapse of
     circle_graph(w).  Each is yielded as _read_quotient reads it off the
-    grower's table, with no graph built.  on_step is called per edge tried.
+    next-vertex table out[(vertex, letter)], with no graph built.  on_step
+    is called per edge tried.  The search is depth first on an explicit
+    stack, since a branch stops early where w cannot close; covers, which
+    all have degree * rank edges, grow breadth first instead (_grow_covers).
     """
     letters, n = w.letters, len(w)
     if n == 0:
         raise InvalidInputError("need a nonempty cyclic word")
 
-    def hole(out: dict, size: int, at: tuple[int, int]) -> tuple | None:
-        v, i = at  # w is traced to letter i, at vertex v, in every ancestor
-        while i < n and (v, letters[i]) in out:
-            v, i = out[v, letters[i]], i + 1
-        if i == n:
-            return None if v == 0 and size == k else _DEAD
-        if size + n - i - 1 < k:  # only letters before the last add vertices
-            return _DEAD
-        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k)), (v, i)
+    def grow() -> Iterator[tuple]:
+        out: dict[tuple[int, int], int] = {}
+        stack = []  # per missing edge: vertex, letter, its index in w, targets left, size
+        v, i, size = 0, 0, 1
+        while True:
+            while i < n and (v, letters[i]) in out:  # follow the edges already present
+                v, i = out[v, letters[i]], i + 1
+            if i == n:
+                if v == 0 and size == k:
+                    yield _read_quotient(w, out, size)
+            elif size + n - i - 1 >= k:  # only letters before the last add vertices
+                targets = (0,) if i == n - 1 else range(size + (size < k))
+                stack.append((v, letters[i], i, iter(targets), size))
+            while stack:  # place the next target of the deepest missing edge
+                v, x, i, targets, size = stack[-1]
+                t = out.pop((v, x), None)  # the target placed here last time
+                if t is not None:
+                    del out[t, -x]
+                for t in targets:
+                    if (t, -x) not in out:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                if on_step is not None:
+                    on_step()
+                out[v, x], out[t, -x] = t, v
+                size += t == size
+                v, i = t, i + 1
+                break
+            else:
+                return
 
-    return _grow(hole, (0, 0), lambda out, size: _read_quotient(w, out, size), on_step)
+    return grow()
 
 
 # -- spanning data and rewriting ------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
-from .graphs import AGraph, _CELLS, _LONGEST_STEP, _census_ends, _census_walk, _letter_codes
+from .graphs import AGraph, _CELLS, _LONGEST_STEP, _census_walk, _letter_codes
 from .graphs import _read_duals, _relabeled_key
 from .graphs import graph_to_json, quotients_with_vertices, subgroup_count
 # Unused here; perfbench/tracer.py patches these names on this module.
@@ -414,7 +414,7 @@ def divisibility(g: Word, d_max: int) -> int | None:
     if len(g) == 0:
         raise InvalidInputError("census scans reject the trivial word")
     for d in range(1, d_max + 1):
-        if _census_ends(g.rank, (d,), [g.letters])[0].any():
+        if _census_walk(g.rank, (d,), [g.letters])[0][0].any():
             return d
     return None
 

@@ -6,7 +6,7 @@ import pytest
 from primindex import blockers, graphs
 from primindex.blockers import (
     AuditEntry,
-    _pattern_covering_word,
+    _covering_letters,
     blocking_word,
     forcing_word,
     witness_word,
@@ -270,8 +270,8 @@ def _delta_path_oracle(g, sd, u):
 
 
 def _covering_word_oracle(g, sd, pattern):
-    """_pattern_covering_word by re-tracing the whole word so far from each
-    vertex to find the edge its connector starts from."""
+    """_covering_letters, as tuples, by re-tracing the whole word so far
+    from each vertex to find the edge its connector starts from."""
     first_edge = pattern.edges[0]
     pattern_letters = tuple(map(g.label, pattern.edges))
     pieces = []
@@ -323,9 +323,9 @@ def test_blocks_match_per_letter_oracles(pattern_fn, dual_word):
         sd = spanning_data(g)
         pattern = pattern_fn(g, sd)
         assert pattern == _delta_path_oracle(g, sd, dual_word(sd.dual_rank))
-        got = _pattern_covering_word(g, sd, pattern)
-        assert got == _covering_word_oracle(g, sd, pattern)
-        assert sum(got[1]) == len(got[0])
+        letters, lengths = _covering_letters(g, sd, np.array(pattern.edges, dtype=np.intp))
+        assert (tuple(letters.tolist()), tuple(lengths)) == _covering_word_oracle(g, sd, pattern)
+        assert sum(lengths) == len(letters)
         covers += 1
         moved += g.base != 0
     assert (covers, moved) == (88 + 105 + 87 + 7, 87 + 7)

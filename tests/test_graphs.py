@@ -16,11 +16,9 @@ from primindex.errors import InvalidInputError, NoSuchPathError, UnsupportedInpu
 from primindex.graphs import (
     AGraph,
     EdgePath,
-    _DEAD,
     _census_duals,
-    _census_ends,
     _census_table,
-    _grow,
+    _census_walk,
     _relabeled_key,
     alpha_path,
     beta_path,
@@ -131,28 +129,60 @@ def lex_least_transitive_tuples(rank, d):
     return sorted(reps)
 
 
+def grow(hole, finish, on_step=lambda: None):
+    """The oracle grower: folded graphs from vertex 0, one edge at a time,
+    depth first.  hole(out, size) reads the edges out[(vertex, letter)] ->
+    vertex and names the next edge to fill as (vertex, letter, targets),
+    None when the graph is finished, which yields finish(out, size), or ()
+    when the branch is dead; target size is a new vertex.  Targets holding
+    the inverse letter are skipped; on_step is called per target tried."""
+    out = {}
+
+    def search(size):
+        h = hole(out, size)
+        if h is None:
+            yield finish(out, size)
+        elif h:
+            v, x, targets = h
+            for t in targets:
+                if (t, -x) not in out:
+                    on_step()
+                    out[v, x], out[t, -x] = t, v
+                    yield from search(size + (t == size))
+                    del out[v, x], out[t, -x]
+
+    return search(1)
+
+
+def first_empty_cell(rank, degree):
+    """The covers' hole: the first empty (vertex, letter) cell in (vertex,
+    alphabet) order, filled by every vertex and a new one while fewer than
+    degree exist; a full table on fewer vertices is dead."""
+    cells = list(itertools.product(range(degree), alphabet(rank)))
+
+    def hole(out, size):
+        for v, x in cells[: size * 2 * rank]:
+            if (v, x) not in out:
+                return v, x, range(size + (size < degree))
+        return None if size == degree else ()
+
+    return hole
+
+
 def _finished(rank, out, size):
     edges = sorted((v, t, x) for (v, x), t in out.items() if x > 0)
     return AGraph(rank, size, 0, tuple(edges))
 
 
 def census_by_plain_min(rank, degree):
-    """Oracle for cover_census: every subgroup grown once by rescanning for
-    the first empty (vertex, letter) entry from (0, a), relabeled by a plain
-    min over all (degree-1)! relabelings fixing the base, then sorted."""
-    letters = alphabet(rank)
-
-    def hole(out, size, cursor):
-        for v, x in itertools.product(range(size), letters):
-            if (v, x) not in out:
-                return v, x, range(size + (size < degree)), cursor
-        return None if size == degree else _DEAD
-
+    """Oracle for cover_census: every subgroup grown once by filling the
+    first empty (vertex, letter) cell, relabeled by a plain min over all
+    (degree-1)! relabelings fixing the base, then sorted."""
     # a relabeled edge list sorted by (gen, vertex) compares as its tuple
     fixing_base = [(0,) + p for p in itertools.permutations(range(1, degree))]
     keys = sorted(
         min(tuple(sorted((gen, s[o], s[t]) for o, t, gen in g.edges)) for s in fixing_base)
-        for g in _grow(hole, None, lambda out, size: _finished(rank, out, size), None)
+        for g in grow(first_empty_cell(rank, degree), lambda out, size: _finished(rank, out, size))
     )
     return tuple(tuple(t for _, _, t in key) for key in keys)
 
@@ -209,19 +239,11 @@ def least_relabeling(image, d):
 
 def raw_tables_by_grow(rank, degree):
     """Oracle for the array grower: every subgroup's coset table, grown
-    depth first by _grow with a first-empty-cell hole (the first empty
-    (vertex, letter) cell in (vertex, alphabet) order), as flat images
-    perm_1 + perm_2 + ... in the grower's numbering."""
-    cells = list(itertools.product(range(degree), alphabet(rank)))
+    depth first with the first-empty-cell hole, as flat images perm_1 +
+    perm_2 + ... in the grower's numbering."""
     images = [(j, gen) for gen in range(1, rank + 1) for j in range(degree)]
-
-    def hole(out, size, cursor):
-        for v, x in cells[: size * 2 * rank]:
-            if (v, x) not in out:
-                return v, x, range(size + (size < degree)), cursor
-        return None if size == degree else _DEAD
-
-    return list(_grow(hole, None, lambda out, size: tuple(map(out.__getitem__, images)), None))
+    hole = first_empty_cell(rank, degree)
+    return list(grow(hole, lambda out, size: tuple(map(out.__getitem__, images))))
 
 
 def is_transitive(image, rank, d):
@@ -257,21 +279,22 @@ def quotient_graphs(w, k, on_step=None):
 
 
 def quotients_by_retracing(w, k, on_step):
-    """Oracle for quotients_with_vertices: the same search, but each hole
-    retraces w from vertex 0 instead of resuming at its parent's."""
+    """Oracle for quotients_with_vertices: the same search on the oracle
+    grower, each hole retracing w from vertex 0 instead of resuming where
+    the edge above it was placed."""
     letters, n = w.letters, len(w)
 
-    def hole(out, size, cursor):
+    def hole(out, size):
         v = i = 0
         while i < n and (v, letters[i]) in out:
             v, i = out[v, letters[i]], i + 1
         if i == n:
-            return None if v == 0 and size == k else _DEAD
+            return None if v == 0 and size == k else ()
         if size + n - i - 1 < k:
-            return _DEAD
-        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k)), cursor
+            return ()
+        return v, letters[i], (0,) if i == n - 1 else range(size + (size < k))
 
-    return _grow(hole, None, lambda out, size: _finished(w.rank, out, size), on_step)
+    return grow(hole, lambda out, size: _finished(w.rank, out, size), on_step)
 
 
 def set_partitions(n):
@@ -416,8 +439,8 @@ def test_subgroup_count_matches_recursion_oracle():
 
 @pytest.mark.parametrize("rank,d_max", [(2, 6), (3, 4)])
 def test_cover_census_matches_plain_min_relabeling(rank, d_max):
-    # branch-and-bound relabeling and cursor-resumed growth, against the
-    # plain min and the rescan they replace: the same list, order included
+    # the array grower and batch relabeling, against the depth-first oracle
+    # grower and a plain min: the same list, order included
     for d in range(1, d_max + 1):
         assert cover_census(rank, d) == census_by_plain_min(rank, d), (rank, d)
 
@@ -729,7 +752,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
         w = free_reduce([rng.choice(alphabet(rank)) for _ in range(n)], rank)
         while len(w) < n:
             w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
-        together = [e[0] for e in _census_ends(rank, degrees, [w.letters])]
+        together = [e[0] for e in _census_walk(rank, degrees, [w.letters])[0]]
         read_ends, reader = _census_duals(rank, degrees, w.letters)
         duals = reader()
         for d, ends, read in zip(degrees, together, read_ends):
@@ -738,7 +761,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
             expected = [path_terminus(g, p) for g, p in zip(census, paths)]
             assert ends.tolist() == expected, (n, d)
             assert read.tolist() == expected, (n, d)
-            assert _census_ends(rank, (d,), [w.letters])[0][0].tolist() == expected, (n, d)
+            assert _census_walk(rank, (d,), [w.letters])[0][0][0].tolist() == expected, (n, d)
             closing = [i for i, v in enumerate(expected) if v == 0]
             words = list(itertools.islice(duals, len(closing)))
             assert len(words) == len(closing)
@@ -756,7 +779,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
 
 def test_census_walk_rejects_open_covers_and_unreduced_words(monkeypatch):
     w = W("abAAbab", 2)
-    assert _census_ends(2, (2,), [w.letters])[0].any()
+    assert _census_walk(2, (2,), [w.letters])[0][0].any()
     # a closing test that lets the open covers through is caught by the
     # walk from the last block start
     walk = graphs._census_walk
@@ -801,7 +824,7 @@ def test_multi_letter_walk_matches_per_cover_trace(rank, d_max, lengths):
         assert grid == 1004 and states.shape == (-(-n // grid), 1, states.shape[2])
         assert codes.shape == (1, len(states) * grid)
         ends = np.concatenate(ends, axis=1)[0].tolist()
-        assert ends == np.concatenate(_census_ends(rank, degrees, [letters]), axis=1)[0].tolist()
+        assert ends == np.concatenate(_census_walk(rank, degrees, [letters])[0], axis=1)[0].tolist()
         states = (states[:, 0] - states[0, 0]).T.tolist()  # per cover, the vertex at each stop
         c = 0
         for d in degrees:
@@ -822,7 +845,7 @@ def test_census_walk_stops_in_the_narrowest_unsigned_type():
         _, states, grid, _, (nxt, _, bases) = graphs._census_walk(2, degrees, [letters], 60)
         assert states.dtype == dtype and nxt.shape[1] - 1 <= np.iinfo(dtype).max
         for s in (1, len(states) // 2, len(states) - 1):
-            ends = np.concatenate(_census_ends(2, degrees, [letters[: s * grid]]), axis=1)[0]
+            ends = np.concatenate(_census_walk(2, degrees, [letters[: s * grid]])[0], axis=1)[0]
             assert np.array_equal(states[s, 0], bases + ends)
 
 
@@ -1138,8 +1161,8 @@ def test_quotient_generator_steps_and_counts_per_k():
 
 
 def test_quotient_generator_matches_retracing_oracle_on_class_reps():
-    # the cursor-resumed trace gives the same quotients, in the same order,
-    # from the same number of search steps as retracing from vertex 0
+    # the stack grower gives the same quotients, in the same order, from the
+    # same number of search steps as the oracle grower retracing from vertex 0
     for n in range(1, 9):
         for w in enumerate_cyclically_reduced(n, 2):
             if w.letters[0] != 1 or w.letters != cyclic_class_key(w.letters, 2):
@@ -1150,6 +1173,22 @@ def test_quotient_generator_matches_retracing_oracle_on_class_reps():
                 expected = list(quotients_by_retracing(w, k, lambda: oracle_steps.append(1)))
                 assert grown == expected, (w.text(), k)
                 assert len(steps) == len(oracle_steps), (w.text(), k)
+
+
+def test_quotient_generators_share_no_state():
+    # two calls drawn in turn each yield what one call yields alone, and a
+    # call dropped halfway leaves a fresh call's quotients unchanged; every
+    # call alone is drawn first, before any call is left unfinished
+    reps = [w for n in range(1, 9) for w in class_representatives(n, 2, skip_powers=False)]
+    cases = [(w, k) for w in reps for k in range(1, len(w) + 1)]
+    alone = [list(quotients_with_vertices(w, k)) for w, k in cases]
+    for (w, k), expected in zip(cases, alone):
+        both = zip(quotients_with_vertices(w, k), quotients_with_vertices(w, k))
+        assert list(both) == list(zip(expected, expected)), (w.text(), k)
+        half = (len(expected) + 1) // 2
+        dropped = quotients_with_vertices(w, k)
+        assert list(itertools.islice(dropped, half)) == expected[:half]
+        assert list(quotients_with_vertices(w, k)) == expected, (w.text(), k)
 
 
 @pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 6)])

@@ -30,7 +30,6 @@ from primindex.index import (
 from primindex.graphs import (
     AGraph,
     _census_duals,
-    _census_ends,
     cover_census,
     cover_graph,
     path_terminus,
@@ -430,7 +429,7 @@ def test_first_cover_checks_that_each_walk_closes(monkeypatch):
         return [np.zeros_like(e) for e in ends], *rest
 
     w = CW("aabbAB", 2)  # only the last degree-2 cover closes w
-    assert _census_ends(2, (2,), [w.letters])[0].tolist() == [[1, 1, 0]]
+    assert walk(2, (2,), [w.letters])[0][0].tolist() == [[1, 1, 0]]
     assert d_simp_census(w, 2) == 2
     monkeypatch.setattr(index, "_census_walk", all_close)
     with pytest.raises(InvalidInputError, match="does not close"):
