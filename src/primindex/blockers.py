@@ -9,31 +9,34 @@ certified filling by the level-3 subword test).
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceGuardError
+from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from .index import CERT_RAUZY, CERT_UNDETERMINED
 from .graphs import (
+    _CELLS,
     AGraph,
-    EdgePath,
-    SpanningData,
-    _beta_edges,
+    _alpha_word,
     _census_duals,
+    _census_edge_ids,
+    _census_table,
+    _graph_tables,
+    _lay_out,
+    _letter_dtype,
+    _pattern_segments,
+    _tree_paths,
+    _universal_three_letters,
     alpha_path,
     beta_path,
-    connector_path,
     cover_census,
-    cover_graph,
     is_cover,
-    out_map,
     path_contains,
     spanning_data,
     subgroup_count,
     trace_path,
-    tree_path,
 )
 from .whitehead import rauzy3_array, rauzy3_linear
 # Unused here; perfbench/tracer.py patches these names on this module.
@@ -77,108 +80,239 @@ class BlockerReport:
         }
 
 
-def _letter_dtype(rank: int) -> np.dtype:
-    """The smallest integer type that holds every letter and its inverse."""
-    return np.min_scalar_type(-rank - 1)
+def _connectors(
+    nxt: np.ndarray, slots: np.ndarray, e1: np.ndarray, e2: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The connector from e1 to e2 for pairs of edges, at most one pair per
+    cover of a batch, an edge given as its node (x + rank) * states +
+    origin state: the shortest reduced path that starts with e1 and ends
+    with e2, found by a breadth-first search over edges from e1 whose queue
+    takes the edges out of a vertex in adjacency's order.  Returns the
+    connectors' letters after e1, (pairs, longest) padded with 0, and their
+    counts.
+
+    The searches run together, one level at a time.  A level's edges are
+    kept in the order that queue takes them, and each new edge keeps its
+    first finder in (that order, slot) order, slots[k, v] being the letter
+    row of the k-th edge out of v in adjacency's order; so each search
+    finds what the queue finds, with the same predecessors."""
+    rank, states = len(nxt) // 2, nxt.shape[1]
+    step = nxt.ravel()
+    seen = np.zeros(nxt.size, dtype=bool)
+    prev = np.zeros(nxt.size, dtype=np.intp)
+    pair = np.zeros(states // degree, dtype=np.intp)
+    pair[e2 % states // degree] = np.arange(len(e2))
+    seen[e1] = True
+    open_ = e1 != e2
+    front = e1[open_]
+    while len(front):
+        t = step[front]
+        rows = slots[:, t].T  # (front, slot)
+        nodes = rows * states + t[:, None]
+        ok = (rows != 2 * rank - front[:, None] // states) & ~seen[nodes]
+        nodes, found_by = nodes[ok], np.broadcast_to(front[:, None], ok.shape)[ok]
+        # where each distinct node is found first, in finding order: the
+        # keys node * n + place are distinct, so the unstable default argsort
+        # sorts them as a stable sort of the nodes would (np.unique's
+        # return_index and np.sort each page in a sort kernel that nothing
+        # else on the census path uses, a few hundred kB of peak RSS)
+        n = len(nodes)
+        key = nodes * n + np.arange(n)
+        key = key[np.argsort(key)]
+        lead = np.ones(n, dtype=bool)
+        lead[1:] = key[1:] // n != key[:-1] // n
+        found = np.zeros(n, dtype=bool)
+        found[key[lead] % n] = True
+        first = np.flatnonzero(found)
+        new = nodes[first]
+        seen[new], prev[new] = True, found_by[first]
+        at = pair[new % states // degree]
+        open_[at[new == e2[at]]] = False
+        front = new[open_[at]]
+    if open_.any():
+        raise InvalidInputError("no reduced connector exists")
+    back, counts, cur = [], np.zeros(len(e1), dtype=np.intp), e2
+    while np.any(going := cur != e1):  # walk the predecessors back from e2
+        back.append(cur)
+        counts += going
+        cur = np.where(going, prev[cur], cur)
+    if len(back) + 1 > 3 * degree:
+        warnings.warn(f"connector of length {len(back) + 1} exceeds 3·#V = {3 * degree}")
+    back = np.array(back, dtype=np.intp).reshape(-1, len(e1)).T
+    col = np.arange(back.shape[1])
+    nodes = np.take_along_axis(back, np.maximum(counts[:, None] - 1 - col, 0), axis=1)
+    return np.where(col < counts[:, None], nodes // states - rank, 0), counts
 
 
-def _vertex_map(moves: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """Where the trace of the letters ends, from each vertex; moves[x][v]
-    is the terminus of the x-edge out of v.  The per-letter maps are
-    composed pairwise, level by level."""
-    d = moves.shape[1]
-    maps = moves[letters]
-    while len(maps) > 1:
+def _chunk_blocks(
+    nxt: np.ndarray, dual: np.ndarray, eid: np.ndarray, bases: np.ndarray,
+    segments: np.ndarray, at: np.ndarray, lengths: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """_covering_blocks on a chunk of covers, given their loops' segments
+    (_pattern_segments)."""
+    rank, states = len(nxt) // 2, nxt.shape[1]
+    covers = len(bases)
+    degree = states // covers
+    loops = _lay_out(segments, at, lengths)
+    stops = np.cumsum(lengths)
+    first = loops[stops - lengths].astype(np.intp) + rank  # letter rows
+    last = loops[stops - 1].astype(np.intp) + rank
+    # each segment's vertex map, then the loop's, composed pairwise over its
+    # positions; the tail's trace from v is the loop's from the vertex whose
+    # edge labeled with the first letter ends at v
+    cover = np.arange(states) // degree
+    maps = np.arange(states, dtype=np.int32).reshape(covers, 1, degree)
+    maps = np.broadcast_to(maps, (*segments.shape[:2], degree))
+    for j in range(segments.shape[2]):
+        maps = nxt[segments[:, :, j, None].astype(np.intp) + rank, maps].astype(np.int32)
+    maps = maps.transpose(1, 0, 2).reshape(segments.shape[1], states)[at]
+    while len(maps) > 1:  # [k] = maps[2 k + 1][maps[2 k]], one flat take per level
         half = len(maps) // 2
-        rows = np.arange(0, half * d, d)[:, None]  # row offsets into the flat odd maps
-        paired = maps[1 : 2 * half : 2].ravel()[maps[0 : 2 * half : 2] + rows]
-        maps = np.concatenate((paired, maps[2 * half :]))
-    return maps[0] if len(maps) else np.arange(d)
+        pairs = maps[: 2 * half].reshape(half, 2, states)
+        odd = np.arange(states, 2 * states * half, 2 * states, dtype=np.int32)[:, None]
+        paired = pairs.reshape(-1).take(pairs[:, 0] + odd)
+        maps = np.concatenate((paired, maps[2 * half :])) if len(maps) % 2 else paired
+    tail_map = maps[0][nxt[2 * rank - first[cover], np.arange(states)]]
+    key = 2 * np.abs(eid) + (eid < 0)  # adjacency's order of the edges out of a vertex
+    key[rank] = -1
+    slots = np.argsort(key, axis=0)[1:]
+    e2 = first * states + bases  # the pattern's first edge
+    heads = []
+    ends = np.arange(states)  # where the trace of the pieces so far ends, from each state
+    for i in range(degree):
+        if i:  # from the edge into vertex i's end labeled with the pattern's last letter
+            e1 = last * states + nxt[2 * rank - last, ends[i::degree]]
+            heads.append(_connectors(nxt, slots, e1, e2, degree))
+        else:  # straight into the pattern, or into the base along the tree from vertex 0 first
+            heads.append(_first_heads(nxt, dual, slots, bases, e2))
+        head = heads[-1][0] + rank
+        for j in range(head.shape[1]):
+            ends = nxt[head[cover, j], ends]
+        ends = tail_map[ends]
+    pieces = np.array([h for _, h in heads]).T
+    heads = [head.astype(loops.dtype) for head, _ in heads]
+    blocks = []
+    for c, (stop, counts) in enumerate(zip(stops.tolist(), pieces.tolist())):
+        tail = loops[stop - lengths[c] + 1 : stop]
+        blocks.append(np.concatenate([x for head, h in zip(heads, counts) for x in (head[c, :h], tail)]))
+    return blocks, pieces + lengths[:, None] - 1
 
 
-def _covering_letters(
-    g: AGraph, sd: SpanningData, pattern: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Letters whose trace from every vertex (ascending id) runs through the
-    pattern loop, given as an array of signed edges, and the length of each
-    vertex's piece: per vertex, steer into the pattern with a reduced
-    connector and append the pattern's label.  The letters come as an
-    array of _letter_dtype, read from a table of the signed edges' labels.
+def _first_heads(
+    nxt: np.ndarray, dual: np.ndarray, slots: np.ndarray, bases: np.ndarray, e2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first piece's letters before the pattern's tail, (covers,
+    longest) padded with 0, and their counts: the pattern's first letter
+    where the base is vertex 0; elsewhere the tree path from vertex 0 into
+    the base, then the connector from its last edge into the pattern.  Only
+    a graph given alone (_graph_tables) has its base elsewhere."""
+    rank, states = len(nxt) // 2, nxt.shape[1]
+    degree = states // len(bases)
+    rows = (e2 // states - rank)[:, None]
+    moved = np.flatnonzero(bases % degree)
+    if not len(moved):
+        return rows, np.ones(len(bases), dtype=np.intp)
+    path, depth = _tree_paths(nxt, dual, bases)
+    into = [-path[s, depth[s] - 1 :: -1] for s in moved * degree]  # up from vertex 0
+    entry = np.array([up[-1] for up in into], dtype=np.intp) + rank
+    e1 = entry * states + nxt[2 * rank - entry, bases[moved]]
+    connect, more = _connectors(nxt, slots, e1, e2[moved], degree)
+    rows = rows.tolist()
+    for c, up, letters, m in zip(moved.tolist(), into, connect, more.tolist()):
+        rows[c] = up.tolist() + letters[:m].tolist()
+    counts = np.array(list(map(len, rows)))
+    out = np.zeros((len(rows), counts.max()), dtype=np.intp)
+    for row, letters in zip(out, rows):
+        row[: len(letters)] = letters
+    return out, counts
+
+
+def _covering_blocks(
+    nxt: np.ndarray, dual: np.ndarray, eid: np.ndarray, bases: np.ndarray, u: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """For every cover of a batch of one degree, given as _graph_tables or
+    _census_table tables over the states, _census_edge_ids and each cover's
+    base state: the letters whose trace from every vertex (ascending id)
+    runs through the pattern loop of the dual word u (delta_path's), as a
+    new array of _letter_dtype, and the length of each vertex's piece,
+    (covers, degree).  Per vertex, steer into the pattern with a reduced
+    connector (_connectors) and append the pattern's label.
 
     Every piece ends with the pattern's tail (its letters after the first),
-    so ends[v], where the trace of the pieces so far from v stops, follows
-    from the tail's vertex map and each new connector's; the trace's last
-    edge is the one labeled with the pattern's last letter into that end."""
-    first_edge = int(pattern[0])
-    o, t, gen = np.array(g.edges, dtype=np.intp).T
-    # label[j] is the letter of signed edge j, and moves has row x for letter
-    # x; the inverse edges' entries and letters' rows wrap around from the end
-    label = np.concatenate(([0], gen, -gen[::-1]), dtype=_letter_dtype(g.rank))
-    moves = np.empty((2 * g.rank + 1, g.num_vertices), dtype=np.intp)
-    moves[gen, o], moves[-gen, t] = t, o
-    pattern_letters = label[pattern]
-    tail = pattern_letters[1:]
-    tail_map = _vertex_map(moves, tail)
-    om = out_map(g)
-    into_base = tree_path(g, sd, 0, g.base)
-    if into_base:
-        head = into_base + connector_path(g, into_base[-1], first_edge).edges[1:]
-    else:
-        head = (first_edge,)
-    back = -int(pattern_letters[-1])
-    ends = np.arange(g.num_vertices)
-    pieces: list[np.ndarray] = []
-    for i in range(g.num_vertices):
-        if i:
-            head = connector_path(g, -om[int(ends[i]), back], first_edge).edges[1:]
-        piece = label[np.array(head, dtype=np.intp)]
-        for x in piece.tolist():
-            ends = moves[x, ends]
-        ends = tail_map[ends]
-        pieces += (piece, tail)
-    return np.concatenate(pieces), [len(piece) + len(tail) for piece in pieces[::2]]
+    so where the trace of the pieces so far stops, from each vertex,
+    follows from the tail's vertex map and each new connector's; the
+    trace's last edge is the one labeled with the pattern's last letter
+    into that end.  The loops' segments are built once for the batch
+    (_pattern_segments); the rest goes a chunk of covers at a time, each of
+    about _CELLS letters."""
+    states = nxt.shape[1]
+    degree = states // len(bases)
+    segments, at, lengths = _pattern_segments(nxt, dual, bases, u)
+    if int(dual.max()) < 2 and (degree > 1 or np.any(bases % degree)):
+        raise UnsupportedInputError("connector needs fundamental group rank >= 2")
+    size = degree * np.cumsum(lengths)
+    chunk = (size - size[0]) // _CELLS
+    bounds = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(bases)]
+    blocks, pieces = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        part, shift = slice(lo * degree, hi * degree), lo * degree
+        more, counts = _chunk_blocks(
+            nxt[:, part] - shift, dual[:, part], eid[:, part], bases[lo:hi] - shift,
+            segments[lo:hi], at, lengths[lo:hi],
+        )
+        blocks += more
+        pieces.append(counts)
+    return blocks, np.concatenate(pieces)
 
 
-def _blocker(
-    g: AGraph,
-    caller: str,
-    pattern_fn: Callable[[AGraph, SpanningData], EdgePath],
-    kind: str,
-    bound: int,
-) -> BlockerReport:
+def _pattern_word(kind: str, dual_rank: int) -> np.ndarray:
+    """The dual word of a kind's pattern loop: the square chain (alpha_path)
+    or the universal length-3 word (beta_path)."""
+    if kind == KIND_BETA:
+        return _universal_three_letters(dual_rank)
+    if dual_rank < 1:
+        raise UnsupportedInputError("graph has trivial fundamental group")
+    return np.array(_alpha_word(dual_rank).letters)
+
+
+def _census_blocks(rank: int, degree: int, kind: str) -> tuple[list[np.ndarray], np.ndarray]:
+    """_covering_blocks for every cover of cover_census(rank, degree), in
+    census order, from its _census_table."""
+    nxt, dual = _census_table(rank, degree)
+    bases = np.arange(0, nxt.shape[1], degree)
+    u = _pattern_word(kind, degree * (rank - 1) + 1)  # Schreier's index formula
+    return _covering_blocks(nxt, dual, _census_edge_ids(nxt, degree), bases, u)
+
+
+def _blocker(g: AGraph, caller: str, kind: str) -> BlockerReport:
     if not is_cover(g):
         raise InvalidInputError(f"{caller} expects a connected cover")
     sd = spanning_data(g)
-    pattern = pattern_fn(g, sd)
-    letters, piece_lengths = _covering_letters(g, sd, np.array(pattern.edges, dtype=np.intp))
+    nxt, dual, eid = _graph_tables(g, sd)
+    (letters,), (pieces,) = _covering_blocks(
+        nxt, dual, eid, np.array([g.base]), _pattern_word(kind, sd.dual_rank)
+    )
+    if kind == KIND_ALPHA:
+        pattern, bound = alpha_path(g, sd), (2 * g.rank + 5) * g.num_vertices**3
+    else:
+        pattern, bound = beta_path(g, sd), 1000 * g.rank**3 * g.num_vertices**5
     word = Word(tuple(letters.tolist()), g.rank)
     containment = tuple(
         path_contains(trace_path(g, x, word), pattern) for x in range(g.num_vertices)
     )
-    return BlockerReport(g, word, kind, bound, containment, tuple(piece_lengths))
+    return BlockerReport(g, word, kind, bound, containment, tuple(pieces.tolist()))
 
 
 def blocking_word(g: AGraph) -> BlockerReport:
     """Simplicity-blocking word: every vertex's trace contains the
     square-chain pattern loop; |word| <= (2N+5) d^3."""
-    bound = (2 * g.rank + 5) * g.num_vertices**3
-    return _blocker(g, "blocking_word", alpha_path, KIND_ALPHA, bound)
+    return _blocker(g, "blocking_word", KIND_ALPHA)
 
 
 def forcing_word(g: AGraph) -> BlockerReport:
     """Filling-forcing word: every vertex's trace contains the universal
     length-3 pattern loop; |word| <= 1000 N^3 d^5."""
-    bound = 1000 * g.rank**3 * g.num_vertices**5
-    return _blocker(g, "forcing_word", beta_path, KIND_BETA, bound)
-
-
-def _forcing_letters(g: AGraph) -> np.ndarray:
-    """forcing_word(g).word.letters as an array of _letter_dtype, without
-    the per-vertex containment pass and without a Word: the witness audit
-    certifies the concatenation instead, and witness_word checks the
-    letters of every block."""
-    sd = spanning_data(g)
-    return _covering_letters(g, sd, _beta_edges(g, sd))[0]
+    return _blocker(g, "forcing_word", KIND_BETA)
 
 
 @dataclass(frozen=True)
@@ -296,14 +430,14 @@ def witness_word(
     parts: list[np.ndarray] = []
     spans = []  # where each cover's block lies in z, [start, stop)
     size, last = 0, None
-    for _, _, perms in census:
-        block = _forcing_letters(cover_graph(rank, perms))
-        if parts:
-            parts.append(np.array(_separator(last, int(block[0]), rank), dtype=dtype))
-            size += len(parts[-1])
-        parts.append(block)
-        spans.append((size, size + len(block)))
-        size, last = size + len(block), int(block[-1])
+    for deg in degrees:
+        for block in _census_blocks(rank, deg, KIND_BETA)[0]:
+            if parts:
+                parts.append(np.array(_separator(last, int(block[0]), rank), dtype=dtype))
+                size += len(parts[-1])
+            parts.append(block)
+            spans.append((size, size + len(block)))
+            size, last = size + len(block), int(block[-1])
     parts.append(np.array(_separator(last, int(parts[0][0]), rank), dtype=dtype))
     z = np.concatenate(parts)
     del parts  # the audit reads z alone

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -508,7 +507,7 @@ def subgroup_count(rank: int, degree: int) -> int:
 
 _WALK_CHUNK = 4  # closing covers whose whole dual words are read together
 _LONGEST_STEP = 4  # letters per step of a census walk, at most
-_CODES = 1 << 16  # letters coded at a time when the walk keeps no grid; a multiple of every step
+_CODES = 1 << 16  # letters a walk codes at a time, rounded to whole grid blocks; a multiple of every step
 _CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census walks holds at a time; bounds the census build's arrays too
 
 
@@ -561,8 +560,8 @@ def _census_table(rank: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     free = ~tree.reshape(rank, covers, degree).transpose(1, 0, 2).reshape(covers, -1)
     number = (np.cumsum(free, axis=1) * free).reshape(covers, rank, degree)
     number = number.transpose(1, 0, 2).reshape(rank, len(states))
-    # dual letters run to the cycle rank, degree (rank - 1) + 1 by Schreier
-    dual = np.zeros(nxt.shape, dtype=np.min_scalar_type(-(degree * (rank - 1) + 1)))
+    # dual letters run to +-the cycle rank, degree (rank - 1) + 1 by Schreier
+    dual = np.zeros(nxt.shape, dtype=_letter_dtype(degree * (rank - 1) + 1))
     for gen in range(1, rank + 1):
         dual[rank + gen] = number[gen - 1]
         dual[rank - gen, nxt[rank + gen]] = -number[gen - 1]
@@ -594,10 +593,15 @@ def _step_table(nxt: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
+def _code_dtype(rank: int) -> np.dtype:
+    """The narrowest signed type that holds every letter code, 0 .. 2 rank."""
+    return np.min_scalar_type(-2 * rank - 1)
+
+
 def _letter_codes(rows: Sequence[Sequence[int] | np.ndarray], rank: int, width: int) -> np.ndarray:
     """Rows of letters as one (rows, width) array of letter codes, letter +
     rank, each row padded with rank: letter 0, whose table row stays put."""
-    codes = np.full((len(rows), width), rank, dtype=np.min_scalar_type(-2 * rank))
+    codes = np.full((len(rows), width), rank, dtype=_code_dtype(rank))
     for row, letters in zip(codes, rows):
         row[: len(letters)] += letters
     return codes
@@ -605,11 +609,18 @@ def _letter_codes(rows: Sequence[Sequence[int] | np.ndarray], rank: int, width: 
 
 def _step_codes(codes: np.ndarray, rank: int, k: int) -> np.ndarray:
     """The rows of _step_table(nxt, k) that walk rows of letter codes k at a
-    time, each k codes read as one number in base 2 rank + 1; the rows'
-    length is a multiple of k."""
+    time, each k codes read as one number in base 2 rank + 1 by Horner's
+    rule, in the narrowest unsigned type that holds them; the rows' length
+    is a multiple of k."""
     if k == 1:
         return codes
-    return codes.reshape(len(codes), -1, k) @ (2 * rank + 1) ** np.arange(k - 1, -1, -1)
+    base = 2 * rank + 1
+    digits = codes.reshape(len(codes), -1, k)
+    out = digits[:, :, 0].astype(np.min_scalar_type(base**k - 1))
+    for i in range(1, k):
+        out *= base
+        out += digits[:, :, i].astype(out.dtype)
+    return out
 
 
 def _gather_walk(
@@ -653,7 +664,7 @@ def _census_walk(
     degrees: Sequence[int],
     rows: Sequence[Sequence[int] | np.ndarray] | np.ndarray,
     grid: int = 0,
-) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray, tuple[np.ndarray, ...]]:
+) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray | None, tuple[np.ndarray, ...]]:
     """Rows of letters (words) walked from the base of every cover of the
     listed degrees at once.  The rows may also come as their _letter_codes,
     a 2-D array padded to a multiple of _LONGEST_STEP, hence of every step,
@@ -666,14 +677,17 @@ def _census_walk(
       longest row, (stops, rows, states), in the narrowest unsigned type
       that holds the side-by-side width (no stops when grid is 0);
     - the grid, rounded up to a multiple of the step;
-    - the rows as _letter_codes, padded to a multiple of the grid (of the
-      step when grid is 0), or the codes as given;
+    - the codes as given, or None: rows of words are coded a chunk at a
+      time, and no code copy of them is kept;
     - the (nxt, dual, base state) tables of _census_table side by side, each
       shifted by the widths before it.
 
-    The walk takes _step_length letters of the longest row per step, one
-    _gather_walk per grid block (or _CODES letters) through _step_table's
-    rows, whose step codes are built one block at a time."""
+    The walk takes _step_length letters of the longest row per step through
+    _step_table's rows.  The rows are coded and read as step codes once per
+    chunk of about _CODES letters, a whole number of grid blocks, and each
+    chunk is walked one _gather_walk per grid block (per chunk when grid is
+    0); the rows are padded with letter 0 to a multiple of the grid (of the
+    step when grid is 0)."""
     tables = [_census_table(rank, d) for d in degrees]
     offsets = list(itertools.accumulate((t.shape[1] for t, _ in tables), initial=0))
     if len(tables) > 1:
@@ -688,19 +702,25 @@ def _census_walk(
     if len(rows) == 1:
         table = list(table)  # _gather_walk's one-row steps
     grid = -(-grid // k) * k
-    codes = rows if coded else _letter_codes(rows, rank, -(-n // (grid or k)) * (grid or k))
-    stops = codes.shape[1] // grid if grid else 0
+    unit = grid or k
+    width = rows.shape[1] if coded else -(-n // unit) * unit
+    stops = width // grid if grid else 0
     states = np.empty((stops, len(rows), len(bases)), dtype=np.min_scalar_type(nxt.shape[1]))
     state = np.broadcast_to(bases, states.shape[1:])
-    for lo in range(0, codes.shape[1], grid or _CODES):
-        if grid:
-            states[lo // grid] = state
-        state = _gather_walk(table, _step_codes(codes[:, lo : lo + (grid or _CODES)], rank, k), state)
+    chunk = max(1, _CODES // unit) * unit
+    for lo in range(0, width, chunk):
+        hi = min(lo + chunk, width)
+        codes = rows[:, lo:hi] if coded else _letter_codes([r[lo:hi] for r in rows], rank, hi - lo)
+        steps = _step_codes(codes, rank, k)
+        for at in range(0, hi - lo, grid or chunk):
+            if grid:
+                states[(lo + at) // grid] = state
+            state = _gather_walk(table, steps[:, at // k : (at + (grid or chunk)) // k], state)
     ends = state - bases
     covers = ((b - a) // d for a, b, d in zip(offsets, offsets[1:], degrees))
     bounds = list(itertools.accumulate(covers, initial=0))
     ends = [ends[:, a:b] for a, b in zip(bounds, bounds[1:])]
-    return ends, states, grid, codes, (nxt, dual, bases)
+    return ends, states, grid, rows if coded else None, (nxt, dual, bases)
 
 
 def _read_duals(
@@ -761,29 +781,40 @@ def _census_duals(
       they avoid the first and last grid blocks; None otherwise, where
       read(covers) gives the whole word.  A span that meets every grid
       block gives the whole word.  The spans are meant to be disjoint, and
-      are read in one batch.
+      are read in batches of about _CELLS letters.
 
     The closing test's walk keeps every cover's state at each multiple of
-    a grid of about sqrt(len) letters.  Each batch of (cover, grid block)
-    rows then takes one gather through the dual-letter table (0 on tree
-    edges) and one through the permutation table per position in a block
-    (_read_duals).
+    a grid of about sqrt(len) letters, and no code copy of the letters.
+    Each batch of (cover, grid block) rows codes the grid blocks it reads
+    from the letters themselves, then takes one gather through the
+    dual-letter table (0 on tree edges) and one through the permutation
+    table per position in a block (_read_duals).
     Each row is checked to end at the walk's state at the next stop (at the
     base after the last block), and each word or segment read to be freely
     reduced."""
     n = len(letters)
-    ends, firsts, grid, codes, (nxt, dual, bases) = _census_walk(
+    ends, firsts, grid, _, (nxt, dual, bases) = _census_walk(
         rank, degrees, [letters], math.isqrt(n - 1) + 1 if n else 0
     )
     ends, firsts = [e[0] for e in ends], firsts[:, 0]
     blocks = len(firsts)
-    codes = codes.reshape(blocks, grid)  # one row per grid block
+    letters = np.asarray(letters)
     closing = np.flatnonzero(np.concatenate(ends) == 0)
 
     def read_rows(cover: np.ndarray, block: np.ndarray) -> np.ndarray:
+        # the codes of the grid blocks read, from the letters themselves; the
+        # last grid block, the only one that can be short, is padded with
+        # letter 0 (ids come sorted)
+        ids, row = np.unique(block, return_inverse=True)
+        whole = n // grid
+        codes = np.full((len(ids), grid), rank, dtype=_code_dtype(rank))
+        inside = ids < whole
+        codes[inside] += letters[: whole * grid].reshape(whole, grid)[ids[inside]]
+        if not inside.all():
+            codes[-1, : n - whole * grid] += letters[whole * grid :]
         after = firsts[np.minimum(block + 1, blocks - 1), cover]
         end = np.where(block + 1 < blocks, after, bases[cover])
-        return _read_duals(nxt, dual, codes, block, firsts[block, cover], end)
+        return _read_duals(nxt, dual, codes, row, firsts[block, cover], end)
 
     def piece(mine: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
         # mine: the rows of grid block 0, of blocks lo .. hi - 1, and of the last
@@ -802,8 +833,10 @@ def _census_duals(
         covers = closing if covers is None else np.asarray(covers, dtype=np.intp)
         if spans is None:
             picks, chunk = [(0, blocks)] * len(covers), _WALK_CHUNK
-        else:  # disjoint spans: the grid blocks plus at most 3 rows per cover, read at once
-            picks, chunk = [(a // grid, -(-b // grid)) for a, b in spans], max(len(covers), 1)
+        else:  # disjoint spans: the grid blocks plus at most 2 rows per cover, about _CELLS letters a batch
+            picks = [(a // grid, -(-b // grid)) for a, b in spans]
+            letters_read = grid * sum(hi - lo + 2 for lo, hi in picks)
+            chunk = max(1, len(covers) * _CELLS // max(letters_read, 1))
         for c in range(0, len(covers), chunk):
             ids = [sorted({0, *range(lo, hi), blocks - 1}) if blocks else [] for lo, hi in picks[c : c + chunk]]
             sizes = list(map(len, ids))
@@ -1003,27 +1036,6 @@ def spanning_data(g: AGraph) -> SpanningData:
     )
 
 
-def tree_path(g: AGraph, sd: SpanningData, u: int, v: int) -> tuple[int, ...]:
-    """Directed edges of the unique reduced tree path u -> v."""
-    up: list[int] = []
-    down: list[int] = []
-    a, b = u, v
-    while sd.depth[a] > sd.depth[b]:
-        e = sd.parent_edge[a]
-        up.append(-e)  # type: ignore[operator]
-        a = g.origin(e)  # type: ignore[arg-type]
-    while sd.depth[b] > sd.depth[a]:
-        e = sd.parent_edge[b]
-        down.append(e)  # type: ignore[arg-type]
-        b = g.origin(e)  # type: ignore[arg-type]
-    while a != b:
-        e1, e2 = sd.parent_edge[a], sd.parent_edge[b]
-        up.append(-e1)  # type: ignore[operator]
-        down.append(e2)  # type: ignore[arg-type]
-        a, b = g.origin(e1), g.origin(e2)  # type: ignore[arg-type]
-    return tuple(up) + tuple(reversed(down))
-
-
 def rewrite_loop(g: AGraph, sd: SpanningData, p: EdgePath) -> Word:
     """Rewrite a base loop as a freely reduced word over the dual basis:
     drop tree edges and map complement edges to dual letters."""
@@ -1043,48 +1055,150 @@ def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
 
 # -- explicit path constructions -------------------------------------------------
 
-def _delta_edges(g: AGraph, sd: SpanningData, u: np.ndarray) -> np.ndarray:
-    """The edges of delta_path's loop for a nonempty dual word given as an
-    array of signed letters, as an intp array.
+def _letter_dtype(rank: int) -> np.dtype:
+    """The smallest integer type that holds every letter and its inverse."""
+    return np.min_scalar_type(-rank - 1)
 
-    The loop is cut into segments, one per pair (previous dual letter,
-    dual letter): the tree path from the previous complement edge's
-    terminus to this one's origin, then this edge.  The pair (0, y) starts
-    at the base and the pair (y, 0) only returns to it.  The pairs are
-    coded as integers, each distinct segment is built once, and one gather
-    lays the loop out."""
-    # dual letter -> (origin, terminus, its edge); 0 stays at the base
-    hops = {0: (g.base, g.base, ())}
-    for i, e in enumerate(sd.complement, 1):
-        o, t, _ = g.edges[e - 1]
-        hops[i], hops[-i] = (o, t, (e,)), (t, o, (-e,))
-    r = sd.dual_rank
+
+def _graph_tables(g: AGraph, sd: SpanningData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One folded graph as a batch of one for the pattern builders, laid out
+    like _census_table's tables over its vertices: nxt[x + rank, v],
+    dual[x + rank, v] numbered as in sd.complement, and eid[x + rank, v],
+    the signed edge leaving v by letter x (out_map as an array).  A missing
+    edge stays put, with dual letter and edge id 0, as letter 0 does."""
+    r = g.rank
+    nxt = np.tile(np.arange(g.num_vertices, dtype=np.intp), (2 * r + 1, 1))
+    dual, eid = np.zeros_like(nxt), np.zeros_like(nxt)
+    o, t, gen = np.array(g.edges, dtype=np.intp).reshape(-1, 3).T
+    ids = np.arange(1, len(o) + 1)
+    number = np.zeros(len(o) + 1, dtype=np.intp)
+    number[list(sd.complement)] = np.arange(1, sd.dual_rank + 1)
+    for table, out, back in ((nxt, t, o), (eid, ids, -ids), (dual, number[ids], -number[ids])):
+        table[r + gen, o], table[r - gen, t] = out, back
+    return nxt, dual, eid
+
+
+def _census_edge_ids(nxt: np.ndarray, degree: int) -> np.ndarray:
+    """_graph_tables' eid for every cover of one census degree, nxt its
+    _census_table: cover_graph numbers the edge leaving vertex j by gen as
+    (gen - 1) * degree + j + 1."""
+    rank = len(nxt) // 2
+    eid = np.zeros(nxt.shape, dtype=np.intp)
+    j = np.arange(nxt.shape[1]) % degree
+    for gen in range(1, rank + 1):
+        eid[rank + gen] = (gen - 1) * degree + j + 1
+        eid[rank - gen, nxt[rank + gen]] = -eid[rank + gen]
+    return eid
+
+
+def _tree_paths(nxt: np.ndarray, dual: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's path from its graph's base in the spanning tree of the
+    edges with dual letter 0: its letters, (states, degree - 1) padded with
+    0, and its length.  The trees of a batch grow together, a level at a
+    time; a tree has one path to each vertex, so this is spanning_data's."""
+    rank, states = len(nxt) // 2, nxt.shape[1]
+    degree = states // len(bases)
+    depth = np.full(states, -1, dtype=np.intp)
+    depth[bases] = 0
+    path = np.zeros((states, degree - 1), dtype=_letter_dtype(rank))
+    front = bases
+    for level in range(degree - 1):
+        found = []
+        for x in alphabet(rank):
+            t = nxt[x + rank, front]
+            new = (dual[x + rank, front] == 0) & (depth[t] < 0)
+            t = t[new]
+            depth[t] = level + 1
+            path[t] = path[front[new]]
+            path[t, level] = x
+            found.append(t)
+        front = np.concatenate(found)
+    return path, depth
+
+
+def _pattern_segments(
+    nxt: np.ndarray, dual: np.ndarray, bases: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """delta_path's loops of the nonempty dual word u (signed letters) for a
+    batch of graphs of one degree and dual rank, as tables over the states
+    (_graph_tables, _census_table) with each graph's base state, cut into
+    segments: one per pair (previous dual letter, dual letter) of u, the
+    same pairs for every graph.  A segment is the tree path from the
+    previous complement edge's terminus to this one's origin, then this
+    edge; the pair (0, y) starts at the base and (y, 0) only returns to it.
+
+    Returns the segments' letters, (graphs, pairs, 2 degree - 1): the tree
+    path's steps up to the meet, the steps down from it, then the edge,
+    each part padded with 0 (letter 0 stays put); the pair at each
+    position of u; and each loop's length.  Tree paths come from the paths
+    from the base, _tree_paths."""
+    rank, states = len(nxt) // 2, nxt.shape[1]
+    degree = states // len(bases)
+    r = int(dual.max())  # the dual rank
+    # dual letter y is the edge leaving origin[:, y + r] by letter[:, y + r]; 0 stays at the base
+    origin = np.repeat(bases[:, None], 2 * r + 1, axis=1)
+    letter = np.zeros(origin.shape, dtype=np.intp)
+    rows, cols = np.nonzero(dual)
+    y = dual[rows, cols].astype(np.intp) + r
+    origin[cols // degree, y], letter[cols // degree, y] = cols, rows - rank
     side = 2 * r + 1
     shifted = np.concatenate(([0], u, [0]), dtype=np.intp) + r
-    pairs, at = np.unique(shifted[:-1] * side + shifted[1:], return_inverse=True)
-    segments = [
-        tree_path(g, sd, hops[x][1], hops[y][0]) + hops[y][2]
-        for x, y in ((p // side - r, p % side - r) for p in pairs.tolist())
-    ]
-    sizes = np.fromiter(map(len, segments), np.intp, len(segments))
-    flat = np.fromiter(itertools.chain.from_iterable(segments), np.intp, int(sizes.sum()))
-    lengths = sizes[at]
-    # position p of the loop in pair i's segment is flat[p + shift[i]]
-    shift = (np.cumsum(sizes) - sizes)[at] - (np.cumsum(lengths) - lengths)
-    e = flat[np.repeat(shift, lengths) + np.arange(int(lengths.sum()))]
-    if np.any(e[1:] + e[:-1] == 0):
+    coded = shifted[:-1] * side + shifted[1:]
+    pairs, at, counts = np.unique(coded, return_inverse=True, return_counts=True)
+    x, y = pairs // side, pairs % side
+    a, b = nxt[letter[:, x] + rank, origin[:, x]], origin[:, y]
+    path, depth = _tree_paths(nxt, dual, bases)
+    pa, pb, da, db = path[a], path[b], depth[a, None], depth[b, None]
+    col = np.arange(degree - 1)
+    meet = np.cumprod((pa == pb) & (col < np.minimum(da, db)), axis=-1).sum(-1, keepdims=True)
+    up = -np.take_along_axis(pa, np.maximum(da - 1 - col, 0), axis=-1)
+    down = np.take_along_axis(pb, np.minimum(meet + col, max(degree - 2, 0)), axis=-1)
+    edge = letter[:, y, None]
+    letters = np.concatenate((up, down, edge), axis=-1, dtype=path.dtype)
+    inside = np.concatenate((col < da - meet, col < db - meet, edge != 0), axis=-1)
+    return np.where(inside, letters, 0), at, (inside.sum(axis=-1) * counts).sum(axis=-1)
+
+
+def _lay_out(segments: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """_pattern_segments' loops, one after another: the segments at each
+    position are gathered with their padding, which is 0 and never a
+    letter, and the padding is dropped (for one-byte letters by
+    bytes.translate, which runs at C speed).  Checked to be reduced: no
+    letter is followed by its inverse, which in a folded graph is the edge
+    back."""
+    padded = segments.take(at, axis=1)
+    if padded.itemsize == 1:
+        loops = np.frombuffer(padded.tobytes().translate(None, b"\0"), dtype=padded.dtype)
+    else:
+        loops = padded[padded != 0]
+    cancel = loops[1:] == -loops[:-1]
+    cancel[np.cumsum(lengths)[:-1] - 1] = False  # where one loop meets the next
+    if cancel.any():
         raise InvalidInputError("delta_path built a path that is not reduced")
-    return e
+    return loops
+
+
+def _loop_path(g: AGraph, sd: SpanningData, u: np.ndarray) -> EdgePath:
+    """delta_path for a nonempty dual word given as an array of signed
+    letters: the pattern builders on g alone, edges read off eid."""
+    nxt, dual, eid = _graph_tables(g, sd)
+    loop = _lay_out(*_pattern_segments(nxt, dual, np.array([g.base]), u))
+    steps, ids = nxt.tolist(), eid.tolist()
+    state, edges = g.base, []
+    for x in (loop.astype(np.intp) + g.rank).tolist():
+        edges.append(ids[x][state])
+        state = steps[x][state]
+    return EdgePath(g.base, tuple(edges))
 
 
 def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
     """The reduced base loop realizing a dual-basis word: complement edges
-    joined by tree paths (_delta_edges)."""
+    joined by tree paths (_pattern_segments)."""
     if len(u) == 0:
         raise InvalidInputError("need a nonempty dual word")
     if u.rank != sd.dual_rank:
         raise InvalidInputError("dual word rank does not match the complement")
-    return EdgePath(g.base, tuple(_delta_edges(g, sd, np.array(u.letters)).tolist()))
+    return _loop_path(g, sd, np.array(u.letters))
 
 
 def _alpha_word(r: int) -> Word:
@@ -1132,51 +1246,11 @@ def _universal_three_letters(r: int) -> np.ndarray:
     return u.view()  # a view of a read-only base cannot be made writeable again
 
 
-def _beta_edges(g: AGraph, sd: SpanningData) -> np.ndarray:
-    """beta_path's edges as an intp array."""
-    return _delta_edges(g, sd, _universal_three_letters(sd.dual_rank))
-
-
 def beta_path(g: AGraph, sd: SpanningData) -> EdgePath:
     """Loop realizing the universal length-3 word over the dual basis; any
     cyclically reduced circuit containing it rewrites to a word whose cyclic
     factors include every reduced 3-word, hence is filling."""
-    return EdgePath(g.base, tuple(_beta_edges(g, sd).tolist()))
-
-
-def cycle_rank(g: AGraph) -> int:
-    return len(g.edges) - g.num_vertices + 1
-
-
-def connector_path(g: AGraph, e1: int, e2: int) -> EdgePath:
-    """Shortest reduced path starting with directed edge e1 and ending with
-    e2; on a core graph of rank >= 2 its length is at most 3·#V."""
-    if cycle_rank(g) < 2:
-        raise UnsupportedInputError("connector needs fundamental group rank >= 2")
-    if e1 == e2:
-        return EdgePath(g.origin(e1), (e1,))
-    adj = adjacency(g)
-    prev: dict[int, int] = {e1: 0}
-    queue = deque([e1])
-    while queue:
-        e = queue.popleft()
-        if e == e2:
-            break
-        for f in adj[g.terminus(e)]:
-            if f != -e and f not in prev:
-                prev[f] = e
-                queue.append(f)
-    if e2 not in prev:
-        raise InvalidInputError("no reduced connector exists")
-    edges = [e2]
-    while edges[-1] != e1:
-        edges.append(prev[edges[-1]])
-    edges.reverse()
-    if len(edges) > 3 * g.num_vertices:
-        warnings.warn(
-            f"connector of length {len(edges)} exceeds 3·#V = {3 * g.num_vertices}"
-        )
-    return EdgePath(g.origin(e1), tuple(edges))
+    return _loop_path(g, sd, _universal_three_letters(sd.dual_rank))
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 
 from primindex import blockers, graphs
 from primindex.blockers import (
+    KIND_ALPHA,
+    KIND_BETA,
     AuditEntry,
-    _covering_letters,
     blocking_word,
     forcing_word,
     witness_word,
@@ -18,19 +21,20 @@ from primindex.graphs import (
     _alpha_word,
     alpha_path,
     beta_path,
-    connector_path,
     cover_census,
     cover_graph,
+    out_map,
     path_contains,
     path_terminus,
     rewrite_loop_cyclic,
     spanning_data,
     trace_path,
-    tree_path,
     universal_three_word,
 )
 from primindex.index import CERT_RAUZY, CERT_UNDETERMINED, _scan_quotients
 from primindex.whitehead import rauzy3_full
+
+from path_oracles import connector_path, tree_path
 
 
 def path_is_reduced(p):
@@ -218,18 +222,25 @@ def test_witness_audit_falls_back_to_the_whole_dual_word(monkeypatch):
     assert len(whole) == sum(e.contains for e in audit.entries) == 8
 
 
+_BUILDER = blockers._covering_blocks
+
+
+def _patch_blocks(monkeypatch, edit):
+    """Make witness_word's builder pass every block of degree d through
+    edit(block, d)."""
+    def edited(nxt, dual, eid, bases, u):
+        blocks, pieces = _BUILDER(nxt, dual, eid, bases, u)
+        return [edit(b, nxt.shape[1] // len(bases)) for b in blocks], pieces
+
+    monkeypatch.setattr(blockers, "_covering_blocks", edited)
+
+
 def test_witness_audit_of_blocks_that_do_not_certify(monkeypatch):
     # degree-2 blocks cut to 8 letters no longer trace the pattern loop:
     # each degree-2 cover that closes z falls back to its whole dual word,
     # which does not certify it either, and the audit is incomplete
     whole = _counting_whole_reads(monkeypatch)
-    forcing_letters = blockers._forcing_letters
-
-    def cut(g):
-        block = forcing_letters(g)
-        return block[:8] if g.num_vertices == 2 else block
-
-    monkeypatch.setattr(blockers, "_forcing_letters", cut)
+    _patch_blocks(monkeypatch, lambda block, d: block[:8] if d == 2 else block)
     z, audit = witness_word(2, 2)
     assert audit.entries == _audit_oracle(z, 2, 2)
     assert len(whole) == 3 and not audit.complete
@@ -237,12 +248,8 @@ def test_witness_audit_of_blocks_that_do_not_certify(monkeypatch):
 def test_witness_word_checks_its_letters_on_the_array(monkeypatch):
     # CyclicWord's checks, made once on z: a cancelling pair inside a block,
     # a zero letter or one beyond the rank is refused before the audit
-    forcing_letters = blockers._forcing_letters
     for extra, message in (((1, -1), "not freely reduced"), ((0,), "nonzero"), ((3,), "within")):
-        monkeypatch.setattr(
-            blockers, "_forcing_letters",
-            lambda g, e=extra: np.concatenate((forcing_letters(g), e), dtype=np.int8),
-        )
+        _patch_blocks(monkeypatch, lambda block, d, e=extra: np.concatenate((block, e), dtype=np.int8))
         with pytest.raises(InvalidInputError, match=message):
             witness_word(2, 2)
     for z, message in (([1, 2, -2, 1], "not freely reduced"), ([1, 2, -1], "not cyclically reduced")):
@@ -313,22 +320,147 @@ def _oracle_covers():
                     yield _rotated(g)
 
 
+def _builder_block(g, kind):
+    """The builder's block and piece lengths for g alone, from its own
+    (g, sd) as blocking_word and forcing_word build them."""
+    sd = spanning_data(g)
+    nxt, dual, eid = graphs._graph_tables(g, sd)
+    u = blockers._pattern_word(kind, sd.dual_rank)
+    (letters,), (pieces,) = blockers._covering_blocks(nxt, dual, eid, np.array([g.base]), u)
+    return letters, pieces
+
+
 @pytest.mark.parametrize("pattern_fn, dual_word", [
     (alpha_path, _alpha_word),
     (beta_path, universal_three_word),
 ])
 def test_blocks_match_per_letter_oracles(pattern_fn, dual_word):
+    kind = KIND_ALPHA if pattern_fn is alpha_path else KIND_BETA
     covers = moved = 0
     for g in _oracle_covers():
         sd = spanning_data(g)
         pattern = pattern_fn(g, sd)
         assert pattern == _delta_path_oracle(g, sd, dual_word(sd.dual_rank))
-        letters, lengths = _covering_letters(g, sd, np.array(pattern.edges, dtype=np.intp))
-        assert (tuple(letters.tolist()), tuple(lengths)) == _covering_word_oracle(g, sd, pattern)
+        letters, lengths = _builder_block(g, kind)
+        assert (tuple(letters.tolist()), tuple(lengths.tolist())) == _covering_word_oracle(g, sd, pattern)
         assert sum(lengths) == len(letters)
         covers += 1
         moved += g.base != 0
     assert (covers, moved) == (88 + 105 + 87 + 7, 87 + 7)
+
+
+# -- the per-cover block path, kept as the builder's oracle ----------------------
+
+def _vertex_map(moves, letters):
+    """Where the trace of the letters ends, from each vertex; moves[x][v]
+    is the terminus of the x-edge out of v.  The per-letter maps are
+    composed pairwise, level by level."""
+    d = moves.shape[1]
+    maps = moves[letters]
+    while len(maps) > 1:
+        half = len(maps) // 2
+        rows = np.arange(0, half * d, d)[:, None]  # row offsets into the flat odd maps
+        paired = maps[1 : 2 * half : 2].ravel()[maps[0 : 2 * half : 2] + rows]
+        maps = np.concatenate((paired, maps[2 * half :]))
+    return maps[0] if len(maps) else np.arange(d)
+
+
+def _covering_letters(g, sd, pattern):
+    """Letters whose trace from every vertex (ascending id) runs through the
+    pattern loop, given as an array of signed edges, and the length of each
+    vertex's piece, one cover at a time: a deque connector_path per vertex
+    and the tail's _vertex_map give where each vertex's trace stands."""
+    first_edge = int(pattern[0])
+    o, t, gen = np.array(g.edges, dtype=np.intp).T
+    # label[j] is the letter of signed edge j, and moves has row x for letter
+    # x; the inverse edges' entries and letters' rows wrap around from the end
+    label = np.concatenate(([0], gen, -gen[::-1]), dtype=blockers._letter_dtype(g.rank))
+    moves = np.empty((2 * g.rank + 1, g.num_vertices), dtype=np.intp)
+    moves[gen, o], moves[-gen, t] = t, o
+    pattern_letters = label[pattern]
+    tail = pattern_letters[1:]
+    tail_map = _vertex_map(moves, tail)
+    om = out_map(g)
+    into_base = tree_path(g, sd, 0, g.base)
+    if into_base:
+        head = into_base + connector_path(g, into_base[-1], first_edge).edges[1:]
+    else:
+        head = (first_edge,)
+    back = -int(pattern_letters[-1])
+    ends = np.arange(g.num_vertices)
+    pieces = []
+    for i in range(g.num_vertices):
+        if i:
+            head = connector_path(g, -om[int(ends[i]), back], first_edge).edges[1:]
+        piece = label[np.array(head, dtype=np.intp)]
+        for x in piece.tolist():
+            ends = moves[x, ends]
+        ends = tail_map[ends]
+        pieces += (piece, tail)
+    return np.concatenate(pieces), [len(piece) + len(tail) for piece in pieces[::2]]
+
+
+def _delta_edges(g, sd, u):
+    """The edges of delta_path's loop for a dual word given as an array of
+    signed letters: one Python tree_path per distinct pair (previous dual
+    letter, dual letter), the segments chained by one gather."""
+    hops = {0: (g.base, g.base, ())}
+    for i, e in enumerate(sd.complement, 1):
+        o, t, _ = g.edges[e - 1]
+        hops[i], hops[-i] = (o, t, (e,)), (t, o, (-e,))
+    r = sd.dual_rank
+    side = 2 * r + 1
+    shifted = np.concatenate(([0], u, [0]), dtype=np.intp) + r
+    pairs, at = np.unique(shifted[:-1] * side + shifted[1:], return_inverse=True)
+    segments = [
+        tree_path(g, sd, hops[x][1], hops[y][0]) + hops[y][2]
+        for x, y in ((p // side - r, p % side - r) for p in pairs.tolist())
+    ]
+    sizes = np.fromiter(map(len, segments), np.intp, len(segments))
+    flat = np.fromiter(itertools.chain.from_iterable(segments), np.intp, int(sizes.sum()))
+    lengths = sizes[at]
+    # position p of the loop in pair i's segment is flat[p + shift[i]]
+    shift = (np.cumsum(sizes) - sizes)[at] - (np.cumsum(lengths) - lengths)
+    e = flat[np.repeat(shift, lengths) + np.arange(int(lengths.sum()))]
+    if np.any(e[1:] + e[:-1] == 0):
+        raise InvalidInputError("delta_path built a path that is not reduced")
+    return e
+
+
+def _shuffled(g, seed):
+    """g with its vertices renamed and its edges listed in a random order;
+    the base lands anywhere."""
+    rng = random.Random(seed)
+    name = list(range(g.num_vertices))
+    rng.shuffle(name)
+    edges = [(name[o], name[t], x) for o, t, x in g.edges]
+    rng.shuffle(edges)
+    return AGraph(g.rank, g.num_vertices, name[g.base], tuple(edges))
+
+
+@pytest.mark.parametrize("kind", [KIND_ALPHA, KIND_BETA])
+def test_builder_matches_the_per_cover_block_path(kind):
+    # every cover of a degree at once from the census's tables, and each
+    # shuffled cover alone from its own (g, sd), against the per-cover path
+    dual_word = _alpha_word if kind == KIND_ALPHA else universal_three_word
+    covers = moved = 0
+    for rank, top in ((2, 4), (3, 3), (4, 2)):
+        for d in range(1, top + 1):
+            blocks, pieces = blockers._census_blocks(rank, d, kind)
+            graphs_ = census_graphs(rank, d)
+            assert len(blocks) == len(pieces) == len(graphs_)
+            for i, (g, block, lengths) in enumerate(zip(graphs_, blocks, pieces)):
+                h = _shuffled(g, covers)
+                for g, (block, lengths) in ((g, (block, lengths)), (h, _builder_block(h, kind))):
+                    sd = spanning_data(g)
+                    u = np.array(dual_word(sd.dual_rank).letters)
+                    letters, oracle = _covering_letters(g, sd, _delta_edges(g, sd, u))
+                    assert block.dtype == blockers._letter_dtype(rank)
+                    assert np.array_equal(block, letters), (rank, d, i, g)
+                    assert lengths.tolist() == oracle
+                covers += 1
+                moved += h.base != 0
+    assert covers == 88 + 105 + 16 and moved > covers // 2
 
 
 def test_forcing_letters_match_the_per_letter_oracle():
@@ -337,7 +469,7 @@ def test_forcing_letters_match_the_per_letter_oracle():
     covers = 0
     for g in _oracle_covers():
         sd = spanning_data(g)
-        block = blockers._forcing_letters(g)
+        block, _ = _builder_block(g, KIND_BETA)
         assert block.dtype == blockers._letter_dtype(g.rank) == np.int8
         assert tuple(block.tolist()) == _covering_word_oracle(g, sd, beta_path(g, sd))[0]
         covers += 1
@@ -356,8 +488,20 @@ def test_cached_universal_word_arrays_are_read_only():
 
 
 def test_forcing_letters_are_a_new_array_per_call():
+    # no block the builder returns is a view of a cached table: writing to
+    # it changes nothing later calls see
+    for rank, d in ((2, 1), (2, 2), (3, 1), (2, 3)):
+        blocks, pieces = blockers._census_blocks(rank, d, KIND_BETA)
+        kept = [b.copy() for b in blocks]
+        nxt, dual = graphs._census_table(rank, d)
+        cached = (nxt, dual, graphs._universal_three_letters(d * (rank - 1) + 1))
+        for b in blocks:
+            assert b.flags.writeable and not any(np.shares_memory(b, t) for t in cached)
+            b[:] = 0
+        again, _ = blockers._census_blocks(rank, d, KIND_BETA)
+        assert all(np.array_equal(a, k) for a, k in zip(again, kept))
     for g in census_graphs(2, 1) + census_graphs(2, 2) + census_graphs(3, 1):
-        block = blockers._forcing_letters(g)
+        block, _ = _builder_block(g, KIND_BETA)
         kept = block.copy()
         block[:] = 0
-        assert np.array_equal(blockers._forcing_letters(g), kept)
+        assert np.array_equal(_builder_block(g, KIND_BETA)[0], kept)

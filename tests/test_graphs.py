@@ -26,10 +26,8 @@ from primindex.graphs import (
     circle_graph,
     collapse_vertices,
     complete_to_cover,
-    connector_path,
     cover_census,
     cover_graph,
-    cycle_rank,
     delta_path,
     fold,
     fold_with_map,
@@ -47,7 +45,6 @@ from primindex.graphs import (
     spanning_data,
     subgroup_count,
     trace_path,
-    tree_path,
     universal_three_word,
 )
 from primindex.words import (
@@ -61,6 +58,8 @@ from primindex.words import (
     free_reduce,
 )
 from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full, rauzy3_linear
+
+from path_oracles import connector_path, cycle_rank, tree_path
 
 CW = CyclicWord.parse
 W = Word.parse
@@ -822,7 +821,7 @@ def test_multi_letter_walk_matches_per_cover_trace(rank, d_max, lengths):
         letters = _reduced_letters(rank, rng, n)
         ends, states, grid, codes, _ = graphs._census_walk(rank, degrees, [letters], 1001)
         assert grid == 1004 and states.shape == (-(-n // grid), 1, states.shape[2])
-        assert codes.shape == (1, len(states) * grid)
+        assert codes is None  # a word's codes are made a chunk at a time, and not kept
         ends = np.concatenate(ends, axis=1)[0].tolist()
         assert ends == np.concatenate(_census_walk(rank, degrees, [letters])[0], axis=1)[0].tolist()
         states = (states[:, 0] - states[0, 0]).T.tolist()  # per cover, the vertex at each stop
@@ -903,7 +902,13 @@ def test_segment_reads_match_the_dual_word_oracle():
         ends, read = _census_duals(rank, degrees, w.letters)
         closing = np.flatnonzero(np.concatenate(ends) == 0).tolist()
         spans = [(0, grid // 2), (n - grid // 2, n), (0, n), (grid, n - grid), (n // 3, n // 3 + 2 * grid)]
-        got = read([i for i in closing for _ in spans], spans * len(closing))
+        covers, many = [i for i in closing for _ in spans], spans * len(closing)
+        got = list(read(covers, many))
+        with pytest.MonkeyPatch.context() as mp:  # a few covers' spans per batch
+            mp.setattr(graphs, "_CELLS", 4 * grid)
+            batched = list(read(covers, many))
+        assert [None if x is None else x.tolist() for x in batched] == [None if x is None else x.tolist() for x in got]
+        got = iter(got)
         for i in closing:
             g = census[i]
             sd = spanning_data(g)
@@ -940,6 +945,22 @@ def test_segment_reads_match_the_dual_word_oracle():
     _, read = _census_duals(2, (1,), w)
     with pytest.raises(InvalidInputError, match="not freely reduced"):
         list(read([0], [(38, 46)]))
+
+
+def test_dual_reads_of_narrow_letters_at_the_type_limits():
+    # letters that fit int8 up to rank 127, codes 0 .. 2 rank that need int16
+    # from rank 64, and the rose's dual letters, which need int16 at rank
+    # 128: a word given in its narrowest type reads as the same word given
+    # as a tuple, whole or as the segment of its first grid block (3 letters)
+    for rank in (63, 64, 65, 127, 128):
+        w = (rank, -(rank - 1), rank - 2, 1, -rank, -rank, 2)
+        reads = []
+        for given in (np.array(w, dtype=graphs._letter_dtype(rank)), w):
+            ends, read = _census_duals(rank, (1,), given)
+            assert [e.tolist() for e in ends] == [[0]]
+            reads.append([u.tolist() for u in read()] + [u.tolist() for u in read([0], [(0, 3)])])
+        assert reads[0] == reads[1] == [list(w), list(w[:3])], rank
+    assert graphs._letter_codes([(64, -64)], 64, 3).tolist() == [[128, 0, 64]]
 
 
 def test_rauzy3_array_matches_rauzy3_full_on_short_words():
@@ -1323,7 +1344,7 @@ def test_delta_path_refuses_a_loop_that_is_not_reduced():
         with pytest.raises(InvalidInputError, match="not reduced"):
             delta_path(g, sd, _trusted(Word, letters, r))
         with pytest.raises(InvalidInputError, match="not reduced"):
-            graphs._delta_edges(g, sd, np.array(letters))
+            graphs._loop_path(g, sd, np.array(letters))
     assert path_is_reduced(delta_path(g, sd, Word((1, -2), r)))
 
 
