@@ -383,7 +383,7 @@ def _check_cyclic(z: np.ndarray, rank: int) -> None:
 
 
 def _closing_certificates(
-    rank: int, degrees: range, z: np.ndarray, spans: list, dual_ranks: list[int]
+    rank: int, degrees: range, z: np.ndarray, spans: list, dual_ranks: np.ndarray
 ) -> dict[int, str]:
     """The certificate of each cover that closes z, by its number over the
     degrees in turn: rauzy3_linear on the dual letters along the cover's
@@ -393,11 +393,11 @@ def _closing_certificates(
     closing = np.flatnonzero(np.concatenate(ends) == 0).tolist()
     certs = {}
     for c, seg in zip(closing, read(closing, [spans[c] for c in closing])):
-        if seg is not None and rauzy3_linear(seg, dual_ranks[c]):
+        if seg is not None and rauzy3_linear(seg, int(dual_ranks[c])):
             certs[c] = CERT_RAUZY
     rest = [c for c in closing if c not in certs]
     for c, u in zip(rest, read(rest)):
-        certs[c] = CERT_RAUZY if rauzy3_array(u, dual_ranks[c]) else CERT_UNDETERMINED
+        certs[c] = CERT_RAUZY if rauzy3_array(u, int(dual_ranks[c])) else CERT_UNDETERMINED
     return certs
 
 
@@ -425,7 +425,7 @@ def witness_word(
             f"census of degree <= {d} exceeds cover cap {max_covers}"
         )
     degrees = range(1, d + 1)
-    census = [(deg, i, perms) for deg in degrees for i, perms in enumerate(cover_census(rank, deg))]
+    sizes = [len(cover_census(rank, deg)) for deg in degrees]
     dtype = _letter_dtype(rank)
     parts: list[np.ndarray] = []
     spans = []  # where each cover's block lies in z, [start, stop)
@@ -443,11 +443,12 @@ def witness_word(
     del parts  # the audit reads z alone
     _check_cyclic(z, rank)
 
-    dual_ranks = [deg * (rank - 1) + 1 for deg, _, _ in census]  # Schreier's index formula
+    dual_ranks = np.repeat([deg * (rank - 1) + 1 for deg in degrees], sizes)  # Schreier's index formula
     certs = _closing_certificates(rank, degrees, z, spans, dual_ranks)
+    numbered = ((deg, i) for deg, count in zip(degrees, sizes) for i in range(count))
     entries = tuple(
-        AuditEntry(deg, i, c in certs, certs.get(c)) for c, (deg, i, _) in enumerate(census)
+        AuditEntry(deg, i, c in certs, certs.get(c)) for c, (deg, i) in enumerate(numbered)
     )
     # unpacked straight into a tuple of its exact size, with no list of the letters
     letters = struct.unpack(f"{len(z)}{z.dtype.char}", z)
-    return _trusted(CyclicWord, letters, rank), WitnessAudit(d, rank, len(census), entries)
+    return _trusted(CyclicWord, letters, rank), WitnessAudit(d, rank, sum(sizes), entries)

@@ -456,32 +456,32 @@ def _least_tuples(perms: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def cover_census(rank: int, degree: int) -> tuple[tuple[int, ...], ...]:
+def cover_census(rank: int, degree: int) -> np.ndarray:
     """All based covers of exact degree, one per based-isomorphism class, as
-    flat permutation tuples perm[(gen - 1) * degree + j] = perm_gen[j];
-    cover_graph builds a cover's AGraph from its tuple.
+    one read-only (covers, rank * degree) array of rows perm[(gen - 1) *
+    degree + j] = perm_gen[j], in the narrowest signed type that holds the
+    degree; cover_graph builds a cover's AGraph from its row.
 
     Each subgroup of index degree is grown once as a coset table
-    (_grow_covers, breadth first), relabeled to the lex-least tuple among
-    its relabelings fixing the base (_least_tuples, a batch of tables at a
-    time), and the tuples are sorted, with no dedup.  They are sorted as
-    tuples, not as one array, so that no array of the whole census is held
-    beside them.  The numbering is generally not canonical_key's; witness
-    words and `covers --json` depend on it.
-    """
+    (_grow_covers, breadth first), relabeled to the lex-least row among its
+    relabelings fixing the base (_least_tuples, a batch of tables at a
+    time), and the rows are sorted lexicographically, with no dedup.  The
+    numbering is generally not canonical_key's; witness words and `covers
+    --json` depend on it."""
     if rank < 1 or degree < 1:
         raise InvalidInputError("rank and degree must be >= 1")
-    width = rank * degree
-    census: list[tuple[int, ...]] = []
-    for perms in _grow_covers(rank, degree):
-        census.extend(zip(*[iter(_least_tuples(perms).ravel().tolist())] * width))
-    census.sort()
-    return tuple(census)
+    batches = [_least_tuples(perms).reshape(len(perms), -1) for perms in _grow_covers(rank, degree)]
+    census = np.concatenate(batches)
+    census = census[np.lexsort(census.T[::-1])]
+    census.flags.writeable = False
+    return census.view()  # a view of a read-only base cannot be made writeable again
 
 
-def cover_graph(rank: int, perms: Sequence[int]) -> AGraph:
-    """The based cover of a census tuple perms[(gen - 1) * degree + j] =
-    perm_gen[j]: edges (j, perm_gen[j], gen) in (gen, vertex) order, base 0."""
+def cover_graph(rank: int, perms: Sequence[int] | np.ndarray) -> AGraph:
+    """The based cover of a census row (or int sequence) perms[(gen - 1) *
+    degree + j] = perm_gen[j]: int edges (j, perm_gen[j], gen) in (gen,
+    vertex) order, base 0."""
+    perms = np.asarray(perms).tolist()
     degree = len(perms) // rank
     return AGraph(
         rank, degree, 0, tuple((i % degree, t, i // degree + 1) for i, t in enumerate(perms))
@@ -514,7 +514,7 @@ _CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census 
 @lru_cache(maxsize=None)
 def _census_table(rank: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """cover_census(rank, degree) as two read-only tables over the states
-    c * degree + j (vertex j of cover c), built from its tuples alone:
+    c * degree + j (vertex j of cover c), built from its rows alone:
 
     - nxt[x + rank, c * degree + j] = c * degree + the vertex that letter x
       leads to from vertex j of cover c; row rank (letter 0) is the identity;
@@ -529,7 +529,7 @@ def _census_table(rank: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     covers = len(census)
     # intp, so that gathers index with the states as they come
     states = np.arange(covers * degree, dtype=np.intp)
-    perms = np.array(census, dtype=np.intp).reshape(covers, rank, degree)
+    perms = census.astype(np.intp).reshape(covers, rank, degree)
     perms += states[::degree, None, None]
     nxt = np.empty((2 * rank + 1, len(states)), dtype=np.intp)
     nxt[rank] = states
@@ -664,7 +664,7 @@ def _census_walk(
     degrees: Sequence[int],
     rows: Sequence[Sequence[int] | np.ndarray] | np.ndarray,
     grid: int = 0,
-) -> tuple[list[np.ndarray], np.ndarray, int, np.ndarray | None, tuple[np.ndarray, ...]]:
+) -> tuple[list[np.ndarray], np.ndarray, int, tuple[np.ndarray, ...]]:
     """Rows of letters (words) walked from the base of every cover of the
     listed degrees at once.  The rows may also come as their _letter_codes,
     a 2-D array padded to a multiple of _LONGEST_STEP, hence of every step,
@@ -677,8 +677,6 @@ def _census_walk(
       longest row, (stops, rows, states), in the narrowest unsigned type
       that holds the side-by-side width (no stops when grid is 0);
     - the grid, rounded up to a multiple of the step;
-    - the codes as given, or None: rows of words are coded a chunk at a
-      time, and no code copy of them is kept;
     - the (nxt, dual, base state) tables of _census_table side by side, each
       shifted by the widths before it.
 
@@ -687,7 +685,8 @@ def _census_walk(
     chunk of about _CODES letters, a whole number of grid blocks, and each
     chunk is walked one _gather_walk per grid block (per chunk when grid is
     0); the rows are padded with letter 0 to a multiple of the grid (of the
-    step when grid is 0)."""
+    step when grid is 0).  Rows of words are coded a chunk at a time, and
+    no code copy of them is kept."""
     tables = [_census_table(rank, d) for d in degrees]
     offsets = list(itertools.accumulate((t.shape[1] for t, _ in tables), initial=0))
     if len(tables) > 1:
@@ -716,11 +715,9 @@ def _census_walk(
             if grid:
                 states[(lo + at) // grid] = state
             state = _gather_walk(table, steps[:, at // k : (at + (grid or chunk)) // k], state)
-    ends = state - bases
-    covers = ((b - a) // d for a, b, d in zip(offsets, offsets[1:], degrees))
-    bounds = list(itertools.accumulate(covers, initial=0))
-    ends = [ends[:, a:b] for a, b in zip(bounds, bounds[1:])]
-    return ends, states, grid, rows if coded else None, (nxt, dual, bases)
+    # per degree, its covers' columns
+    ends = np.split(state - bases, np.cumsum(np.diff(offsets) // degrees)[:-1], axis=1)
+    return ends, states, grid, (nxt, dual, bases)
 
 
 def _read_duals(
@@ -793,7 +790,7 @@ def _census_duals(
     base after the last block), and each word or segment read to be freely
     reduced."""
     n = len(letters)
-    ends, firsts, grid, _, (nxt, dual, bases) = _census_walk(
+    ends, firsts, grid, (nxt, dual, bases) = _census_walk(
         rank, degrees, [letters], math.isqrt(n - 1) + 1 if n else 0
     )
     ends, firsts = [e[0] for e in ends], firsts[:, 0]

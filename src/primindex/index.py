@@ -377,7 +377,8 @@ def first_cover(
         chunk = max(1, _CELLS // max(subgroup_count(rank, d), longest))
         for lo in range(0, len(todo), chunk):
             ids = todo[lo : lo + chunk]
-            (ends,), _, _, codes, (nxt, dual, bases) = _census_walk(rank, (d,), coded[ids])
+            codes = coded[ids]
+            (ends,), _, _, (nxt, dual, bases) = _census_walk(rank, (d,), codes)
             pending = [True] * len(ids)
             pairs = np.argwhere(ends == 0)  # (row, cover): by word, then census order
             per = max(1, _CELLS // codes.shape[1])

@@ -216,6 +216,36 @@ def test_census_results_are_pinned(capsys, argv, sha256):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+_COVERS_2_2_TEXT = """\
+3 based covers of degree 2, rank 2
+cover 0: edges ((0, 0, 1), (1, 1, 1), (0, 1, 2), (1, 0, 2))
+cover 1: edges ((0, 1, 1), (1, 0, 1), (0, 0, 2), (1, 1, 2))
+cover 2: edges ((0, 1, 1), (1, 0, 1), (0, 1, 2), (1, 0, 2))
+"""
+
+
+def test_census_is_read_only_and_covers_print_plain_ints(capsys):
+    # the cached census is one array: neither it nor a view of it can be
+    # made writeable, and a copy's edits stay in the copy
+    from primindex.graphs import cover_census, cover_graph
+
+    census = cover_census(2, 3)
+    for view in (census, census[1:], census.T, census.reshape(-1), census.view()):
+        with pytest.raises(ValueError):
+            view.setflags(write=True)
+    before = census.tolist()
+    copy = census.copy()
+    copy[:] = 0
+    assert cover_census(2, 3) is census and cover_census(2, 3).tolist() == before
+    # cover_graph lays a row out in plain ints, so no numpy scalar repr
+    # reaches the text output
+    for row in census:
+        g = cover_graph(2, row)
+        assert all(type(t) is int for e in g.edges for t in e)
+    code, out, _ = run_cli(capsys, ["covers", "--rank", "2", "--degree", "2"])
+    assert code == 0 and out == _COVERS_2_2_TEXT
+
+
 def test_witness_resource_guard(capsys):
     code, _, err = run_cli(
         capsys, ["witness", "--degree", "2", "--rank", "2", "--max-covers", "1"]

@@ -441,23 +441,24 @@ def test_cover_census_matches_plain_min_relabeling(rank, d_max):
     # the array grower and batch relabeling, against the depth-first oracle
     # grower and a plain min: the same list, order included
     for d in range(1, d_max + 1):
-        assert cover_census(rank, d) == census_by_plain_min(rank, d), (rank, d)
+        census = tuple(map(tuple, cover_census(rank, d).tolist()))
+        assert census == census_by_plain_min(rank, d), (rank, d)
 
 
 def test_cover_census_degree_7_matches_hall():
     # unwrapped, so the 29,093 covers are not kept in the cache
     census = cover_census.__wrapped__(2, 7)
     assert len(census) == subgroup_count(2, 7) == 29093
-    assert all(len(perms) == 14 for perms in census)
-    assert len(set(census)) == len(census)
+    assert census.shape == (29093, 14)
+    assert len(set(map(tuple, census.tolist()))) == len(census)
 
 
 def test_cover_census_rank_3_degree_5_matches_hall():
     # unwrapped, so the 68,641 covers are not kept in the cache
     census = cover_census.__wrapped__(3, 5)
     assert len(census) == subgroup_count(3, 5) == 68641
-    assert all(len(perms) == 15 for perms in census)
-    assert len(set(census)) == len(census)
+    assert census.shape == (68641, 15)
+    assert len(set(map(tuple, census.tolist()))) == len(census)
 
 
 def test_census_table_is_read_only_and_shared():
@@ -482,8 +483,8 @@ def test_cover_census_is_sorted_lex_least_transitive_tuples(rank, d_max):
     relabeled = 0
     for d in range(1, d_max + 1):
         tuples = [
-            tuple(perms[i * d : (i + 1) * d] for i in range(rank))
-            for perms in cover_census(rank, d)
+            tuple(tuple(perms[i * d : (i + 1) * d]) for i in range(rank))
+            for perms in cover_census(rank, d).tolist()
         ]
         assert tuples == lex_least_transitive_tuples(rank, d)
         relabeled += sum(canonical_form(g) != g for g in census_graphs(rank, d))
@@ -564,15 +565,20 @@ def test_census_is_the_same_in_small_chunks(monkeypatch):
     expected = {(rank, d): cover_census(rank, d) for rank, d in [(2, 5), (3, 4)]}
     monkeypatch.setattr(graphs, "_CELLS", 1 << 6)
     for (rank, d), census in expected.items():
-        assert cover_census.__wrapped__(rank, d) == census
+        again = cover_census.__wrapped__(rank, d)
+        assert again.dtype == census.dtype and np.array_equal(again, census)
 
 
 def test_census_tables_take_the_narrowest_type_that_holds_the_degree():
     assert next(graphs._grow_covers(2, 3)).dtype == np.int8
     assert next(graphs._grow_covers(1, 130)).dtype == np.int16
     # rank 1 has one cover per degree, the standard cycle 0 -> 1 -> ... -> 0
-    (cycle,) = cover_census.__wrapped__(1, 130)
-    assert cycle == tuple(range(1, 130)) + (0,) and type(cycle[0]) is int
+    census = cover_census.__wrapped__(1, 130)
+    assert census.dtype == np.int16
+    (cycle,) = census.tolist()
+    assert cycle == list(range(1, 130)) + [0]
+    g = cover_graph(1, census[0])
+    assert g.edges[-1] == (129, 0, 1) and all(type(t) is int for e in g.edges for t in e)
 
 
 _COLD_BUILD = """
@@ -598,18 +604,19 @@ def test_census_build_imports_neither_numpy_ma_nor_numpy_random():
 
 @pytest.mark.parametrize("rank,d_max", [(2, 5), (3, 4)])
 def test_census_table_matches_cover_graph_edges(rank, d_max):
-    # the census holds plain int tuples; cover_graph lays each out as edges
-    # (j, perm_gen[j], gen) in (gen, vertex) order, and the walker's table,
-    # built from the tuples alone, follows those edges
+    # the census holds one row per cover; cover_graph lays each out as
+    # edges (j, perm_gen[j], gen) of plain ints in (gen, vertex) order, and
+    # the walker's table, built from the rows alone, follows those edges
     cells = [(j, gen) for gen in range(1, rank + 1) for j in range(d_max)]
     for d in range(1, d_max + 1):
         census = cover_census(rank, d)
+        assert census.dtype == np.int8 and census.shape == (len(census), rank * d)
         states = len(census) * d
         expected = np.empty((2 * rank + 1, states), dtype=np.intp)
         expected[rank] = np.arange(states)
         for c, perms in enumerate(census):
-            assert type(perms) is tuple and all(type(t) is int for t in perms)
             g = cover_graph(rank, perms)
+            assert all(type(t) is int for e in g.edges for t in e)
             assert (g.rank, g.num_vertices, g.base) == (rank, d, 0) and is_cover(g)
             assert [(o, gen) for o, _, gen in g.edges] == [(j, gen) for j, gen in cells if j < d]
             for o, t, gen in g.edges:
@@ -819,9 +826,8 @@ def test_multi_letter_walk_matches_per_cover_trace(rank, d_max, lengths):
     for n in lengths:
         assert graphs._step_length(n, (2 * rank + 1, width)) == 4
         letters = _reduced_letters(rank, rng, n)
-        ends, states, grid, codes, _ = graphs._census_walk(rank, degrees, [letters], 1001)
+        ends, states, grid, _ = graphs._census_walk(rank, degrees, [letters], 1001)
         assert grid == 1004 and states.shape == (-(-n // grid), 1, states.shape[2])
-        assert codes is None  # a word's codes are made a chunk at a time, and not kept
         ends = np.concatenate(ends, axis=1)[0].tolist()
         assert ends == np.concatenate(_census_walk(rank, degrees, [letters])[0], axis=1)[0].tolist()
         states = (states[:, 0] - states[0, 0]).T.tolist()  # per cover, the vertex at each stop
@@ -841,7 +847,7 @@ def test_census_walk_stops_in_the_narrowest_unsigned_type():
     # before it ends
     letters = _reduced_letters(2, random.Random(5), 3001)
     for degrees, dtype in ((range(1, 3), np.uint8), (range(1, 6), np.uint16)):
-        _, states, grid, _, (nxt, _, bases) = graphs._census_walk(2, degrees, [letters], 60)
+        _, states, grid, (nxt, _, bases) = graphs._census_walk(2, degrees, [letters], 60)
         assert states.dtype == dtype and nxt.shape[1] - 1 <= np.iinfo(dtype).max
         for s in (1, len(states) // 2, len(states) - 1):
             ends = np.concatenate(_census_walk(2, degrees, [letters[: s * grid]])[0], axis=1)[0]
