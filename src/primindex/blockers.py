@@ -27,6 +27,7 @@ from .graphs import (
     _lay_out,
     _letter_dtype,
     _pattern_segments,
+    _separator,
     _tree_paths,
     _universal_three_letters,
     alpha_path,
@@ -42,7 +43,7 @@ from .whitehead import rauzy3_array, rauzy3_linear
 # Unused here; perfbench/tracer.py patches these names on this module.
 from .graphs import rewrite_loop_cyclic  # noqa: F401
 from .whitehead import rauzy3_full  # noqa: F401
-from .words import CyclicWord, Word, _trusted, alphabet
+from .words import CyclicWord, Word, _trusted
 
 KIND_ALPHA = "alpha-blocking"
 KIND_BETA = "beta-forcing"
@@ -355,16 +356,6 @@ class WitnessAudit:
         }
 
 
-def _separator(last: int, first: int, rank: int) -> tuple[int, ...]:
-    """Smallest letter joining two blocks reducibly; empty when possible."""
-    if last != -first:
-        return ()
-    for y in alphabet(rank):
-        if y != -last and y != -first:
-            return (y,)
-    raise InvalidInputError("no separator letter exists")
-
-
 _CHECKED_AT_ONCE = 1 << 20  # letters of z checked at a time, so that no check copies all of z
 
 
@@ -388,7 +379,7 @@ def _closing_certificates(
     """The certificate of each cover that closes z, by its number over the
     degrees in turn: rauzy3_linear on the dual letters along the cover's
     own block where they lie in the cyclically reduced dual word, else
-    rauzy3_array on the whole of that word."""
+    rauzy3_array on the whole of that word, read as the full span of z."""
     ends, read = _census_duals(rank, degrees, z)
     closing = np.flatnonzero(np.concatenate(ends) == 0).tolist()
     certs = {}
@@ -396,7 +387,7 @@ def _closing_certificates(
         if seg is not None and rauzy3_linear(seg, int(dual_ranks[c])):
             certs[c] = CERT_RAUZY
     rest = [c for c in closing if c not in certs]
-    for c, u in zip(rest, read(rest)):
+    for c, u in zip(rest, read(rest, [(0, len(z))] * len(rest))):
         certs[c] = CERT_RAUZY if rauzy3_array(u, int(dual_ranks[c])) else CERT_UNDETERMINED
     return certs
 

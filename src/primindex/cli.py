@@ -29,7 +29,7 @@ from .randomwalk import (
     experiment_dsimp,
     sample_word,
 )
-from .words import CyclicWord, Word, cyclic_reduce
+from .words import CyclicWord, Word
 
 SCHEMA_VERSION = 1
 
@@ -71,10 +71,10 @@ def _write_out(out: str, payload: dict) -> None:
 
 
 def _parse_cyclic(text: str, rank: int) -> CyclicWord:
-    w = Word.parse(text, rank)
-    if w.is_trivial():
+    w = CyclicWord.parse(text, rank)
+    if not w.letters:
         raise InvalidInputError("the word reduces to the identity")
-    return cyclic_reduce(w)[1]
+    return w
 
 
 # -- commands -----------------------------------------------------------------

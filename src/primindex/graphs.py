@@ -505,7 +505,6 @@ def subgroup_count(rank: int, degree: int) -> int:
 
 # -- batch walks over the census ----------------------------------------------
 
-_WALK_CHUNK = 4  # closing covers whose whole dual words are read together
 _LONGEST_STEP = 4  # letters per step of a census walk, at most
 _CODES = 1 << 16  # letters a walk codes at a time, rounded to whole grid blocks; a multiple of every step
 _CELLS = 1 << 20  # (row, state) cells, or read letters, that a batch of census walks holds at a time; bounds the census build's arrays too
@@ -761,24 +760,23 @@ def _census_duals(
     rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
 ) -> tuple[list[np.ndarray], Callable[..., Iterator[np.ndarray | None]]]:
     """The closing test of one word, _census_walk(rank, degrees,
-    [letters])[0] with its one row taken, and read(covers=None,
-    spans=None), the reader of its dual letters; covers are numbered over
-    the listed degrees in turn, census order within each, and default to
-    every cover that closes.  No graph is built.
+    [letters])[0] with its one row taken, and read(covers, spans), the
+    reader of its dual letters, read from _census_table's dual letters;
+    covers are numbered over the listed degrees in turn, census order
+    within each, and each must close the word.  No graph is built.
 
-    - read(covers) yields, per cover, the cyclically reduced dual word of
-      its loop (rewrite_loop_cyclic's letters) as a signed array, read from
-      _census_table's dual letters.
-    - read(covers, spans) reads, per cover, only the grid blocks that meet
-      its span [start, stop) of letters, and the first and last grid
-      blocks, which give the peel length k: the length of the conjugator
-      that cancels between the two ends of the dual word.  It yields the
-      dual letters of the span's grid blocks when they are a subword of the
-      cyclically reduced dual word, that is when k is known and is 0, or
-      they avoid the first and last grid blocks; None otherwise, where
-      read(covers) gives the whole word.  A span that meets every grid
-      block gives the whole word.  The spans are meant to be disjoint, and
-      are read in batches of about _CELLS letters.
+    read(covers, spans) reads, per cover, only the grid blocks that meet
+    its span [start, stop) of letters, and the first and last grid blocks,
+    which give the peel length k: the length of the conjugator that
+    cancels between the two ends of the dual word.
+    - A span that meets every grid block, such as the full span
+      (0, len(letters)), gives the cyclically reduced dual word of the
+      cover's loop (rewrite_loop_cyclic's letters) as a signed array.
+    - Any other span gives the dual letters of its grid blocks when they
+      are a subword of the cyclically reduced dual word, that is when k is
+      known and is 0, or they avoid the first and last grid blocks; None
+      otherwise.
+    Batches hold about _CELLS letters read, and at least one cover.
 
     The closing test's walk keeps every cover's state at each multiple of
     a grid of about sqrt(len) letters, and no code copy of the letters.
@@ -796,7 +794,6 @@ def _census_duals(
     ends, firsts = [e[0] for e in ends], firsts[:, 0]
     blocks = len(firsts)
     letters = np.asarray(letters)
-    closing = np.flatnonzero(np.concatenate(ends) == 0)
 
     def read_rows(cover: np.ndarray, block: np.ndarray) -> np.ndarray:
         # the codes of the grid blocks read, from the letters themselves; the
@@ -826,16 +823,14 @@ def _census_duals(
         inside = k < min(len(head), len(tail)) and (k == 0 or (lo > 0 and hi < blocks))
         return seg if inside else None
 
-    def read(covers=None, spans=None) -> Iterator[np.ndarray | None]:
-        covers = closing if covers is None else np.asarray(covers, dtype=np.intp)
-        if spans is None:
-            picks, chunk = [(0, blocks)] * len(covers), _WALK_CHUNK
-        else:  # disjoint spans: the grid blocks plus at most 2 rows per cover, about _CELLS letters a batch
-            picks = [(a // grid, -(-b // grid)) for a, b in spans]
-            letters_read = grid * sum(hi - lo + 2 for lo, hi in picks)
-            chunk = max(1, len(covers) * _CELLS // max(letters_read, 1))
+    def read(covers: Sequence[int], spans: Sequence[tuple[int, int]]) -> Iterator[np.ndarray | None]:
+        covers = np.asarray(covers, dtype=np.intp)
+        # the grid blocks plus at most 2 rows per cover, about _CELLS letters a batch
+        picks = [(a // grid, -(-b // grid)) for a, b in spans]
+        letters_read = grid * sum(hi - lo + 2 for lo, hi in picks)
+        chunk = max(1, len(covers) * _CELLS // max(letters_read, 1))
         for c in range(0, len(covers), chunk):
-            ids = [sorted({0, *range(lo, hi), blocks - 1}) if blocks else [] for lo, hi in picks[c : c + chunk]]
+            ids = [sorted({0, *range(lo, hi), blocks - 1}) for lo, hi in picks[c : c + chunk]]
             sizes = list(map(len, ids))
             out = read_rows(np.repeat(covers[c : c + chunk], sizes), np.concatenate(ids, dtype=np.intp))
             starts = itertools.accumulate(sizes, initial=0)
@@ -1177,15 +1172,11 @@ def _lay_out(segments: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.nd
 
 def _loop_path(g: AGraph, sd: SpanningData, u: np.ndarray) -> EdgePath:
     """delta_path for a nonempty dual word given as an array of signed
-    letters: the pattern builders on g alone, edges read off eid."""
-    nxt, dual, eid = _graph_tables(g, sd)
+    letters: the pattern builders lay the loop's letters out on g alone,
+    and trace_path reads its edges from the base."""
+    nxt, dual, _ = _graph_tables(g, sd)
     loop = _lay_out(*_pattern_segments(nxt, dual, np.array([g.base]), u))
-    steps, ids = nxt.tolist(), eid.tolist()
-    state, edges = g.base, []
-    for x in (loop.astype(np.intp) + g.rank).tolist():
-        edges.append(ids[x][state])
-        state = steps[x][state]
-    return EdgePath(g.base, tuple(edges))
+    return trace_path(g, g.base, loop.tolist())
 
 
 def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
@@ -1215,21 +1206,28 @@ def alpha_path(g: AGraph, sd: SpanningData) -> EdgePath:
     return delta_path(g, sd, _alpha_word(r))
 
 
+def _separator(last: int, first: int, rank: int) -> tuple[int, ...]:
+    """Smallest letter joining two blocks reducibly; empty when possible."""
+    if last != -first:
+        return ()
+    for y in alphabet(rank):
+        if y != -last and y != -first:
+            return (y,)
+    raise InvalidInputError("no separator letter exists")
+
+
 @lru_cache(maxsize=16)
 def universal_three_word(r: int) -> Word:
     """A freely reduced word over rank r containing every freely reduced
-    length-3 word as a factor; length <= 4L-1 for L = 2r(2r-1)^2.  Cached
-    by r: every cover of one dual rank shares the word."""
+    length-3 word as a factor: the triples in order, joined by _separator;
+    length <= 4L-1 for L = 2r(2r-1)^2.  Cached by r: every cover of one
+    dual rank shares the word."""
     if r < 2:
         raise UnsupportedInputError("need dual rank >= 2")
     triples = list(_reduced_tuples(3, r))
     letters: list[int] = list(triples[0])
     for nxt in triples[1:]:
-        if letters[-1] == -nxt[0]:
-            for y in alphabet(r):
-                if y != -letters[-1] and y != -nxt[0]:
-                    letters.append(y)
-                    break
+        letters.extend(_separator(letters[-1], nxt[0], r))
         letters.extend(nxt)
     return Word(tuple(letters), r)
 

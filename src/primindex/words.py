@@ -73,13 +73,14 @@ def letters_to_text(letters: Sequence[int], rank: int) -> str:
 
 
 def text_to_letters(text: str, rank: int) -> list[int]:
-    """Parse the text syntax into raw letters (no free reduction applied)."""
+    """Parse the text syntax into raw letters (no free reduction applied):
+    ASCII letters at rank <= 26, else x/X tokens with ASCII digits."""
     out: list[int] = []
     if rank <= 26:
         for ch in text:
             if ch.isspace():
                 continue
-            if not ch.isalpha():
+            if not (ch.isascii() and ch.isalpha()):
                 raise InvalidInputError(f"bad character {ch!r} in word")
             idx = ord(ch.lower()) - _ASCII_A + 1
             if idx > rank:
@@ -95,13 +96,13 @@ def text_to_letters(text: str, rank: int) -> list[int]:
         if ch not in ("x", "X"):
             raise InvalidInputError(f"expected x/X token at position {i}")
         j = i + 1
-        while j < len(text) and text[j].isdigit():
+        while j < len(text) and text[j].isascii() and text[j].isdigit():
             j += 1
         if j == i + 1:
             raise InvalidInputError(f"missing generator index at position {i}")
         idx = int(text[i + 1 : j])
         if not 1 <= idx <= rank:
-            raise InvalidInputError(f"generator index {idx} exceeds rank {rank}")
+            raise InvalidInputError(f"generator index {idx} is out of range 1..{rank}")
         out.append(idx if ch == "x" else -idx)
         i = j
     return out

@@ -42,6 +42,16 @@ def test_index_invalid_word_exit_2(capsys):
     assert "invalid input" in err
 
 
+def test_non_ascii_word_text_is_invalid_input(capsys):
+    # a Unicode letter or digit that str.isalpha / str.isdigit would pass,
+    # and a generator index of 0, are refused as invalid input, not crashed on
+    for word, rank in (("İ", 2), ("aé", 2), ("x²", 30), ("x١", 30), ("X0", 30)):
+        code, _, err = run_cli(capsys, ["index", "--word", word, "--rank", str(rank)])
+        assert code == 2, word
+        assert err.startswith("invalid input: ") and "Traceback" not in err, word
+    assert "out of range" in run_cli(capsys, ["index", "--word", "X0", "--rank", "30"])[2]
+
+
 def test_index_trivial_word_exit_2(capsys):
     code, _, _ = run_cli(capsys, ["index", "--word", "aA", "--rank", "2"])
     assert code == 2

@@ -760,7 +760,8 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
             w = free_reduce(w.letters + (rng.choice(alphabet(rank)),), rank)
         together = [e[0] for e in _census_walk(rank, degrees, [w.letters])[0]]
         read_ends, reader = _census_duals(rank, degrees, w.letters)
-        duals = reader()
+        closes = np.flatnonzero(np.concatenate(read_ends) == 0)
+        duals = reader(closes, [(0, len(w))] * len(closes))  # whole words: the full span
         for d, ends, read in zip(degrees, together, read_ends):
             census = census_graphs(rank, d)
             paths = [trace_path(g, g.base, w) for g in census]
@@ -783,6 +784,14 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
     assert closed > 0 and certified > 0
 
 
+def _whole_dual_words(rank, degrees, letters):
+    """The whole dual word of every cover that closes the letters, each read
+    as the full span."""
+    ends, read = _census_duals(rank, degrees, letters)
+    closing = np.flatnonzero(np.concatenate(ends) == 0)
+    return read(closing, [(0, len(letters))] * len(closing))
+
+
 def test_census_walk_rejects_open_covers_and_unreduced_words(monkeypatch):
     w = W("abAAbab", 2)
     assert _census_walk(2, (2,), [w.letters])[0][0].any()
@@ -796,11 +805,11 @@ def test_census_walk_rejects_open_covers_and_unreduced_words(monkeypatch):
 
     monkeypatch.setattr(graphs, "_census_walk", all_close)
     with pytest.raises(InvalidInputError, match="close the word"):
-        list(_census_duals(2, (2,), w.letters)[1]())
+        list(_whole_dual_words(2, (2,), w.letters))
     monkeypatch.undo()
     # on the rose every edge is a dual letter, so aA gives a cancelling pair
     with pytest.raises(InvalidInputError, match="not freely reduced"):
-        list(_census_duals(2, (1,), (1, -1, 2))[1]())
+        list(_whole_dual_words(2, (1,), (1, -1, 2)))
 
 
 def _reduced_letters(rank, rng, n):
@@ -964,7 +973,7 @@ def test_dual_reads_of_narrow_letters_at_the_type_limits():
         for given in (np.array(w, dtype=graphs._letter_dtype(rank)), w):
             ends, read = _census_duals(rank, (1,), given)
             assert [e.tolist() for e in ends] == [[0]]
-            reads.append([u.tolist() for u in read()] + [u.tolist() for u in read([0], [(0, 3)])])
+            reads.append([u.tolist() for u in read([0], [(0, len(w))])] + [u.tolist() for u in read([0], [(0, 3)])])
         assert reads[0] == reads[1] == [list(w), list(w[:3])], rank
     assert graphs._letter_codes([(64, -64)], 64, 3).tolist() == [[128, 0, 64]]
 

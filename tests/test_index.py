@@ -251,13 +251,19 @@ def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
     # the scans read the census's permutation and dual-letter tables; no
     # AGraph (and so no spanning tree or edge path) is built per cover
     w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3), with_stats=False).word)[1]
+
+    def whole_dual_words():  # every closing cover's, each read as the full span
+        ends, read = _census_duals(2, range(1, 6), w.letters)
+        closing = np.flatnonzero(np.concatenate(ends) == 0)
+        return len(list(read(closing, [(0, len(w))] * len(closing))))
+
     scans = (
         lambda: d_simp_census(w, 5),
         lambda: d_prim_census_oracle(w, 5),
         lambda: d_simp_census(CW("abAB", 2), 4),
         lambda: d_prim_census_oracle(CW("aabAB", 2), 4),
         lambda: divisibility(W("abAB", 2), 4),
-        lambda: len(list(_census_duals(2, range(1, 6), w.letters)[1]())),
+        whole_dual_words,
     )
     warm = [scan() for scan in scans]
     assert warm[-1] > 0
