@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .index import CERT_RAUZY, CERT_UNDETERMINED
 from .graphs import (
     _CELLS,
     AGraph,
-    _alpha_word,
     _census_duals,
     _census_edge_ids,
     _census_table,
@@ -29,15 +29,13 @@ from .graphs import (
     _pattern_segments,
     _separator,
     _tree_paths,
-    _universal_three_letters,
-    alpha_path,
-    beta_path,
     cover_census,
     is_cover,
     path_contains,
     spanning_data,
     subgroup_count,
     trace_path,
+    universal_three_word,
 )
 from .whitehead import rauzy3_array, rauzy3_linear
 # Unused here; perfbench/tracer.py patches these names on this module.
@@ -229,13 +227,14 @@ def _first_heads(
 
 
 def _covering_blocks(
-    nxt: np.ndarray, dual: np.ndarray, eid: np.ndarray, bases: np.ndarray, u: np.ndarray
+    nxt: np.ndarray, dual: np.ndarray, eid: np.ndarray, bases: np.ndarray,
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """For every cover of a batch of one degree, given as _graph_tables or
-    _census_table tables over the states, _census_edge_ids and each cover's
-    base state: the letters whose trace from every vertex (ascending id)
-    runs through the pattern loop of the dual word u (delta_path's), as a
-    new array of _letter_dtype, and the length of each vertex's piece,
+    _census_table tables over the states, _census_edge_ids, each cover's
+    base state and its pattern loop's _pattern_segments: the letters whose
+    trace from every vertex (ascending id) runs through the pattern loop,
+    as a new array of _letter_dtype, and the length of each vertex's piece,
     (covers, degree).  Per vertex, steer into the pattern with a reduced
     connector (_connectors) and append the pattern's label.
 
@@ -243,12 +242,12 @@ def _covering_blocks(
     so where the trace of the pieces so far stops, from each vertex,
     follows from the tail's vertex map and each new connector's; the
     trace's last edge is the one labeled with the pattern's last letter
-    into that end.  The loops' segments are built once for the batch
-    (_pattern_segments); the rest goes a chunk of covers at a time, each of
-    about _CELLS letters."""
+    into that end.  The loops' segments are built once for the batch, by
+    the caller; the rest goes a chunk of covers at a time, each of about
+    _CELLS letters."""
     states = nxt.shape[1]
     degree = states // len(bases)
-    segments, at, lengths = _pattern_segments(nxt, dual, bases, u)
+    segments, at, lengths = segments
     if int(dual.max()) < 2 and (degree > 1 or np.any(bases % degree)):
         raise UnsupportedInputError("connector needs fundamental group rank >= 2")
     size = degree * np.cumsum(lengths)
@@ -266,14 +265,21 @@ def _covering_blocks(
     return blocks, np.concatenate(pieces)
 
 
+@lru_cache(maxsize=16)
 def _pattern_word(kind: str, dual_rank: int) -> np.ndarray:
-    """The dual word of a kind's pattern loop: the square chain (alpha_path)
-    or the universal length-3 word (beta_path)."""
+    """The dual word of a kind's pattern loop as a read-only intp array,
+    cached by (kind, dual rank): the square chain b_r^2 b_1^2 ... b_r^2,
+    whose loop keeps a containing circuit from being simple, or the
+    universal length-3 word, whose loop makes it filling."""
     if kind == KIND_BETA:
-        return _universal_three_letters(dual_rank)
-    if dual_rank < 1:
+        letters = universal_three_word(dual_rank).letters
+    elif dual_rank < 1:
         raise UnsupportedInputError("graph has trivial fundamental group")
-    return np.array(_alpha_word(dual_rank).letters)
+    else:
+        letters = (dual_rank, dual_rank, *(i for i in range(1, dual_rank + 1) for _ in (0, 1)))
+    u = np.array(letters, dtype=np.intp)
+    u.flags.writeable = False
+    return u.view()  # a view of a read-only base cannot be made writeable again
 
 
 def _census_blocks(rank: int, degree: int, kind: str) -> tuple[list[np.ndarray], np.ndarray]:
@@ -282,21 +288,26 @@ def _census_blocks(rank: int, degree: int, kind: str) -> tuple[list[np.ndarray],
     nxt, dual = _census_table(rank, degree)
     bases = np.arange(0, nxt.shape[1], degree)
     u = _pattern_word(kind, degree * (rank - 1) + 1)  # Schreier's index formula
-    return _covering_blocks(nxt, dual, _census_edge_ids(nxt, degree), bases, u)
+    segments = _pattern_segments(nxt, dual, bases, u)
+    return _covering_blocks(nxt, dual, _census_edge_ids(nxt, degree), bases, segments)
 
 
 def _blocker(g: AGraph, caller: str, kind: str) -> BlockerReport:
+    """The report for g from its own tables: one segment build gives both
+    the word and the pattern loop, traced from the base, that each
+    vertex's trace of the word must contain."""
     if not is_cover(g):
         raise InvalidInputError(f"{caller} expects a connected cover")
     sd = spanning_data(g)
     nxt, dual, eid = _graph_tables(g, sd)
-    (letters,), (pieces,) = _covering_blocks(
-        nxt, dual, eid, np.array([g.base]), _pattern_word(kind, sd.dual_rank)
-    )
+    bases = np.array([g.base])
+    segments = _pattern_segments(nxt, dual, bases, _pattern_word(kind, sd.dual_rank))
+    (letters,), (pieces,) = _covering_blocks(nxt, dual, eid, bases, segments)
+    pattern = trace_path(g, g.base, _lay_out(*segments).tolist())
     if kind == KIND_ALPHA:
-        pattern, bound = alpha_path(g, sd), (2 * g.rank + 5) * g.num_vertices**3
+        bound = (2 * g.rank + 5) * g.num_vertices**3
     else:
-        pattern, bound = beta_path(g, sd), 1000 * g.rank**3 * g.num_vertices**5
+        bound = 1000 * g.rank**3 * g.num_vertices**5
     word = Word(tuple(letters.tolist()), g.rank)
     containment = tuple(
         path_contains(trace_path(g, x, word), pattern) for x in range(g.num_vertices)

@@ -1,7 +1,7 @@
 """Labeled graphs over a rank-N basis: folding, covers, spanning
 trees with dual bases, loop rewriting, circle graphs, principal quotients
-grown by tracing a word, cover censuses, and the explicit blocking/forcing
-path constructions.
+grown by tracing a word, cover censuses, and the pattern loops of the
+blocking and forcing words as segment arrays (blockers lays them out).
 
 Vertices are 0..V-1 with a distinguished base vertex.  Each stored edge is a
 positively labeled triple (origin, terminus, gen); a directed edge is the
@@ -759,11 +759,12 @@ def _peel_count(head: np.ndarray, tail: np.ndarray) -> int:
 def _census_duals(
     rank: int, degrees: Sequence[int], letters: Sequence[int] | np.ndarray
 ) -> tuple[list[np.ndarray], Callable[..., Iterator[np.ndarray | None]]]:
-    """The closing test of one word, _census_walk(rank, degrees,
-    [letters])[0] with its one row taken, and read(covers, spans), the
-    reader of its dual letters, read from _census_table's dual letters;
-    covers are numbered over the listed degrees in turn, census order
-    within each, and each must close the word.  No graph is built.
+    """The closing test of one nonempty word (the trivial word is refused),
+    _census_walk(rank, degrees, [letters])[0] with its one row taken, and
+    read(covers, spans), the reader of its dual letters, read from
+    _census_table's dual letters; covers are numbered over the listed
+    degrees in turn, census order within each, and each must close the
+    word.  No graph is built.
 
     read(covers, spans) reads, per cover, only the grid blocks that meet
     its span [start, stop) of letters, and the first and last grid blocks,
@@ -788,8 +789,10 @@ def _census_duals(
     base after the last block), and each word or segment read to be freely
     reduced."""
     n = len(letters)
+    if not n:
+        raise InvalidInputError("census scans reject the trivial word")
     ends, firsts, grid, (nxt, dual, bases) = _census_walk(
-        rank, degrees, [letters], math.isqrt(n - 1) + 1 if n else 0
+        rank, degrees, [letters], math.isqrt(n - 1) + 1
     )
     ends, firsts = [e[0] for e in ends], firsts[:, 0]
     blocks = len(firsts)
@@ -1045,7 +1048,7 @@ def rewrite_loop_cyclic(g: AGraph, sd: SpanningData, p: EdgePath) -> CyclicWord:
     return cyclic_reduce(rewrite_loop(g, sd, p))[1]
 
 
-# -- explicit path constructions -------------------------------------------------
+# -- pattern loops ---------------------------------------------------------------
 
 def _letter_dtype(rank: int) -> np.dtype:
     """The smallest integer type that holds every letter and its inverse."""
@@ -1054,7 +1057,8 @@ def _letter_dtype(rank: int) -> np.dtype:
 
 def _graph_tables(g: AGraph, sd: SpanningData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One folded graph as a batch of one for the pattern builders, laid out
-    like _census_table's tables over its vertices: nxt[x + rank, v],
+    like _census_table's tables over its vertices (blocking_word and
+    forcing_word build them once per graph): nxt[x + rank, v],
     dual[x + rank, v] numbered as in sd.complement, and eid[x + rank, v],
     the signed edge leaving v by letter x (out_map as an array).  A missing
     edge stays put, with dual letter and edge id 0, as letter 0 does."""
@@ -1111,8 +1115,9 @@ def _tree_paths(nxt: np.ndarray, dual: np.ndarray, bases: np.ndarray) -> tuple[n
 def _pattern_segments(
     nxt: np.ndarray, dual: np.ndarray, bases: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """delta_path's loops of the nonempty dual word u (signed letters) for a
-    batch of graphs of one degree and dual rank, as tables over the states
+    """The reduced base loops realizing the nonempty dual word u (signed
+    letters), complement edges joined by tree paths, for a batch of graphs
+    of one degree and dual rank, as tables over the states
     (_graph_tables, _census_table) with each graph's base state, cut into
     segments: one per pair (previous dual letter, dual letter) of u, the
     same pairs for every graph.  A segment is the tree path from the
@@ -1152,8 +1157,10 @@ def _pattern_segments(
 
 
 def _lay_out(segments: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """_pattern_segments' loops, one after another: the segments at each
-    position are gathered with their padding, which is 0 and never a
+    """_pattern_segments' loops, one after another, as signed letters: the
+    blocks are built along them, and on one graph the pattern loop that
+    each vertex's trace must contain is read from them.  The segments at
+    each position are gathered with their padding, which is 0 and never a
     letter, and the padding is dropped (for one-byte letters by
     bytes.translate, which runs at C speed).  Checked to be reduced: no
     letter is followed by its inverse, which in a folded graph is the edge
@@ -1166,44 +1173,8 @@ def _lay_out(segments: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.nd
     cancel = loops[1:] == -loops[:-1]
     cancel[np.cumsum(lengths)[:-1] - 1] = False  # where one loop meets the next
     if cancel.any():
-        raise InvalidInputError("delta_path built a path that is not reduced")
+        raise InvalidInputError("pattern loop is not reduced")
     return loops
-
-
-def _loop_path(g: AGraph, sd: SpanningData, u: np.ndarray) -> EdgePath:
-    """delta_path for a nonempty dual word given as an array of signed
-    letters: the pattern builders lay the loop's letters out on g alone,
-    and trace_path reads its edges from the base."""
-    nxt, dual, _ = _graph_tables(g, sd)
-    loop = _lay_out(*_pattern_segments(nxt, dual, np.array([g.base]), u))
-    return trace_path(g, g.base, loop.tolist())
-
-
-def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
-    """The reduced base loop realizing a dual-basis word: complement edges
-    joined by tree paths (_pattern_segments)."""
-    if len(u) == 0:
-        raise InvalidInputError("need a nonempty dual word")
-    if u.rank != sd.dual_rank:
-        raise InvalidInputError("dual word rank does not match the complement")
-    return _loop_path(g, sd, np.array(u.letters))
-
-
-def _alpha_word(r: int) -> Word:
-    letters = [r, r]
-    for i in range(1, r + 1):
-        letters.extend((i, i))
-    return Word(tuple(letters), r)
-
-
-def alpha_path(g: AGraph, sd: SpanningData) -> EdgePath:
-    """Loop representing b_r^2 b_1^2 ... b_r^2 over the dual basis; any
-    cyclically reduced circuit containing it rewrites to a word with the
-    square-chain pattern, hence is not simple."""
-    r = sd.dual_rank
-    if r < 1:
-        raise UnsupportedInputError("graph has trivial fundamental group")
-    return delta_path(g, sd, _alpha_word(r))
 
 
 def _separator(last: int, first: int, rank: int) -> tuple[int, ...]:
@@ -1216,12 +1187,11 @@ def _separator(last: int, first: int, rank: int) -> tuple[int, ...]:
     raise InvalidInputError("no separator letter exists")
 
 
-@lru_cache(maxsize=16)
 def universal_three_word(r: int) -> Word:
     """A freely reduced word over rank r containing every freely reduced
     length-3 word as a factor: the triples in order, joined by _separator;
-    length <= 4L-1 for L = 2r(2r-1)^2.  Cached by r: every cover of one
-    dual rank shares the word."""
+    length <= 4L-1 for L = 2r(2r-1)^2.  Built on each call; the forcing
+    words read it through blockers._pattern_word, which caches it by r."""
     if r < 2:
         raise UnsupportedInputError("need dual rank >= 2")
     triples = list(_reduced_tuples(3, r))
@@ -1230,22 +1200,6 @@ def universal_three_word(r: int) -> Word:
         letters.extend(_separator(letters[-1], nxt[0], r))
         letters.extend(nxt)
     return Word(tuple(letters), r)
-
-
-@lru_cache(maxsize=16)
-def _universal_three_letters(r: int) -> np.ndarray:
-    """universal_three_word(r)'s letters as a read-only intp array, cached
-    like the word."""
-    u = np.array(universal_three_word(r).letters, dtype=np.intp)
-    u.flags.writeable = False
-    return u.view()  # a view of a read-only base cannot be made writeable again
-
-
-def beta_path(g: AGraph, sd: SpanningData) -> EdgePath:
-    """Loop realizing the universal length-3 word over the dual basis; any
-    cyclically reduced circuit containing it rewrites to a word whose cyclic
-    factors include every reduced 3-word, hence is filling."""
-    return _loop_path(g, sd, _universal_three_letters(sd.dual_rank))
 
 
 # -- serialization -----------------------------------------------------------

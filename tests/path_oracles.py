@@ -2,12 +2,27 @@
 which lays out the same paths for every cover of a degree at once: the
 reduced tree path between two vertices, and connector_path, the shortest
 reduced path from one directed edge to another by a breadth-first search
-over edges in adjacency's order."""
+over edges in adjacency's order.  Also the pattern loops on one graph alone
+(delta_path, alpha_path, beta_path), laid out by the library's segment
+builder as blocking_word and forcing_word lay them out."""
 import warnings
 from collections import deque
 
+import numpy as np
+
+from primindex.blockers import KIND_ALPHA, KIND_BETA, _pattern_word
 from primindex.errors import InvalidInputError, UnsupportedInputError
-from primindex.graphs import AGraph, EdgePath, SpanningData, adjacency
+from primindex.graphs import (
+    AGraph,
+    EdgePath,
+    SpanningData,
+    _graph_tables,
+    _lay_out,
+    _pattern_segments,
+    adjacency,
+    trace_path,
+)
+from primindex.words import Word
 
 
 def tree_path(g: AGraph, sd: SpanningData, u: int, v: int) -> tuple[int, ...]:
@@ -64,3 +79,26 @@ def connector_path(g: AGraph, e1: int, e2: int) -> EdgePath:
             f"connector of length {len(edges)} exceeds 3·#V = {3 * g.num_vertices}"
         )
     return EdgePath(g.origin(e1), tuple(edges))
+
+
+def loop_path(g: AGraph, sd: SpanningData, u: np.ndarray) -> EdgePath:
+    """The reduced base loop realizing a nonempty dual word given as an
+    array of signed letters, laid out on g alone and traced from the base."""
+    nxt, dual, _ = _graph_tables(g, sd)
+    loop = _lay_out(*_pattern_segments(nxt, dual, np.array([g.base]), u))
+    return trace_path(g, g.base, loop.tolist())
+
+
+def delta_path(g: AGraph, sd: SpanningData, u: Word) -> EdgePath:
+    """loop_path for a dual word given as a Word of the complement's rank."""
+    return loop_path(g, sd, np.array(u.letters))
+
+
+def alpha_path(g: AGraph, sd: SpanningData) -> EdgePath:
+    """The square chain's pattern loop, b_r^2 b_1^2 ... b_r^2."""
+    return loop_path(g, sd, _pattern_word(KIND_ALPHA, sd.dual_rank))
+
+
+def beta_path(g: AGraph, sd: SpanningData) -> EdgePath:
+    """The universal length-3 word's pattern loop."""
+    return loop_path(g, sd, _pattern_word(KIND_BETA, sd.dual_rank))

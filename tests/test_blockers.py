@@ -18,9 +18,6 @@ from primindex.errors import InvalidInputError, ResourceGuardError
 from primindex.graphs import (
     AGraph,
     EdgePath,
-    _alpha_word,
-    alpha_path,
-    beta_path,
     cover_census,
     cover_graph,
     out_map,
@@ -33,8 +30,9 @@ from primindex.graphs import (
 )
 from primindex.index import CERT_RAUZY, CERT_UNDETERMINED, _scan_quotients
 from primindex.whitehead import rauzy3_full
+from primindex.words import Word
 
-from path_oracles import connector_path, tree_path
+from path_oracles import alpha_path, beta_path, connector_path, tree_path
 
 
 def path_is_reduced(p):
@@ -228,8 +226,8 @@ _BUILDER = blockers._covering_blocks
 def _patch_blocks(monkeypatch, edit):
     """Make witness_word's builder pass every block of degree d through
     edit(block, d)."""
-    def edited(nxt, dual, eid, bases, u):
-        blocks, pieces = _BUILDER(nxt, dual, eid, bases, u)
+    def edited(nxt, dual, eid, bases, segments):
+        blocks, pieces = _BUILDER(nxt, dual, eid, bases, segments)
         return [edit(b, nxt.shape[1] // len(bases)) for b in blocks], pieces
 
     monkeypatch.setattr(blockers, "_covering_blocks", edited)
@@ -325,9 +323,15 @@ def _builder_block(g, kind):
     (g, sd) as blocking_word and forcing_word build them."""
     sd = spanning_data(g)
     nxt, dual, eid = graphs._graph_tables(g, sd)
-    u = blockers._pattern_word(kind, sd.dual_rank)
-    (letters,), (pieces,) = blockers._covering_blocks(nxt, dual, eid, np.array([g.base]), u)
+    bases = np.array([g.base])
+    segments = graphs._pattern_segments(nxt, dual, bases, blockers._pattern_word(kind, sd.dual_rank))
+    (letters,), (pieces,) = blockers._covering_blocks(nxt, dual, eid, bases, segments)
     return letters, pieces
+
+
+def _alpha_word(r):
+    """The square chain b_r^2 b_1^2 ... b_r^2 over the dual basis."""
+    return Word((r, r) + tuple(i for i in range(1, r + 1) for _ in (0, 1)), r)
 
 
 @pytest.mark.parametrize("pattern_fn, dual_word", [
@@ -463,6 +467,27 @@ def test_builder_matches_the_per_cover_block_path(kind):
     assert covers == 88 + 105 + 16 and moved > covers // 2
 
 
+def test_blocker_lays_its_pattern_loop_out_once(monkeypatch):
+    # blocking_word and forcing_word build g's tables and its pattern loop's
+    # segments once, and take both the word and the verified pattern loop
+    # from them; the calls are counted through graphs' bindings as well
+    calls = []
+    for name in ("_graph_tables", "_pattern_segments"):
+        def counted(*args, _fn=getattr(graphs, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        for module in (graphs, blockers):
+            monkeypatch.setattr(module, name, counted)
+    g = census_graphs(2, 3)[-1]
+    for h in (g, _rotated(g)):
+        for build in (blocking_word, forcing_word):
+            calls.clear()
+            assert build(h).verified
+            assert sorted(calls) == ["_graph_tables", "_pattern_segments"], (h, build)
+    assert h.base != 0
+
+
 def test_forcing_letters_match_the_per_letter_oracle():
     # the block witness_word appends is the oracle's word, already in the
     # letter type of witness_word's z
@@ -477,14 +502,15 @@ def test_forcing_letters_match_the_per_letter_oracle():
 
 
 def test_cached_universal_word_arrays_are_read_only():
-    for r in (2, 3, 4):
-        u = graphs._universal_three_letters(r)
-        assert u is graphs._universal_three_letters(r)
-        assert tuple(u.tolist()) == universal_three_word(r).letters
-        with pytest.raises(ValueError):
-            u[0] = -u[0]
-        with pytest.raises(ValueError):
-            u.flags.writeable = True
+    for kind, word in ((KIND_ALPHA, _alpha_word), (KIND_BETA, universal_three_word)):
+        for r in (2, 3, 4):
+            u = blockers._pattern_word(kind, r)
+            assert u is blockers._pattern_word(kind, r)
+            assert u.dtype == np.intp and tuple(u.tolist()) == word(r).letters
+            with pytest.raises(ValueError):
+                u[0] = -u[0]
+            with pytest.raises(ValueError):
+                u.flags.writeable = True
 
 
 def test_forcing_letters_are_a_new_array_per_call():
@@ -494,7 +520,7 @@ def test_forcing_letters_are_a_new_array_per_call():
         blocks, pieces = blockers._census_blocks(rank, d, KIND_BETA)
         kept = [b.copy() for b in blocks]
         nxt, dual = graphs._census_table(rank, d)
-        cached = (nxt, dual, graphs._universal_three_letters(d * (rank - 1) + 1))
+        cached = (nxt, dual, blockers._pattern_word(KIND_BETA, d * (rank - 1) + 1))
         for b in blocks:
             assert b.flags.writeable and not any(np.shares_memory(b, t) for t in cached)
             b[:] = 0

@@ -20,15 +20,12 @@ from primindex.graphs import (
     _census_table,
     _census_walk,
     _relabeled_key,
-    alpha_path,
-    beta_path,
     canonical_key,
     circle_graph,
     collapse_vertices,
     complete_to_cover,
     cover_census,
     cover_graph,
-    delta_path,
     fold,
     fold_with_map,
     graph_to_dot,
@@ -59,7 +56,15 @@ from primindex.words import (
 )
 from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full, rauzy3_linear
 
-from path_oracles import connector_path, cycle_rank, tree_path
+from path_oracles import (
+    alpha_path,
+    beta_path,
+    connector_path,
+    cycle_rank,
+    delta_path,
+    loop_path,
+    tree_path,
+)
 
 CW = CyclicWord.parse
 W = Word.parse
@@ -962,6 +967,14 @@ def test_segment_reads_match_the_dual_word_oracle():
         list(read([0], [(38, 46)]))
 
 
+def test_census_duals_refuses_the_trivial_word():
+    # refused before the walk, with the message first_cover and
+    # divisibility give: a grid of 0 letters has no block to read
+    for empty in ((), np.array([], dtype=np.int8)):
+        with pytest.raises(InvalidInputError, match="census scans reject the trivial word"):
+            _census_duals(2, (1, 2), empty)
+
+
 def test_dual_reads_of_narrow_letters_at_the_type_limits():
     # letters that fit int8 up to rank 127, codes 0 .. 2 rank that need int16
     # from rank 64, and the rose's dual letters, which need int16 at rank
@@ -1359,7 +1372,7 @@ def test_delta_path_refuses_a_loop_that_is_not_reduced():
         with pytest.raises(InvalidInputError, match="not reduced"):
             delta_path(g, sd, _trusted(Word, letters, r))
         with pytest.raises(InvalidInputError, match="not reduced"):
-            graphs._loop_path(g, sd, np.array(letters))
+            loop_path(g, sd, np.array(letters))
     assert path_is_reduced(delta_path(g, sd, Word((1, -2), r)))
 
 
