@@ -954,10 +954,21 @@ def quotients_with_vertices(
     is called per edge tried.  The search is depth first on an explicit
     stack, since a branch stops early where w cannot close; covers, which
     all have degree * rank edges, grow breadth first instead (_grow_covers).
+    For k = 1 the one quotient, the rose on the generators w uses, is read
+    off w with no search: one step per generator, as the search takes.
     """
     letters, n = w.letters, len(w)
     if n == 0:
         raise InvalidInputError("need a nonempty cyclic word")
+
+    def rose() -> Iterator[tuple]:
+        gens = sorted({abs(x) for x in letters})
+        if on_step is not None:
+            for _ in gens:
+                on_step()
+        dual = {g: y for y, g in enumerate(gens, 1)}
+        cyc = CyclicWord(tuple([dual[x] if x > 0 else -dual[-x] for x in letters]), len(gens))
+        yield tuple([(0, 0, g) for g in gens]), (0,), cyc, len(gens) == w.rank
 
     def grow() -> Iterator[tuple]:
         out: dict[tuple[int, int], int] = {}
@@ -992,7 +1003,7 @@ def quotients_with_vertices(
             else:
                 return
 
-    return grow()
+    return rose() if k == 1 else grow()
 
 
 # -- spanning data and rewriting ------------------------------------------------

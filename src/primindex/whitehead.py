@@ -473,13 +473,15 @@ def _cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:
 
 def rauzy3_full(w: CyclicWord) -> bool:
     """Do the cyclic factors of w and w^-1 exhaust all freely reduced
-    length-3 words?  If so, w is filling (level-3 subword certificate)."""
+    length-3 words?  If so, w is filling (level-3 subword certificate).
+    w and w^-1 have at most |w| cyclic 3-factors each, so a word shorter
+    than half their number is answered before any factor is read."""
     if len(w) == 0:
         raise InvalidInputError("need a nonempty cyclic word")
     if w.rank < 1:
         raise InvalidInputError("rank must be >= 1")
     needed = count_reduced(3, w.rank)
-    return len(_cyclic_triples(w)) == needed
+    return 2 * len(w) >= needed and len(_cyclic_triples(w)) == needed
 
 
 _MARKED_AT_ONCE = 1 << 16  # triple codes turned into mask indices at a time

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
@@ -352,6 +353,41 @@ def cyclic_class_key(letters: Sequence[int], rank: int) -> tuple[int, ...]:
     return tuple([_letter(c) for c in best])  # type: ignore[union-attr]
 
 
+def _is_class_key(codes: Sequence[int], lead: int) -> bool:
+    """Is the leaf with these display codes its own cyclic_class_key?
+    The leaf's forced relabeling is the identity, it opens with a run of
+    lead a's and no run in it is longer.  For each orientation and each
+    other rotation that opens a run of lead letters, the forced relabeling
+    is built letter by letter against codes: the first smaller code
+    answers no, the first larger one moves on to the next rotation."""
+    n = len(codes)
+    starts, s = [], 0
+    for i in range(1, n + 1):  # no run wraps: only a one-run necklace ends in a
+        if i == n or codes[i] != codes[s]:
+            if i - s == lead:
+                starts.append(s)
+            s = i
+    # a run at s of the leaf opens the inverse at n - s - lead; the leaf
+    # itself (rotation 0, forward) is skipped
+    inverse = [c ^ 1 for c in reversed(codes)]
+    for base, rotations in (
+        (codes, starts[1:]), (inverse, [n - s - lead for s in starts])
+    ):
+        dbl = base + base
+        for r in rotations:
+            relabel: dict[int, int] = {}
+            for x, want in zip(islice(dbl, r, None), codes):
+                c = relabel.get(x)
+                if c is None:
+                    c = relabel[x] = len(relabel)
+                    relabel[x ^ 1] = c + 1
+                if c != want:
+                    if c < want:
+                        return False
+                    break
+    return True
+
+
 def class_representatives(
     n: int, rank: int, skip_powers: bool
 ) -> Iterator[CyclicWord]:
@@ -371,7 +407,8 @@ def class_representatives(
     last run outgrows the leading run is dropped (a prefix of a's only is
     still growing its leading run).  Only the necklaces (Lyndon words when
     skip_powers) that are cyclically reduced and pass the run rule reach
-    cyclic_class_key.
+    the leaf test, a minimality test against each rival relabeling that
+    stops at the first letter where the two differ (McKay 1998).
     """
     if n < 1 or rank < 1:
         raise InvalidInputError("need n >= 1 and rank >= 1")
@@ -384,10 +421,8 @@ def class_representatives(
         t, p, c, used, lead, run = stack.pop()
         if t == n:
             necklace = p == n if skip_powers else n % p == 0
-            if necklace and a[0] != a[-1] ^ 1:
-                ls = tuple([_letter(x) for x in a])
-                if cyclic_class_key(ls, rank) == ls:
-                    yield CyclicWord(ls, rank)
+            if necklace and a[0] != a[-1] ^ 1 and _is_class_key(a, lead):
+                yield CyclicWord(tuple([_letter(x) for x in a]), rank)
             continue
         c = max(c, a[t - p])
         # skip a free cancellation, and a repeat that would make the last

@@ -282,10 +282,11 @@ def quotient_graphs(w, k, on_step=None):
     return [AGraph(w.rank, k, 0, edges) for edges, *_ in quotients_with_vertices(w, k, on_step)]
 
 
-def quotients_by_retracing(w, k, on_step):
+def quotients_by_retracing(w, k, on_step, finish=None):
     """Oracle for quotients_with_vertices: the same search on the oracle
     grower, each hole retracing w from vertex 0 instead of resuming where
-    the edge above it was placed."""
+    the edge above it was placed.  finish(out, size) reads each finished
+    graph; by default it becomes an AGraph."""
     letters, n = w.letters, len(w)
 
     def hole(out, size):
@@ -298,7 +299,7 @@ def quotients_by_retracing(w, k, on_step):
             return ()
         return v, letters[i], (0,) if i == n - 1 else range(size + (size < k))
 
-    return grow(hole, lambda out, size: _finished(w.rank, out, size), on_step)
+    return grow(hole, finish or (lambda out, size: _finished(w.rank, out, size)), on_step)
 
 
 def set_partitions(n):
@@ -1222,6 +1223,31 @@ def test_quotient_generator_matches_retracing_oracle_on_class_reps():
                 expected = list(quotients_by_retracing(w, k, lambda: oracle_steps.append(1)))
                 assert grown == expected, (w.text(), k)
                 assert len(steps) == len(oracle_steps), (w.text(), k)
+
+
+def test_one_vertex_quotient_is_the_rose_read_off_the_word():
+    # k = 1 reads the rose on the generators w uses off w: the record the
+    # oracle grower and _read_quotient give, from one step per generator
+    cases = [w for n in range(1, 6) for w in enumerate_cyclically_reduced(n, 3)]
+    cases += [CW(text, 4) for text in ("dbDcB", "ddddc", "abcdABCD", "cDcDcD")]
+    kinds = set()
+    for w in cases:
+        used = {abs(x) for x in w.letters}
+        steps, oracle_steps = [], []
+        got = list(quotients_with_vertices(w, 1, lambda: steps.append(1)))
+        expected = list(quotients_by_retracing(
+            w, 1, lambda: oracle_steps.append(1), lambda out, size: graphs._read_quotient(w, out, size)
+        ))
+        assert got == expected, w.text()
+        assert len(steps) == len(oracle_steps) == len(used), w.text()
+        kinds.add("single" if len(w) == 1 else "every" if len(used) == w.rank else "subset")
+        (edges, order, dual, cover), = got
+        assert edges == tuple((0, 0, g) for g in sorted(used)) and order == (0,)
+        assert (dual.rank, cover) == (len(used), len(used) == w.rank)
+    assert kinds == {"single", "every", "subset"}
+    assert CW("bbC", 3) in cases and CW("BcB", 3) in cases
+    _, _, dual, _ = next(quotients_with_vertices(CW("BcB", 3), 1))
+    assert dual == CW("AbA", 2)
 
 
 def test_quotient_generators_share_no_state():

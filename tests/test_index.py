@@ -562,6 +562,28 @@ def test_step_cap_trips_one_step_short(text):
         fn(w, max_partitions=n)
 
 
+# the least cap each scan finishes under, with witnesses and without: the
+# one-vertex quotient alone (max_index 1) takes one step per generator used
+_CAPS_TO_FINISH = {
+    ("bbC", 3, 1): (2, 2),
+    ("BcB", 3, 1): (2, 2),
+    ("c", 3, None): (1, 1),
+    ("abcABC", 3, 1): (3, 3),
+    ("abcABC", 3, None): (29, 9),
+    ("bcbCbcBcbC", 3, None): (14, 11),
+    ("abAB", 2, None): (12, 6),
+}
+
+
+@pytest.mark.parametrize("text,rank,max_index", sorted(_CAPS_TO_FINISH, key=str))
+def test_scan_cap_trips_one_step_short(text, rank, max_index):
+    w = CW(text, rank)
+    for witnesses, cap in zip((True, False), _CAPS_TO_FINISH[text, rank, max_index]):
+        with pytest.raises(ResourceGuardError):
+            _scan_quotients(w, index._INDEXES, max_index, cap - 1, witnesses=witnesses)
+        _scan_quotients(w, index._INDEXES, max_index, cap, witnesses=witnesses)
+
+
 def test_each_quotient_is_asked_only_what_is_still_open(monkeypatch):
     # the indexes are minima over the same quotients with
     # d_fill <= d_simp <= d_prim, so a scan stops asking about an index

@@ -41,6 +41,7 @@ from primindex.words import (
     Word,
     _letter,
     alphabet,
+    count_reduced,
     cyclic_reduce,
     enumerate_cyclically_reduced,
     free_reduce,
@@ -710,6 +711,38 @@ def test_rauzy3_examples():
     assert rauzy3_full(w)
     assert not rauzy3_full(CW("a", 2))
     assert not rauzy3_full(CW("ababab", 2))
+
+
+def _reduced_cyclic_word(rank, length, rng):
+    """A cyclically reduced word of exactly this length, letter by letter."""
+    ls = [rng.choice(alphabet(rank))]
+    while len(ls) < length:
+        ls.append(rng.choice([y for y in alphabet(rank) if y != -ls[-1]]))
+        if len(ls) == length and ls[-1] == -ls[0]:
+            ls.pop()
+    return CyclicWord(tuple(ls), rank)
+
+
+def test_rauzy3_length_guard_matches_the_triple_set(monkeypatch):
+    from primindex.graphs import universal_three_word
+
+    # a word with 2 |w| below the number of reduced length-3 words is
+    # answered without its triple set, and every answer is the set's
+    rng = random.Random(20140731)
+    cases = [w for n in range(1, 9) for w in enumerate_cyclically_reduced(n, 2)]
+    cases += [_reduced_cyclic_word(rank, n, rng) for rank in (2, 3) for n in range(15, 81) for _ in range(3)]
+    cases += [cyclic_reduce(universal_three_word(rank))[1] for rank in (2, 3)]
+    read = []
+    real = whitehead._cyclic_triples
+    monkeypatch.setattr(whitehead, "_cyclic_triples", lambda cw: read.append(cw) or real(cw))
+    certified = set()
+    for w in cases:
+        needed = count_reduced(3, w.rank)
+        read.clear()
+        assert rauzy3_full(w) == (len(real(w)) == needed), w.text()
+        assert len(read) == (2 * len(w) >= needed), w.text()
+        certified.add((w.rank, rauzy3_full(w)))
+    assert certified == {(2, False), (2, True), (3, False), (3, True)}
 
 
 def test_rauzy3_implies_not_simple_not_primitive():

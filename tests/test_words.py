@@ -399,15 +399,17 @@ def test_class_representatives_match_sphere_filter(rank, n_max):
 @pytest.mark.parametrize("skip_powers", [True, False])
 @pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 5)])
 def test_only_necklace_leaves_reach_the_class_key(monkeypatch, rank, n_max, skip_powers):
-    # the generator's work bound: the class key is computed once per
-    # cyclically reduced necklace (Lyndon word) whose generators first
-    # appear positive and in order (a key's forced relabeling is the
-    # identity) and in which no run of one letter is longer than the
-    # leading run of a (a key opens with a longest run), nothing else
+    # the generator's work bound: the leaf test runs once per cyclically
+    # reduced necklace (Lyndon word) whose generators first appear positive
+    # and in order (a key's forced relabeling is the identity) and in which
+    # no run of one letter is longer than the leading run of a (a key opens
+    # with a longest run), nothing else
     calls = []
-    real = words.cyclic_class_key
+    real = words._is_class_key
     monkeypatch.setattr(
-        words, "cyclic_class_key", lambda ls, r: calls.append(ls) or real(ls, r)
+        words,
+        "_is_class_key",
+        lambda codes, lead: calls.append(tuple(map(words._letter, codes))) or real(codes, lead),
     )
     for n in range(1, n_max + 1):
         calls.clear()
@@ -424,6 +426,28 @@ def test_only_necklace_leaves_reach_the_class_key(monkeypatch, rank, n_max, skip
                 if not (skip_powers and codes in rotations):
                     expected.append(cw.letters)
         assert calls == expected, (rank, n)
+
+
+@pytest.mark.parametrize("skip_powers", [True, False])
+@pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 5), (4, 4)])
+def test_leaf_test_matches_the_class_key_on_every_leaf(monkeypatch, rank, n_max, skip_powers):
+    # the early-exit leaf test answers as comparing the leaf with its whole
+    # class key does, on every leaf the generator reaches; lead is the
+    # leaf's leading run, which no run in it outgrows
+    leaves = []
+    real = words._is_class_key
+    monkeypatch.setattr(
+        words, "_is_class_key", lambda codes, lead: leaves.append((list(codes), lead)) or real(codes, lead)
+    )
+    for n in range(1, n_max + 1):
+        leaves.clear()
+        list(class_representatives(n, rank, skip_powers))
+        assert leaves, (rank, n)
+        for codes, lead in leaves:
+            ls = tuple(map(words._letter, codes))
+            runs = [len(list(g)) for _, g in itertools.groupby(ls)]
+            assert lead == runs[0] == max(runs), ls
+            assert real(codes, lead) == (cyclic_class_key(ls, rank) == ls), ls
 
 
 @pytest.mark.parametrize("rank,n_max", [(2, 7), (3, 4)])
