@@ -60,8 +60,7 @@ def main() -> int:
             print(f"  codes ({i},{j}): {freq:.6f}  ({dev:.2f} SE)")
     print(f"worst deviation: {worst:.2f} SE")
 
-    sample = sample_word(WalkConfig(args.rank, args.n, args.seed), with_stats=False)
-    spectrum = subword_spectrum(sample.word, ell_frac=0.5, epsilon=0.2)
+    spectrum = subword_spectrum(sample_word(WalkConfig(args.rank, args.n, args.seed)))
     print(
         f"single-walk spectrum: sigma length {spectrum.sigma_length}, "
         f"expected {spectrum.expected_per_sigma:.1f} per factor, "

@@ -29,7 +29,7 @@ from .randomwalk import (
     experiment_dsimp,
     sample_word,
 )
-from .words import CyclicWord, Word
+from .words import CyclicWord, Word, word_stats
 
 SCHEMA_VERSION = 1
 
@@ -229,8 +229,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    cfg = WalkConfig(args.rank, args.n, args.seed)
-    sample = sample_word(cfg, with_stats=args.stats)
+    word = sample_word(WalkConfig(args.rank, args.n, args.seed))
+    stats = word_stats(word) if args.stats else None
     manifest = _manifest(
         "walk",
         {"rank": args.rank, "n": args.n, "stats": args.stats,
@@ -238,19 +238,19 @@ def cmd_walk(args) -> int:
         seeds=[args.seed],
     )
     if args.json:
-        result = {"word": sample.word.text(), "algorithm": sample.algorithm}
+        result = {"word": word.text(), "algorithm": RNG_ALGORITHM}
         if args.stats:
             result["stats"] = {
-                "length": sample.stats.length,
-                "iota_length": sample.stats.iota_length,
-                "subword_counts": sample.stats.subword_counts,
+                "length": stats.length,
+                "iota_length": stats.iota_length,
+                "subword_counts": stats.subword_counts,
             }
         _emit_json(manifest, result)
     else:
-        print(sample.word.text())
+        print(word.text())
         if args.stats:
-            print(f"iota length: {sample.stats.iota_length}", file=sys.stderr)
-            for sigma, count in sorted(sample.stats.subword_counts.items()):
+            print(f"iota length: {stats.iota_length}", file=sys.stderr)
+            for sigma, count in sorted(stats.subword_counts.items()):
                 print(f"  <{sigma}, w> = {count}", file=sys.stderr)
     return 0
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from .words import (
     CyclicWord,
     Word,
     concat,
-    cyclic_class_key,
     index_candidates_exact,
 )
 from .whitehead import _has_lone_generator, _uses_every_generator, descend
@@ -223,28 +221,27 @@ def index_report(
     )
 
 
-# -- class-level cache --------------------------------------------------------
+# -- degrees only ---------------------------------------------------------------
 
-@lru_cache(maxsize=1 << 14)
 def _class_values(
-    rank: int, key: tuple[int, ...], max_partitions: int | None = None
+    rank: int, letters: tuple[int, ...], max_partitions: int | None = None
 ) -> tuple[int, int, int]:
-    """(d_prim, d_simp, d_fill_lower) of the class whose cyclic_class_key is
-    key, from a degrees-only scan (no witness is computed) capped at
-    max_partitions search steps; cache_info() gives the hit rate of
-    index_values and f_table."""
+    """(d_prim, d_simp, d_fill_lower) of the cyclic word letters, from a
+    degrees-only scan (no witness is computed) capped at max_partitions
+    search steps."""
     found = _scan_quotients(
-        CyclicWord(key, rank), _INDEXES, max_partitions=max_partitions, witnesses=False
+        CyclicWord(letters, rank), _INDEXES, max_partitions=max_partitions, witnesses=False
     )
     dp, ds, dl = (found[name][0] for name in _INDEXES)
     return dp, ds, dl
 
 
 def index_values(w: CyclicWord) -> tuple[int, int, int]:
-    """(d_prim, d_simp, d_fill_lower) with caching per equivalence class
-    under rotation, inversion and relabeling (all three are invariant)."""
+    """(d_prim, d_simp, d_fill_lower) of w, from a scan of w itself; the
+    three are invariant under rotation, inversion and relabeling, which the
+    tests check."""
     _require_simple_elements(w.rank)
-    return _class_values(w.rank, cyclic_class_key(w.letters, w.rank))
+    return _class_values(w.rank, w.letters)
 
 
 # -- tables ---------------------------------------------------------------------
@@ -303,9 +300,8 @@ def f_table(
     per_length: list[list[CyclicWord]] = [
         list(index_candidates_exact(n, rank)) for n in range(1, n_max + 1)
     ]
-    # representatives are their own class keys
-    keys = [rep.letters for reps in per_length for rep in reps]
-    args = ([rank] * len(keys), keys, [max_partitions] * len(keys))
+    words = [rep.letters for reps in per_length for rep in reps]
+    args = ([rank] * len(words), words, [max_partitions] * len(words))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

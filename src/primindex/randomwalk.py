@@ -19,11 +19,9 @@ from .errors import InvalidInputError
 from .index import d_simp_census  # noqa: F401
 from .words import (
     Word,
-    WordStats,
     _letter,
     cyclic_reduce,
     is_proper_power,
-    word_stats,
 )
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -41,21 +39,8 @@ class WalkConfig:
         if self.seed < 0:
             raise InvalidInputError(f"need a non-negative seed, got {self.seed}")
 
-    @property
-    def lam(self) -> int:
-        """Growth base: the number of non-cancelling successors."""
-        return 2 * self.rank - 1
 
-
-@dataclass(frozen=True)
-class WalkSample:
-    word: Word
-    seed: int
-    algorithm: str
-    stats: WordStats
-
-
-def sample_word(cfg: WalkConfig, with_stats: bool = True) -> WalkSample:
+def sample_word(cfg: WalkConfig) -> Word:
     """One uniform freely reduced word of the configured length.
 
     The letter stream is a function of the seed alone: first letter from
@@ -63,15 +48,12 @@ def sample_word(cfg: WalkConfig, with_stats: bool = True) -> WalkSample:
     """
     rng = np.random.default_rng(cfg.seed)
     two_n = 2 * cfg.rank
-    n = cfg.length
     code = int(rng.integers(0, two_n))
     codes = [code]
-    for r in rng.integers(0, two_n - 1, size=n - 1).tolist():  # Python ints
+    for r in rng.integers(0, two_n - 1, size=cfg.length - 1).tolist():  # Python ints
         code = r + (r >= (code ^ 1))
         codes.append(code)
-    word = Word(tuple(map(_letter, codes)), cfg.rank)
-    stats = word_stats(word) if with_stats else WordStats(n, 0, {})
-    return WalkSample(word=word, seed=cfg.seed, algorithm=RNG_ALGORITHM, stats=stats)
+    return Word(tuple(map(_letter, codes)), cfg.rank)
 
 
 def pair_frequency_counts(rank: int, n: int, samples: int, seed: int) -> np.ndarray:
@@ -107,21 +89,22 @@ class SpectrumReport:
     max_abs_deviation: float
 
 
-def subword_spectrum(
-    w: Word, ell_frac: float = 0.5, epsilon: float = 0.2
-) -> SpectrumReport:
+_ELL_FRAC = 0.5  # factor length, as a fraction of log n / log lam
+_EPSILON = 0.2  # slack exponent of the deviation band
+
+
+def subword_spectrum(w: Word) -> SpectrumReport:
     """Counts of every reduced word of length round(ell·log n / log lam) in
-    w, with deviations from the stationary expectation n·mu(sigma)."""
-    if not 0 < ell_frac < 1:
-        raise InvalidInputError("need 0 < ell_frac < 1")
+    w, ell = 1/2, with deviations from the stationary expectation
+    n·mu(sigma) and the band n^(epsilon + (1 - ell) / 2), epsilon = 1/5."""
     n = len(w)
     if n < 2:
         raise InvalidInputError("word too short for a spectrum")
     lam = 2 * w.rank - 1
-    sigma_len = max(1, round(ell_frac * math.log(n) / math.log(lam)))
+    sigma_len = max(1, round(_ELL_FRAC * math.log(n) / math.log(lam)))
     mu = (lam / (2 * w.rank)) * lam**-sigma_len
     expected = n * mu
-    band = n ** (epsilon + (1 - ell_frac) / 2)
+    band = n ** (_EPSILON + (1 - _ELL_FRAC) / 2)
     counts: dict[str, int] = {}
     # one sliding pass over w
     from collections import Counter
@@ -138,7 +121,7 @@ def subword_spectrum(
         max_dev = max(max_dev, abs(c - expected))
     return SpectrumReport(
         n=n,
-        ell=ell_frac,
+        ell=_ELL_FRAC,
         sigma_length=sigma_len,
         expected_per_sigma=expected,
         deviation_band=band,
@@ -199,11 +182,8 @@ def experiment_dsimp(
     powers = 0
     cores = []
     for t in range(trials):
-        sample = sample_word(
-            WalkConfig(cfg.rank, cfg.length, trial_seed(cfg.seed, t)),
-            with_stats=False,
-        )
-        core = cyclic_reduce(sample.word)[1]
+        word = sample_word(WalkConfig(cfg.rank, cfg.length, trial_seed(cfg.seed, t)))
+        core = cyclic_reduce(word)[1]
         if is_proper_power(core)[0]:
             powers += 1
         cores.append(core)

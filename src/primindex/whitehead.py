@@ -461,27 +461,17 @@ def has_cut_vertex(w: CyclicWord) -> bool:
     return not _uses_every_generator(ls, w.rank) or _descent_step(ls, w.rank) is not None
 
 
-def _cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:
-    """The length-3 cyclic factors of cw and cw^-1 (none when |cw| < 3)."""
-    ls = cw.letters
-    if len(ls) < 3:
-        return set()
-    d = ls + ls[:2]
-    out = set(zip(d, d[1:], d[2:]))
-    return out | {(-z, -y, -x) for x, y, z in out}
-
-
 def rauzy3_full(w: CyclicWord) -> bool:
     """Do the cyclic factors of w and w^-1 exhaust all freely reduced
     length-3 words?  If so, w is filling (level-3 subword certificate).
     w and w^-1 have at most |w| cyclic 3-factors each, so a word shorter
-    than half their number is answered before any factor is read."""
+    than half their number is answered before any factor is read; a longer
+    one is decided by rauzy3_array."""
     if len(w) == 0:
         raise InvalidInputError("need a nonempty cyclic word")
     if w.rank < 1:
         raise InvalidInputError("rank must be >= 1")
-    needed = count_reduced(3, w.rank)
-    return 2 * len(w) >= needed and len(_cyclic_triples(w)) == needed
+    return 2 * len(w) >= count_reduced(3, w.rank) and rauzy3_array(np.array(w.letters), w.rank)
 
 
 _MARKED_AT_ONCE = 1 << 16  # triple codes turned into mask indices at a time
@@ -525,7 +515,10 @@ def rauzy3_array(u: np.ndarray, rank: int) -> bool:
     return len(u) >= 3 and linear
 
 
-def orbit_min_oracle(w: Word | CyclicWord, budget: int = 50000) -> CyclicWord:
+_ORBIT_BUDGET = 50000  # cyclic words the orbit closure may visit
+
+
+def orbit_min_oracle(w: Word | CyclicWord) -> CyclicWord:
     """Independent minimality oracle: breadth-first closure of the conjugacy
     class under all enumerated automorphisms at non-increasing cyclic
     length; returns the lexicographically least element of minimal length."""
@@ -555,7 +548,7 @@ def orbit_min_oracle(w: Word | CyclicWord, budget: int = 50000) -> CyclicWord:
                 if key in seen:
                     continue
                 seen.add(key)
-                if len(seen) > budget:
+                if len(seen) > _ORBIT_BUDGET:
                     raise ResourceGuardError("orbit closure exceeded budget")
                 nxt.append(key)
                 if (len(key), key) < (len(best), best):

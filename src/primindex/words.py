@@ -476,12 +476,9 @@ class WordStats:
     subword_counts: dict[str, int]
 
 
-def word_stats(w: Word, queries: Iterable[Word] | None = None) -> WordStats:
-    """Length, cancellation-tail length, and factor counts for query words.
-
-    Default queries are all freely reduced length-2 words of w's rank.
-    """
-    if queries is None:
-        queries = list(enumerate_reduced(2, w.rank)) if len(w) >= 1 else []
+def word_stats(w: Word) -> WordStats:
+    """Length, cancellation-tail length, and the factor counts of every
+    freely reduced length-2 word of w's rank (none when w is trivial)."""
+    queries = enumerate_reduced(2, w.rank) if len(w) >= 1 else ()
     counts = {q.text(): subword_count(q, w) for q in queries}
     return WordStats(length=len(w), iota_length=iota_length(w), subword_counts=counts)

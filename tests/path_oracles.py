@@ -4,7 +4,9 @@ reduced tree path between two vertices, and connector_path, the shortest
 reduced path from one directed edge to another by a breadth-first search
 over edges in adjacency's order.  Also the pattern loops on one graph alone
 (delta_path, alpha_path, beta_path), laid out by the library's segment
-builder as blocking_word and forcing_word lay them out."""
+builder as blocking_word and forcing_word lay them out.  And the set of
+cyclic 3-factors of a word and its inverse, the oracle for the rauzy3
+filling tests."""
 import warnings
 from collections import deque
 
@@ -22,7 +24,7 @@ from primindex.graphs import (
     adjacency,
     trace_path,
 )
-from primindex.words import Word
+from primindex.words import CyclicWord, Word, count_reduced
 
 
 def tree_path(g: AGraph, sd: SpanningData, u: int, v: int) -> tuple[int, ...]:
@@ -102,3 +104,19 @@ def alpha_path(g: AGraph, sd: SpanningData) -> EdgePath:
 def beta_path(g: AGraph, sd: SpanningData) -> EdgePath:
     """The universal length-3 word's pattern loop."""
     return loop_path(g, sd, _pattern_word(KIND_BETA, sd.dual_rank))
+
+
+def cyclic_triples(cw: CyclicWord) -> set[tuple[int, ...]]:
+    """The length-3 cyclic factors of cw and cw^-1 (none when |cw| < 3)."""
+    ls = cw.letters
+    if len(ls) < 3:
+        return set()
+    d = ls + ls[:2]
+    out = set(zip(d, d[1:], d[2:]))
+    return out | {(-z, -y, -x) for x, y, z in out}
+
+
+def rauzy3_by_triples(cw: CyclicWord) -> bool:
+    """Do the cyclic 3-factors of cw and cw^-1 exhaust all freely reduced
+    length-3 words of its rank?"""
+    return len(cyclic_triples(cw)) == count_reduced(3, cw.rank)

@@ -109,41 +109,51 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
-def _names_used(path: Path) -> set[str]:
-    """Identifiers a module reads, imports or spells as a whole string."""
+def _names_used(path: Path) -> tuple[set[str], set[str]]:
+    """Identifiers a module reads, imports or spells as a whole string, and
+    those of them it reads as an attribute or spells as a string."""
     names: set[str] = set()
+    attributes: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            attributes.add(node.value)
+    return names | attributes, attributes
 
 
 def test_no_unreferenced_functions():
     # a library function or method no code, test, script or benchmark
-    # names is dead; strings count, since perfbench patches functions by name
+    # names is dead; strings count, since perfbench patches functions by
+    # name.  A method or property is reached only through an object, so
+    # only an attribute read or a string counts for it: a local variable of
+    # the same name does not keep it alive
     root = Path(__file__).resolve().parent.parent
     library = sorted((root / "src/primindex").glob("*.py"))
-    used = set().union(
-        *(
-            _names_used(path)
-            for folder in ("src/primindex", "tests", "scripts", "perfbench")
-            for path in sorted((root / folder).glob("*.py"))
-        )
-    )
-    found = [
-        f"{path.relative_to(root)}:{node.lineno} {node.name}"
-        for path in library
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used
+    used = [
+        _names_used(path)
+        for folder in ("src/primindex", "tests", "scripts", "perfbench")
+        for path in sorted((root / folder).glob("*.py"))
     ]
+    names = set().union(*(n for n, _ in used))
+    attributes = set().union(*(a for _, a in used))
+    found = []
+    for path in library:
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {
+            node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+        }
+        found += [
+            f"{path.relative_to(root)}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in (attributes if node in methods else names)
+        ]
     assert not found, found
 
 

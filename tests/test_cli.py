@@ -108,6 +108,44 @@ def test_walk_stats_json(capsys):
     payload = json.loads(out)
     assert payload["result"]["stats"]["length"] == 500
     assert payload["manifest"]["seeds"] == [3]
+    # the whole payload, manifest included, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5ec01c9de967ec18083eea62f34db245a686890f23a5715b683f690ac63b6b61"
+    )
+
+
+_WALK_7_WORD = (
+    "BABBABBaaaaBBabbaBabbabaBaBAbAbAbbbbbAbbAABaBAAAbaabbABBBAbAAbAABaaaBBBaB"
+    "AbabbAAbaBBabbbbAABAAAbbAbbbAbAAAbAbaaabbAbABAbAbAbABBabAbaabbabbbaaBaabb"
+    "abAABBABABBAAAbaBBabaabbbAbAAbbAAABaBBAbbAbabbaaBABaBa"
+)
+
+_WALK_7_STATS = """\
+iota length: 0
+  <AA, w> = 17
+  <AB, w> = 13
+  <Ab, w> = 24
+  <BA, w> = 13
+  <BB, w> = 13
+  <Ba, w> = 14
+  <aB, w> = 13
+  <aa, w> = 13
+  <ab, w> = 15
+  <bA, w> = 24
+  <ba, w> = 15
+  <bb, w> = 25
+"""
+
+
+def test_walk_stats_text_is_pinned(capsys):
+    # the word on stdout and the statistics on stderr, byte for byte; only
+    # the wall-time line varies
+    code, out, err = run_cli(capsys, ["walk", "--rank", "2", "--n", "200", "--seed", "7", "--stats"])
+    assert code == 0
+    assert out == _WALK_7_WORD + "\n"
+    assert "".join(
+        line for line in err.splitlines(keepends=True) if not line.startswith("wall time: ")
+    ) == _WALK_7_STATS
 
 
 @pytest.mark.parametrize("argv", [

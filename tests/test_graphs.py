@@ -63,6 +63,7 @@ from path_oracles import (
     cycle_rank,
     delta_path,
     loop_path,
+    rauzy3_by_triples,
     tree_path,
 )
 
@@ -783,7 +784,7 @@ def test_census_walk_matches_per_cover_trace(rank, d_max):
                 cyc = rewrite_loop_cyclic(g, spanning_data(g), paths[i])
                 assert tuple(u.tolist()) == cyc.letters, (n, d, i)
                 if len(cyc):
-                    assert rauzy3_array(u, cyc.rank) == rauzy3_full(cyc)
+                    assert rauzy3_array(u, cyc.rank) == rauzy3_full(cyc) == rauzy3_by_triples(cyc)
                     certified += rauzy3_full(cyc)
             closed += len(closing)
         assert next(duals, None) is None
@@ -997,10 +998,10 @@ def test_rauzy3_array_matches_rauzy3_full_on_short_words():
         for n in range(1, 5):
             for cw in enumerate_cyclically_reduced(n, rank):
                 u = np.array(cw.letters, dtype=np.int8)
-                assert rauzy3_array(u, rank) == rauzy3_full(cw), cw
+                assert rauzy3_array(u, rank) == rauzy3_full(cw) == rauzy3_by_triples(cw), cw
     u3 = universal_three_word(3)
     cw = cyclic_reduce(u3)[1]
-    assert rauzy3_array(np.array(cw.letters), 3) == rauzy3_full(cw) is True
+    assert rauzy3_array(np.array(cw.letters), 3) == rauzy3_full(cw) == rauzy3_by_triples(cw) is True
     for bad in ((np.array([], dtype=np.int8), 2), (np.array([1]), 0)):
         with pytest.raises(InvalidInputError):
             rauzy3_array(*bad)
@@ -1028,7 +1029,7 @@ def test_rauzy3_linear_matches_the_set_of_triples(rank):
             certified += expected
             cw = cyclic_reduce(Word(u, rank))[1]
             if len(cw):
-                assert rauzy3_array(np.array(cw.letters), rank) == rauzy3_full(cw)
+                assert rauzy3_array(np.array(cw.letters), rank) == rauzy3_full(cw) == rauzy3_by_triples(cw)
     assert certified > 0
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -240,7 +241,7 @@ def simple_by_minimization(w):
 def test_d_simp_census_of_a_long_word_matches_minimization_scan():
     # d_simp_census decides each closing cover's dual word by the descent,
     # the per-cover scan by minimize: they must stop at the same degree
-    w = cyclic_reduce(sample_word(WalkConfig(2, 1000, 1), with_stats=False).word)[1]
+    w = cyclic_reduce(sample_word(WalkConfig(2, 1000, 1)))[1]
     assert len(w) == 1000
     assert d_simp_census(w, 5) == first_cover_by_trace(
         w, 5, _closes_and(simple_by_minimization)
@@ -250,7 +251,7 @@ def test_d_simp_census_of_a_long_word_matches_minimization_scan():
 def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
     # the scans read the census's permutation and dual-letter tables; no
     # AGraph (and so no spanning tree or edge path) is built per cover
-    w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3), with_stats=False).word)[1]
+    w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3)))[1]
 
     def whole_dual_words():  # every closing cover's, each read as the full span
         ends, read = _census_duals(2, range(1, 6), w.letters)
@@ -285,7 +286,7 @@ def test_census_scans_build_no_graph_once_the_census_is_warm(monkeypatch):
 def test_predicates_build_no_whitehead_automorphism(monkeypatch):
     # the descent applies each step through a letter table over the 2N
     # letters; no WhiteheadAut is built on the predicate path
-    w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3), with_stats=False).word)[1]
+    w = cyclic_reduce(sample_word(WalkConfig(2, 200, 3)))[1]
     words = [CW(t, r) for t, r in (("aabb", 2), ("abAB", 2), ("aabAbb", 2), ("abcABC", 3))]
     words += [CW("aaabaBAbAB", 2), CW("aabbccabc", 3), w]
     calls = (
@@ -323,7 +324,7 @@ def test_first_cover_on_length_24_words_builds_no_step_table(monkeypatch):
     monkeypatch.setattr(graphs, "_step_table", spy)
     words = []
     for seed in range(200):
-        w = cyclic_reduce(sample_word(WalkConfig(2, 24, seed), with_stats=False).word)[1]
+        w = cyclic_reduce(sample_word(WalkConfig(2, 24, seed)))[1]
         if len(w) == 24:
             words.append(w)
     assert len(words) >= 20
@@ -656,7 +657,7 @@ def test_degrees_only_scan_matches_the_witness_scan():
         report = index_report(rep)
         expected = (report.d_prim, report.d_simp, report.d_fill_lower)
         assert tuple(found[name][0] for name in index._INDEXES) == expected, rep.text()
-        assert _class_values.__wrapped__(rep.rank, rep.letters) == expected, rep.text()
+        assert _class_values(rep.rank, rep.letters) == expected, rep.text()
 
 
 def test_class_values_computes_no_witness(monkeypatch):
@@ -671,7 +672,7 @@ def test_class_values_computes_no_witness(monkeypatch):
 
     monkeypatch.setattr(AGraph, "__post_init__", counting)
     for rep in _ROOT_FREE_REPS:
-        _class_values.__wrapped__(rep.rank, rep.letters)
+        _class_values(rep.rank, rep.letters)
     assert keys == [] and graphs_built == []
     index_report(CW("aaaabaaaB", 2))  # the spies see the witness scan's work
     assert keys and len(graphs_built) == 3
@@ -703,8 +704,8 @@ def test_step_cap_counts_the_scan_that_runs(monkeypatch):
     cap = steps[0]
     assert cap < _STEPS_TO_FINISH["aabaabABB"][0]
     with pytest.raises(ResourceGuardError):
-        _class_values.__wrapped__(2, w.letters, cap - 1)
-    assert _class_values.__wrapped__(2, w.letters, cap) == (3, 3, 1)
+        _class_values(2, w.letters, cap - 1)
+    assert _class_values(2, w.letters, cap) == (3, 3, 1)
     with pytest.raises(ResourceGuardError):
         index_report(w, max_partitions=cap)
 
@@ -757,24 +758,35 @@ def test_index_values_cache_consistency():
     vp, vs, vl = index_values(w)
     assert vp == d_prim(w)[0]
     assert vs == d_simp(w)[0]
-    # rotations and inversions share the cache entry and the values
+    # a rotation, scanned itself, has the same values
     rot = CyclicWord(tuple(list(w.letters)[1:] + [w.letters[0]]), 2)
     assert index_values(rot) == (vp, vs, vl)
 
 
-def test_index_values_same_on_cache_hit_and_miss():
-    w = CW("abaBAb", 2)
-    _class_values.cache_clear()
-    missed = index_values(w)
-    assert _class_values.cache_info().misses == 1
-    # the inverse, relabeled by a <-> b, rotated: the same class
-    swap = {1: 2, -1: -2, 2: 1, -2: -1}
-    inv = [-x for x in reversed(w.letters)]
-    image = CyclicWord(tuple(swap[x] for x in inv[2:] + inv[:2]), 2)
-    assert index_values(image) == missed
-    assert _class_values.cache_info().hits == 1
-    report = index_report(w)
-    assert missed == (report.d_prim, report.d_simp, report.d_fill_lower)
+def _class_members(w: CyclicWord) -> set[tuple[int, ...]]:
+    """Every rotation of every signed relabeling of w and of w^-1."""
+    members = set()
+    for perm in itertools.permutations(range(1, w.rank + 1)):
+        for signs in itertools.product((1, -1), repeat=w.rank):
+            images = [s * g for g, s in zip(perm, signs)]
+            image = tuple(images[x - 1] if x > 0 else -images[-x - 1] for x in w.letters)
+            for base in (image, tuple(-x for x in reversed(image))):
+                members |= {base[r:] + base[:r] for r in range(len(base))}
+    return members
+
+
+def test_index_values_same_on_every_rotation_inversion_and_relabeling():
+    # the values are invariants of Aut(F_N); index_values scans each word
+    # itself, so every member of every short class is scanned and compared
+    # with the witness scan of its representative
+    for rank, n_max in ((2, 7), (3, 5)):
+        for n in range(1, n_max + 1):
+            for rep in class_representatives(n, rank, skip_powers=False):
+                report = index_report(rep)
+                expected = (report.d_prim, report.d_simp, report.d_fill_lower)
+                assert expected[:2] == (d_prim(rep)[0], d_simp(rep)[0]), rep.text()
+                for letters in _class_members(rep):
+                    assert index_values(CyclicWord(letters, rank)) == expected, (rep.text(), letters)
 
 
 _SHORT_REPS = {
@@ -796,7 +808,8 @@ _SECOND_KIND = {
 )
 def test_index_values_invariant_under_whitehead_automorphisms(rep_and_aut):
     # d_prim and d_simp are invariants of Aut(F_N); rotation, inversion and
-    # relabeling are covered by the class cache, this draws the other kind
+    # relabeling are checked on every short class above, this draws the
+    # other kind
     rep, t = rep_and_aut
     image = cyclic_reduce(Word(apply_letters(t, rep.letters), rep.rank))[1]
     assume(len(image) <= 10)

@@ -21,9 +21,9 @@ from primindex.words import _letter, cyclic_reduce
 
 def test_sample_is_reduced_and_exact_length():
     for seed in range(5):
-        s = sample_word(WalkConfig(2, 50, seed))
-        assert len(s.word) == 50
-        ls = s.word.letters
+        w = sample_word(WalkConfig(2, 50, seed))
+        assert len(w) == 50
+        ls = w.letters
         assert all(a != -b for a, b in zip(ls, ls[1:]))
 
 
@@ -31,8 +31,8 @@ def test_seed_determinism_byte_exact():
     cfg = WalkConfig(2, 2000, 7)
     a = sample_word(cfg)
     b = sample_word(cfg)
-    assert a.word.text() == b.word.text()
-    assert sample_word(WalkConfig(2, 2000, 8)).word.text() != a.word.text()
+    assert a.text() == b.text()
+    assert sample_word(WalkConfig(2, 2000, 8)).text() != a.text()
 
 
 def _numpy_scalar_codes(cfg):
@@ -56,13 +56,13 @@ def _numpy_scalar_codes(cfg):
 def test_sample_word_matches_numpy_scalar_loop(rank, length):
     for seed in range(20):
         cfg = WalkConfig(rank, length, seed)
-        assert sample_word(cfg, with_stats=False).word.letters == _numpy_scalar_codes(cfg)
+        assert sample_word(cfg).letters == _numpy_scalar_codes(cfg)
 
 
 def test_first_letter_distribution_chi_square():
     # the first letters of 100,000 seeded one-letter walks, as letter codes
     firsts = [
-        sample_word(WalkConfig(2, 1, seed), with_stats=False).word.letters[0]
+        sample_word(WalkConfig(2, 1, seed)).letters[0]
         for seed in range(100_000)
     ]
     counts = np.bincount([2 * (abs(x) - 1) + (x < 0) for x in firsts], minlength=4)
@@ -90,8 +90,7 @@ def test_pair_frequencies_near_one_twelfth():
 
 
 def test_subword_spectrum_shape():
-    s = sample_word(WalkConfig(2, 10_000, 5))
-    rep = subword_spectrum(s.word, ell_frac=0.5, epsilon=0.2)
+    rep = subword_spectrum(sample_word(WalkConfig(2, 10_000, 5)))
     assert rep.sigma_length == round(0.5 * np.log(10_000) / np.log(3))
     assert sum(rep.counts.values()) <= 10_000
     assert rep.max_abs_deviation < rep.deviation_band
@@ -99,7 +98,7 @@ def test_subword_spectrum_shape():
 
 def test_iota_stat():
     # no cancellation tail of 50 length-1000 walks exceeds 5% of the length
-    words = [sample_word(WalkConfig(2, 1000, s), with_stats=False).word for s in range(50)]
+    words = [sample_word(WalkConfig(2, 1000, s)) for s in range(50)]
     for w in words:
         assert len(cyclic_reduce(w)[0]) <= 0.05 * len(w)
 
@@ -130,8 +129,7 @@ def test_experiment_matches_exact_dsimp_on_tiny_words():
     rep = experiment_dsimp(WalkConfig(2, 5, 21), trials=25, d_cap=5)
     # redo the trials by hand and compare against the quotient scanner
     for t in range(25):
-        s = sample_word(WalkConfig(2, 5, trial_seed(21, t)), with_stats=False)
-        core = cyclic_reduce(s.word)[1]
+        core = cyclic_reduce(sample_word(WalkConfig(2, 5, trial_seed(21, t))))[1]
         assert d_simp_census(core, 5) == d_simp(core)[0]
 
 

@@ -18,7 +18,6 @@ from primindex.whitehead import (
     WhiteheadAut,
     _apply_step,
     _cuts,
-    _cyclic_triples,
     _descent_step,
     _has_lone_generator,
     _junction_ends,
@@ -46,6 +45,8 @@ from primindex.words import (
     enumerate_cyclically_reduced,
     free_reduce,
 )
+
+from path_oracles import cyclic_triples
 
 W = Word.parse
 CW = CyclicWord.parse
@@ -688,14 +689,14 @@ def cyclic_triples_oracle(cw):
 def test_cyclic_triples_match_sliding_oracle(data):
     rank = data.draw(st.integers(1, 4))
     cw = data.draw(cyclic_words_of_rank(rank, data.draw(st.sampled_from([3, 4, 30]))))
-    assert _cyclic_triples(cw) == cyclic_triples_oracle(cw)
+    assert cyclic_triples(cw) == cyclic_triples_oracle(cw)
 
 
 def test_cyclic_triples_of_short_words():
     for rank in (1, 2, 3):
         for n in (1, 2, 3):
             for cw in enumerate_cyclically_reduced(n, rank):
-                assert _cyclic_triples(cw) == cyclic_triples_oracle(cw)
+                assert cyclic_triples(cw) == cyclic_triples_oracle(cw)
 
 def test_rauzy3_examples():
     from primindex.graphs import universal_three_word
@@ -727,19 +728,19 @@ def test_rauzy3_length_guard_matches_the_triple_set(monkeypatch):
     from primindex.graphs import universal_three_word
 
     # a word with 2 |w| below the number of reduced length-3 words is
-    # answered without its triple set, and every answer is the set's
+    # answered without rauzy3_array, and every answer is the triple set's
     rng = random.Random(20140731)
     cases = [w for n in range(1, 9) for w in enumerate_cyclically_reduced(n, 2)]
     cases += [_reduced_cyclic_word(rank, n, rng) for rank in (2, 3) for n in range(15, 81) for _ in range(3)]
     cases += [cyclic_reduce(universal_three_word(rank))[1] for rank in (2, 3)]
     read = []
-    real = whitehead._cyclic_triples
-    monkeypatch.setattr(whitehead, "_cyclic_triples", lambda cw: read.append(cw) or real(cw))
+    real = whitehead.rauzy3_array
+    monkeypatch.setattr(whitehead, "rauzy3_array", lambda u, rank: read.append(u) or real(u, rank))
     certified = set()
     for w in cases:
         needed = count_reduced(3, w.rank)
         read.clear()
-        assert rauzy3_full(w) == (len(real(w)) == needed), w.text()
+        assert rauzy3_full(w) == (len(cyclic_triples(w)) == needed), w.text()
         assert len(read) == (2 * len(w) >= needed), w.text()
         certified.add((w.rank, rauzy3_full(w)))
     assert certified == {(2, False), (2, True), (3, False), (3, True)}
