@@ -27,7 +27,9 @@ from .errors import (
 from .words import (
     CyclicWord,
     Word,
+    _display_codes,
     _reduced_tuples,
+    _trusted,
     alphabet,
     cyclic_reduce,
     free_reduce,
@@ -912,91 +914,154 @@ def collapse_vertices(
     return AGraph(g.rank, len(blocks), vmap[g.base], edges), tuple(vmap)
 
 
-def _read_quotient(w: CyclicWord, out: dict, size: int) -> tuple:
-    """The folded graph with next-vertex table out[(vertex, letter)] on
-    vertices 0..size-1 as the quotient scan reads it, one pass each: (sorted
-    edges, vertices in spanning_data's order, w's dual word as
-    rewrite_loop_cyclic gives it, is a cover); w must be a loop at 0."""
-    edges = tuple(sorted([(v, t, x) for (v, x), t in out.items() if x > 0]))
-    order, tree = [0], set()  # tree: (origin, gen) of the spanning tree's edges
+def _quotient_graph(out: Sequence[int], rank: int, size: int) -> tuple[tuple, tuple[int, ...], set]:
+    """The sorted edges of the folded graph with flat next-vertex table out
+    (out[v * 2 rank + c] for the letter of display code c, -1 where v has no
+    such edge) on vertices 0..size-1, its vertices in spanning_data's
+    breadth-first order from 0, letters in display order, and the table
+    slots of that search's spanning tree, each edge both ways."""
+    width = 2 * rank
+    edges = []
+    for v in range(size):
+        row = out[v * width : v * width + width : 2]
+        edges.extend(sorted([(v, t, g) for g, t in enumerate(row, 1) if t >= 0]))
+    order, seen, tree = [0], [False] * size, set()
+    seen[0] = True
     for v in order:  # the loop reads what it appends: a breadth-first search
-        for x in alphabet(w.rank):
-            if (t := out.get((v, x), 0)) not in order:
+        for c in range(width):
+            t = out[v * width + c]
+            if t >= 0 and not seen[t]:
+                seen[t] = True
                 order.append(t)
-                tree.add((v, x) if x > 0 else (t, -x))
-    dual: dict[tuple[int, int], int] = {}  # (vertex, letter) -> signed dual letter
-    for o, t, x in edges:
-        if (o, x) not in tree:
+                tree.update((v * width + c, t * width + (c ^ 1)))
+    return tuple(edges), tuple(order), tree
+
+
+def _read_quotient(w: CyclicWord, out: Sequence[int], size: int) -> tuple:
+    """The folded graph with flat next-vertex table out (see _quotient_graph)
+    as one record, each part in one pass: (sorted edges, vertices in
+    spanning_data's order, w's dual word as rewrite_loop_cyclic gives it, is
+    a cover).  This is the canonical read: the dual basis is spanning_data's,
+    its letters numbered in sorted edge order.  The quotient scan makes it
+    only where that basis reaches its output (rauzy3_full); the tests read
+    every grown table with it.  w must be a loop at 0; where it leaves the
+    table or ends elsewhere, InvalidInputError."""
+    width = 2 * w.rank
+    edges, order, tree = _quotient_graph(out, w.rank, size)
+    dual: dict[int, int] = {}  # table slot -> signed dual letter
+    for o, t, g in edges:
+        if o * width + 2 * g - 2 not in tree:
             y = len(dual) // 2 + 1
-            dual[o, x], dual[t, -x] = y, -y
+            dual[o * width + 2 * g - 2], dual[t * width + 2 * g - 1] = y, -y
     ys, v = [], 0
-    for x in w.letters:
-        if (v, x) in dual:
-            ys.append(dual[v, x])
-        v = out.get((v, x), -1)  # -1 from the first missing edge on
+    for c in _display_codes(w.letters):
+        if (y := dual.get(v * width + c)) is not None:
+            ys.append(y)
+        v = out[v * width + c]
+        if v < 0:  # w leaves the table: never an index, which would wrap
+            break
     if v:
         raise InvalidInputError("w does not close at vertex 0 of the quotient")
     cyc = cyclic_reduce(free_reduce(ys, len(dual) // 2))[1]
-    return edges, tuple(order), cyc, len(out) == 2 * w.rank * size
+    return edges, order, cyc, -1 not in out
 
 
-def quotients_with_vertices(
+def _first_visit_dual(codes: Sequence[int], out: Sequence[int], width: int) -> CyclicWord:
+    """w's dual word in one walk of w (its display codes) over a table of
+    _quotient_tables (width 2 rank), the spanning tree being the edges
+    that first reach each vertex along w and the dual letters numbered in
+    the order w first crosses their edges.  It is w's loop in another free
+    basis of the quotient's fundamental group than _read_quotient's, so an
+    automorphic image of the canonical dual word, of the same rank (every
+    edge is crossed) and no longer than w.  A loop of a folded graph read
+    by a cyclically reduced w crosses no edge and straight back, and a
+    tree path that closes is empty, so the word is cyclically reduced as
+    read.  The table must hold w's loop at 0, as the grower's do; a walk
+    that leaves it raises InvalidInputError."""
+    mark = [None] * len(out)  # per slot: 0 on the tree, else its signed dual letter
+    seen = [False] * (len(out) // width)
+    seen[0] = True
+    ys, m, v = [], 0, 0
+    for c in codes:
+        at = v * width + c
+        t = out[at]
+        y = mark[at]
+        if y is None:
+            if t < 0:  # never an index, which would wrap
+                raise InvalidInputError("w leaves the quotient's table")
+            if seen[t]:
+                m += 1
+                y = m
+            else:
+                seen[t] = True
+                y = 0
+            mark[at], mark[t * width + (c ^ 1)] = y, -y
+        if y:
+            ys.append(y)
+        v = t
+    return _trusted(CyclicWord, tuple(ys), m)
+
+
+def _quotient_tables(
     w: CyclicWord, k: int, on_step: Callable[[], None] | None = None
-) -> Iterator[tuple]:
-    """The folded quotients of the circle graph of w with exactly k
-    vertices, each once: trace w from vertex 0, following an edge already
-    present (the graph stays folded), else branching over each vertex free
-    for the inverse letter plus a new vertex while fewer than k exist; the
-    last letter closes at 0.  Vertices are numbered in first-visit order
-    along w and edges sorted, as fold_with_map numbers a collapse of
-    circle_graph(w).  Each is yielded as _read_quotient reads it off the
-    next-vertex table out[(vertex, letter)], with no graph built.  on_step
-    is called per edge tried.  The search is depth first on an explicit
-    stack, since a branch stops early where w cannot close; covers, which
-    all have degree * rank edges, grow breadth first instead (_grow_covers).
-    For k = 1 the one quotient, the rose on the generators w uses, is read
-    off w with no search: one step per generator, as the search takes.
+) -> Iterator[list[int]]:
+    """The principal-quotient grower: the flat next-vertex table
+    out[v * 2 rank + c] of each folded quotient of w's circle with exactly
+    k vertices, c the display code of the letter (so c ^ 1 is its
+    inverse's), preallocated for k vertices with -1 for a missing edge.
+    The one list is yielded each time and changed when the grower resumes,
+    so read it first.
+
+    Trace w from vertex 0, following an edge already present (the graph
+    stays folded), else branching over each vertex free for the inverse
+    letter plus a new vertex while fewer than k exist; the last letter
+    closes at 0.  Vertices are numbered in first-visit order along w, as
+    fold_with_map numbers a collapse of circle_graph(w).  on_step is called
+    per edge tried.  The search is depth first on an explicit stack, since
+    a branch stops early where w cannot close; covers, which all have
+    degree * rank edges, grow breadth first instead (_grow_covers).  For
+    k = 1 the one quotient, the rose on the generators w uses, is read off
+    w with no search: one step per generator, as the search takes.
     """
-    letters, n = w.letters, len(w)
+    n, width = len(w), 2 * w.rank
     if n == 0:
         raise InvalidInputError("need a nonempty cyclic word")
 
-    def rose() -> Iterator[tuple]:
-        gens = sorted({abs(x) for x in letters})
-        if on_step is not None:
-            for _ in gens:
+    def rose() -> Iterator[list[int]]:
+        out = [-1] * width
+        for g in sorted({abs(x) for x in w.letters}):
+            if on_step is not None:
                 on_step()
-        dual = {g: y for y, g in enumerate(gens, 1)}
-        cyc = CyclicWord(tuple([dual[x] if x > 0 else -dual[-x] for x in letters]), len(gens))
-        yield tuple([(0, 0, g) for g in gens]), (0,), cyc, len(gens) == w.rank
+            out[2 * g - 2] = out[2 * g - 1] = 0
+        yield out
 
-    def grow() -> Iterator[tuple]:
-        out: dict[tuple[int, int], int] = {}
-        stack = []  # per missing edge: vertex, letter, its index in w, targets left, size
+    def grow() -> Iterator[list[int]]:
+        codes, out = _display_codes(w.letters), [-1] * (k * width)
+        stack = []  # per missing edge: vertex, slot, inverse's code, index in w, targets left, size
         v, i, size = 0, 0, 1
         while True:
-            while i < n and (v, letters[i]) in out:  # follow the edges already present
-                v, i = out[v, letters[i]], i + 1
+            while i < n and (t := out[v * width + codes[i]]) >= 0:  # follow the edges present
+                v, i = t, i + 1
             if i == n:
                 if v == 0 and size == k:
-                    yield _read_quotient(w, out, size)
+                    yield out
             elif size + n - i - 1 >= k:  # only letters before the last add vertices
                 targets = (0,) if i == n - 1 else range(size + (size < k))
-                stack.append((v, letters[i], i, iter(targets), size))
+                stack.append((v, v * width + codes[i], codes[i] ^ 1, i, iter(targets), size))
             while stack:  # place the next target of the deepest missing edge
-                v, x, i, targets, size = stack[-1]
-                t = out.pop((v, x), None)  # the target placed here last time
-                if t is not None:
-                    del out[t, -x]
+                v, at, back, i, targets, size = stack[-1]
+                t = out[at]  # the target placed here last time, if any
+                if t >= 0:
+                    out[at] = out[t * width + back] = -1
                 for t in targets:
-                    if (t, -x) not in out:
+                    if out[t * width + back] < 0:
                         break
                 else:
                     stack.pop()
                     continue
                 if on_step is not None:
                     on_step()
-                out[v, x], out[t, -x] = t, v
+                out[at], out[t * width + back] = t, v
                 size += t == size
                 v, i = t, i + 1
                 break

@@ -13,8 +13,9 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from .graphs import AGraph, _CELLS, _LONGEST_STEP, _census_walk, _letter_codes
-from .graphs import _read_duals, _relabeled_key
-from .graphs import graph_to_json, quotients_with_vertices, subgroup_count
+from .graphs import _first_visit_dual, _quotient_graph, _quotient_tables
+from .graphs import _read_duals, _read_quotient, _relabeled_key
+from .graphs import graph_to_json, subgroup_count
 # Unused here; perfbench/tracer.py patches these names on this module.
 from .graphs import collapse_vertices, fold_with_map, rewrite_loop  # noqa: F401
 from .graphs import cover_census, set_partitions_with_blocks  # noqa: F401
@@ -23,7 +24,9 @@ from .graphs import spanning_data, trace_path  # noqa: F401
 from .words import (
     CyclicWord,
     Word,
+    _display_codes,
     concat,
+    count_reduced,
     index_candidates_exact,
 )
 from .whitehead import _has_lone_generator, _uses_every_generator, descend
@@ -89,14 +92,27 @@ def _scan_quotients(
     {name: (k, witness)} for those reached within max_index.
 
     At each k the quotients with exactly k vertices are grown directly by
-    tracing w (quotients_with_vertices), so the first k with a success per
-    index realizes its minimum; among the k-vertex successes the witness
-    is the one with the least canonical key, and only it becomes a graph.
+    tracing w, each as its flat next-vertex table (_quotient_tables), so
+    the first k with a success per index realizes its minimum; among the
+    k-vertex successes the witness is the one with the least canonical key,
+    and only it becomes a graph.
     Each quotient is asked only about the indexes still open, and the scan
     stops once none is.  A cover with simplicity or filling open descends
     once, unless a generator occurs once in its dual word, which is then
     primitive and so simple; only a simple one can be primitive (dual rank
     >= 2), and it is asked of its descended word, an automorphic image.
+
+    These predicates take the dual word read in one walk of w over its
+    first-visit spanning tree (_first_visit_dual).  It is an automorphic
+    image of the canonical dual word of spanning_data's tree, and
+    primitivity, simplicity and the rank do not change under automorphisms,
+    so every answer is the canonical one's.  The canonical read
+    (_quotient_graph, _read_quotient) stays only where its basis reaches
+    the output: the key and graph of each hit with witnesses, and
+    rauzy3_full, a certificate that depends on the basis.  That one is
+    asked of the canonical dual word only when 2|w| reaches the count of
+    reduced triples of the dual rank, since the canonical dual word is no
+    longer than w and rauzy3_full answers False below it.
 
     With witnesses=False only the degrees are wanted: an index is closed at
     its first k-vertex success, later quotients of the level are asked only
@@ -126,25 +142,32 @@ def _scan_quotients(
     on_step = None if max_partitions is None else step
 
     k_cap = len(w) if max_index is None else min(len(w), max_index)
+    codes, width = _display_codes(w.letters), 2 * w.rank
     for k in range(1, k_cap + 1):
         if not pending:
             break
         best: dict[str, tuple | None] = {}
         asked = list(pending)  # shrinks at each hit when witnesses is False
-        for edges, order, dual, cover in quotients_with_vertices(w, k, on_step):
+        for out in _quotient_tables(w, k, on_step):
+            dual = _first_visit_dual(codes, out, width)
             # a quotient that is not a cover counts as simple; simple
             # certifies non-filling
             word, simple = dual, True
             # the dual rank of a cover is >= 2 in rank >= 2, so a lone
             # generator's primitive dual word is simple
             open_simp = "simp" in asked or "fill" in asked
-            if cover and open_simp and not _has_lone_generator(dual.letters):
+            if -1 not in out and open_simp and not _has_lone_generator(dual.letters):
                 word = descend(dual)
                 simple = not _uses_every_generator(word.letters, word.rank)
             hits = [(name, CERT_SIMPLE) for name in ("simp", "fill") if simple and name in asked]
             if "prim" in asked and simple and is_primitive(word):
                 hits.append(("prim", CERT_PRIMITIVE))
-            if not simple and "fill" in asked and not rauzy3_full(dual):
+            # rauzy3_full depends on the basis: ask it of the canonical
+            # dual word, which is no longer than w
+            if not simple and "fill" in asked and not (
+                2 * len(w) >= count_reduced(3, dual.rank)
+                and rauzy3_full(_read_quotient(w, out, k)[2])
+            ):
                 hits.append(("fill", CERT_UNDETERMINED))
             if not hits:
                 continue
@@ -155,6 +178,7 @@ def _scan_quotients(
                 if not asked:
                     break
                 continue
+            edges, order, _ = _quotient_graph(out, w.rank, k)
             key = _relabeled_key(w.rank, order, edges)
             for name, cert in hits:
                 if name not in best or key < best[name][0]:

@@ -303,6 +303,12 @@ def _letter(code: int) -> int:
     return -(code // 2 + 1) if code & 1 else code // 2 + 1
 
 
+def _display_codes(letters: Sequence[int]) -> list[int]:
+    """The display code of each letter, which _letter inverts; code ^ 1 is
+    the inverse letter's."""
+    return [2 * x - 2 if x > 0 else -2 * x - 1 for x in letters]
+
+
 def _longest_run_starts(base: tuple[int, ...]) -> list[int]:
     """Rotations of a cyclic word that begin with one of its longest runs
     of a repeated letter (all of them, as [0], for a power of one letter)."""

@@ -7,6 +7,8 @@ import symtable
 import sys
 from pathlib import Path
 
+import pytest
+
 import primindex
 from primindex import acceptance
 
@@ -168,6 +170,18 @@ def test_no_unused_imports():
         for entry in _unused_imports(path)
     ]
     assert not found, found
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares Python >= 3.10, so no file of the library or
+    # its tests may use newer grammar; the check must see such grammar
+    root = Path(__file__).resolve().parent.parent
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = sorted(p for folder in ("src/primindex", "tests") for p in (root / folder).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def test_noqa_reexports_are_patched_by_the_tracer():

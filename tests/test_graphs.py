@@ -35,7 +35,6 @@ from primindex.graphs import (
     out_map,
     path_contains,
     path_terminus,
-    quotients_with_vertices,
     rewrite_loop,
     rewrite_loop_cyclic,
     set_partitions_with_blocks,
@@ -47,6 +46,7 @@ from primindex.graphs import (
 from primindex.words import (
     CyclicWord,
     Word,
+    _display_codes,
     alphabet,
     class_representatives,
     cyclic_class_key,
@@ -54,7 +54,7 @@ from primindex.words import (
     enumerate_cyclically_reduced,
     free_reduce,
 )
-from primindex.whitehead import is_primitive, rauzy3_array, rauzy3_full, rauzy3_linear
+from primindex.whitehead import is_primitive, is_simple, rauzy3_array, rauzy3_full, rauzy3_linear
 
 from path_oracles import (
     alpha_path,
@@ -179,6 +179,16 @@ def _finished(rank, out, size):
     return AGraph(rank, size, 0, tuple(edges))
 
 
+def flat_table(rank, out, size):
+    """The oracle grower's table out[(vertex, letter)] as the library's
+    flat next-vertex table: slot v * 2 rank + c for the letter of display
+    code c, -1 where v has no such edge."""
+    flat = [-1] * (2 * rank * size)
+    for (v, x), t in out.items():
+        flat[2 * rank * v + (2 * x - 2 if x > 0 else -2 * x - 1)] = t
+    return flat
+
+
 def census_by_plain_min(rank, degree):
     """Oracle for cover_census: every subgroup grown once by filling the
     first empty (vertex, letter) cell, relabeled by a plain min over all
@@ -276,6 +286,15 @@ def canonical_form(g):
 
 def census_graphs(rank, degree):
     return [cover_graph(rank, perms) for perms in cover_census(rank, degree)]
+
+
+def quotients_with_vertices(w, k, on_step=None):
+    """The folded quotients of the circle graph of w with exactly k
+    vertices, each once, in graphs._quotient_tables' order and from its
+    search steps, each read by graphs._read_quotient before the grower
+    resumes: (sorted edges, vertices in spanning_data's order, the canonical
+    dual word, is a cover).  The empty word raises at the call."""
+    return (graphs._read_quotient(w, out, k) for out in graphs._quotient_tables(w, k, on_step))
 
 
 def quotient_graphs(w, k, on_step=None):
@@ -1237,7 +1256,8 @@ def test_one_vertex_quotient_is_the_rose_read_off_the_word():
         steps, oracle_steps = [], []
         got = list(quotients_with_vertices(w, 1, lambda: steps.append(1)))
         expected = list(quotients_by_retracing(
-            w, 1, lambda: oracle_steps.append(1), lambda out, size: graphs._read_quotient(w, out, size)
+            w, 1, lambda: oracle_steps.append(1),
+            lambda out, size: graphs._read_quotient(w, flat_table(w.rank, out, size), size),
         ))
         assert got == expected, w.text()
         assert len(steps) == len(oracle_steps) == len(used), w.text()
@@ -1279,6 +1299,26 @@ def test_quotient_records_match_their_graphs(rank, n_max):
                     assert dual == rewrite_loop_cyclic(q, spanning_data(q), trace_path(q, 0, w))
                     assert _relabeled_key(rank, order, edges) == canonical_key(q), (w.text(), k)
                     assert cover == is_cover(q)
+
+
+@pytest.mark.parametrize("rank,n_max", [(2, 8), (3, 6)])
+def test_first_visit_dual_answers_as_the_canonical_dual(rank, n_max):
+    # the quotient scan asks its predicates of the dual word read in one walk
+    # of w over its first-visit spanning tree: another basis of the same
+    # free group, so the same rank and the same answers, and a cyclically
+    # reduced word over every dual letter, no longer than w
+    for n in range(1, n_max + 1):
+        for w in class_representatives(n, rank, skip_powers=False):
+            codes = _display_codes(w.letters)
+            for k in range(1, n + 1):
+                for out in graphs._quotient_tables(w, k):
+                    canonical = graphs._read_quotient(w, out, k)[2]
+                    dual = graphs._first_visit_dual(codes, out, 2 * rank)
+                    assert CyclicWord(dual.letters, dual.rank) == dual, (w.text(), k)
+                    assert {abs(y) for y in dual.letters} == set(range(1, dual.rank + 1))
+                    assert dual.rank == canonical.rank and len(dual) <= n, (w.text(), k)
+                    assert is_primitive(dual) == is_primitive(canonical), (w.text(), k)
+                    assert is_simple(dual) == is_simple(canonical), (w.text(), k)
 
 
 def test_quotient_generator_rejects_empty_word_eagerly():

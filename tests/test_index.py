@@ -16,6 +16,7 @@ import primindex
 from primindex import graphs, index
 from primindex.errors import InvalidInputError, ResourceGuardError, UnsupportedInputError
 from primindex.index import (
+    CERT_UNDETERMINED,
     _class_values,
     _scan_quotients,
     commutator_witness,
@@ -47,10 +48,12 @@ from primindex.whitehead import (
     is_primitive,
     is_simple,
     minimize,
+    rauzy3_full,
 )
 from primindex.words import (
     CyclicWord,
     Word,
+    _display_codes,
     alphabet,
     class_representatives,
     cyclic_reduce,
@@ -576,6 +579,41 @@ _CAPS_TO_FINISH = {
 }
 
 
+# A length-120 word whose 2-vertex cover with a-loops at both vertices and
+# b swapping them reads a rank-3 canonical dual word whose length-3 factors,
+# with its inverse's, are all 150 reduced triples, so rauzy3_full certifies
+# it; the first-visit dual of that cover, whose tree is w's first edge into
+# vertex 1 (B, not spanning_data's b), is not certified.  The word is the
+# lift of such a dual word through that cover, from a seeded search over
+# the orientations of the 75 inverse pairs of triples.
+_BASIS_DEPENDENT = (
+    "ABABABaBabAbAbabbABabbabbAbABAbABabAABabaaabbaBaabaBAbbbaBAAbaBABBaaa"
+    "BBBBBAbbbaBABBBBBaBBabaBBBBBAbbbABBaBBaaBBBAbAABBBA"
+)
+
+
+def test_fill_certificate_is_asked_of_the_canonical_dual():
+    # rauzy3_full is the one predicate whose answer depends on the dual
+    # basis; the scan must ask it in spanning_data's basis, where the a-loop
+    # cover, the least key of the three 2-vertex covers, is certified
+    w = CW(_BASIS_DEPENDENT, 2)
+    loops = (2, 2, ((0, 0, 1), (0, 1, 2), (1, 0, 2), (1, 1, 1)))
+    codes = _display_codes(w.letters)
+    covers = {}
+    for out in graphs._quotient_tables(w, 2):
+        edges, order, canonical, _ = graphs._read_quotient(w, out, 2)
+        first_visit = graphs._first_visit_dual(codes, out, 4)
+        covers[graphs._relabeled_key(2, order, edges)] = (
+            rauzy3_full(canonical), rauzy3_full(first_visit)
+        )
+    assert len(w) == 120 and len(covers) == 3 and covers[loops] == (True, False)
+    undetermined = AGraph(2, 2, 0, ((0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 2)))
+    assert _scan_quotients(w, ("fill",), max_index=2) == {
+        "fill": (2, index.Witness(undetermined, CERT_UNDETERMINED))
+    }
+    assert _scan_quotients(w, ("fill",), max_index=2, witnesses=False) == {"fill": (2, None)}
+
+
 @pytest.mark.parametrize("text,rank,max_index", sorted(_CAPS_TO_FINISH, key=str))
 def test_scan_cap_trips_one_step_short(text, rank, max_index):
     w = CW(text, rank)
@@ -592,13 +630,13 @@ def test_each_quotient_is_asked_only_what_is_still_open(monkeypatch):
     # caller did not name
     level = [0]
     calls: list[tuple[str, int]] = []
-    grow = index.quotients_with_vertices
+    grow = index._quotient_tables
 
     def at_level(w, k, step):
         level[0] = k
         return grow(w, k, step)
 
-    monkeypatch.setattr(index, "quotients_with_vertices", at_level)
+    monkeypatch.setattr(index, "_quotient_tables", at_level)
     for name in ("is_primitive", "descend", "rauzy3_full"):
         def spy(arg, name=name, fn=getattr(index, name)):
             calls.append((name, level[0]))
@@ -634,7 +672,7 @@ def _scan_steps(monkeypatch) -> list[int]:
     also calls the scan's own; the returned one-element list counts the
     steps taken since it was zeroed."""
     steps = [0]
-    grow = index.quotients_with_vertices
+    grow = index._quotient_tables
 
     def at_level(w, k, step):
         def record():
@@ -644,7 +682,7 @@ def _scan_steps(monkeypatch) -> list[int]:
 
         return grow(w, k, record)
 
-    monkeypatch.setattr(index, "quotients_with_vertices", at_level)
+    monkeypatch.setattr(index, "_quotient_tables", at_level)
     return steps
 
 
@@ -712,7 +750,7 @@ def test_step_cap_counts_the_scan_that_runs(monkeypatch):
 
 _INVARIANTS_UNDER_O = """
 from primindex.errors import InvalidInputError
-from primindex.graphs import _read_quotient
+from primindex.graphs import _first_visit_dual, _read_quotient
 from primindex.index import IndexReport
 from primindex.words import CyclicWord
 
@@ -724,11 +762,18 @@ try:
     raise SystemExit("out-of-order IndexReport accepted")
 except InvalidInputError:
     pass
-# the next-vertex table of the two-vertex cover whose a-edges swap the vertices
-swap = {(0, 1): 1, (1, -1): 0, (1, 1): 0, (0, -1): 1, (0, 2): 0, (0, -2): 0, (1, 2): 1, (1, -2): 1}
+# the flat next-vertex table, slots a A b B per vertex, of the two-vertex
+# cover whose a-edges swap the vertices
+swap = [1, 1, 0, 0, 0, 0, 1, 1]
 try:
     _read_quotient(CyclicWord.parse("a", 2), swap, 2)
     raise SystemExit("open trace accepted as a quotient loop")
+except InvalidInputError:
+    pass
+# b leaves vertex 0 of the table with the b-edges taken out: -1 is no index
+try:
+    _first_visit_dual([2], [1, 1, -1, -1, 0, 0, -1, -1], 4)
+    raise SystemExit("walk off the table accepted")
 except InvalidInputError:
     pass
 """
